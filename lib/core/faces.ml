@@ -4,15 +4,17 @@
    the fundamental face F_e is the face of T + e that does not contain the
    virtual root.  Two implementations coexist:
 
+   - [is_inside] / [inside_range] / [interior]: the paper's local
+     characterization (Claims 1, 3, 4, 5 and Remark 1) in O(log n) per query
+     — what the distributed algorithm can evaluate, what the weight formula
+     of Definition 2 consumes, and what the production separator's Phases 4
+     and 5 use to enumerate a face.
+
    - [interior_reference]: exact, by traversing the two faces of T + e in the
      induced rotation system and discarding the one holding the root corner.
-     O(n) per edge; the ground truth.
-
-   - [is_inside] / [inside_children]: the paper's local characterization
-     (Claims 1, 3, 4, 5 and Remark 1) in O(log n) per query — this is what
-     the distributed algorithm can evaluate, and what the weight formula of
-     Definition 2 consumes.  Its agreement with the reference is enforced by
-     the test suite. *)
+     O(n) per edge, and it rebuilds T + e as a graph every call; ground truth
+     for the tests and the fuzz oracles only.  Their agreement is enforced
+     on whole-graph and part configurations alike. *)
 
 open Repro_graph
 open Repro_embedding
@@ -36,10 +38,15 @@ let anchor cfg x =
   end
   else Rotation.position (Config.rot cfg) x (Rooted.parent tree x)
 
-let npos cfg x y =
+(* [npos_at cfg x] resolves the anchor of [x] once, for repeated queries
+   at one node. *)
+let npos_at cfg x =
   let rot = Config.rot cfg in
   let d = Rotation.degree rot x in
-  ((Rotation.position rot x y - anchor cfg x) + d) mod d
+  let a = anchor cfg x in
+  fun y -> ((Rotation.position rot x y - a) + d) mod d
+
+let npos cfg x y = npos_at cfg x y
 
 (* Child of [x] on the tree path towards its descendant [z]. *)
 let child_toward cfg x z =
@@ -71,64 +78,72 @@ let border cfg ~u ~v = Rooted.path (Config.tree cfg) u v
 (* (Claims 1 and 4).                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Is the tree child [c] of border node [x] inside F_e?  [c] itself must not
-   be on the border. *)
-let child_inside cfg ~u ~v ~case x c =
+(* Claims 1 and 4 as an angular window: a neighbour y of border node [x]
+   (not itself on the border) lies inside F_e iff lo < npos x y < hi.  The
+   bounds are the positions of border neighbours — which the strict
+   inequalities exclude — or the open ends -1 and deg(x).  [np] is
+   [npos_at cfg x]. *)
+let inside_window cfg ~u ~v ~case x np =
   let tree = Config.tree cfg in
+  let d = Rotation.degree (Config.rot cfg) x in
   match case with
   | Unrelated ->
     let w = Rooted.lca tree u v in
-    if x = u then npos cfg u c < npos cfg u v (* Claim 1 (ii) *)
-    else if x = v then npos cfg v c > npos cfg v u (* Claim 1 (iii) *)
-    else if x = w then begin
+    if x = u then (-1, np v) (* Claim 1 (ii) *)
+    else if x = v then (np u, d) (* Claim 1 (iii) *)
+    else if x = w then
       (* Claim 1 (i): strictly between the branch to v and the branch to u. *)
-      let u1 = child_toward cfg w u and v1 = child_toward cfg w v in
-      npos cfg w v1 < npos cfg w c && npos cfg w c < npos cfg w u1
-    end
-    else if Rooted.is_ancestor tree ~anc:x ~desc:u then begin
+      (np (child_toward cfg w v), np (child_toward cfg w u))
+    else if Rooted.is_ancestor tree ~anc:x ~desc:u then
       (* Claim 1 (iv): interior node of the w->u branch. *)
-      let next = child_toward cfg x u in
-      npos cfg x c < npos cfg x next
-    end
-    else begin
-      (* Claim 1 (v): interior node of the w->v branch. *)
-      let next = child_toward cfg x v in
-      npos cfg x c > npos cfg x next
-    end
+      (-1, np (child_toward cfg x u))
+    else (* Claim 1 (v): interior node of the w->v branch. *)
+      (np (child_toward cfg x v), d)
   | Anc_right ->
     (* u is an ancestor of v and the edge leaves u clockwise-after the path
        child w1 (Claim 4 with t_u(v) > t_u(w1)). *)
-    if x = u then begin
-      let w1 = child_toward cfg u v in
-      npos cfg u w1 < npos cfg u c && npos cfg u c < npos cfg u v
-    end
-    else if x = v then npos cfg v c > npos cfg v u
-    else begin
-      let next = child_toward cfg x v in
-      npos cfg x c > npos cfg x next
-    end
+    if x = u then (np (child_toward cfg u v), np v)
+    else if x = v then (np u, d)
+    else (np (child_toward cfg x v), d)
   | Anc_left ->
     (* Mirror image of Anc_right. *)
-    if x = u then begin
-      let w1 = child_toward cfg u v in
-      npos cfg u v < npos cfg u c && npos cfg u c < npos cfg u w1
-    end
-    else if x = v then npos cfg v c < npos cfg v u
-    else begin
-      let next = child_toward cfg x v in
-      npos cfg x c < npos cfg x next
-    end
+    if x = u then (np v, np (child_toward cfg u v))
+    else if x = v then (-1, np u)
+    else (-1, np (child_toward cfg x v))
+
+(* Is the tree child [c] of border node [x] inside F_e?  [c] itself must not
+   be on the border. *)
+let child_inside cfg ~u ~v ~case x c =
+  let np = npos_at cfg x in
+  let lo, hi = inside_window cfg ~u ~v ~case x np in
+  let p = np c in
+  lo < p && p < hi
+
+(* The same rule as a row interval.  [Rooted.build] lays the children of
+   [x] out clockwise from its anchor, i.e. in increasing [npos], so the
+   children inside the window are the row indices [lo .. hi - 1], found by
+   two binary searches: O(log deg(x) + log n) per border node. *)
+let inside_range cfg ~u ~v ~case x =
+  let tree = Config.tree cfg in
+  let np = npos_at cfg x in
+  let lo_b, hi_b = inside_window cfg ~u ~v ~case x np in
+  (* First row index whose child sits at a normalized position > [p]. *)
+  let first_above p =
+    let lo = ref 0 and hi = ref (Rooted.children_count tree x) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if np (Rooted.child tree x mid) > p then hi := mid else lo := mid + 1
+    done;
+    !lo
+  in
+  let lo = first_above lo_b in
+  (lo, max lo (first_above (hi_b - 1)))
 
 (* Tree children of border node [x] lying inside F_e, in rotation order. *)
 let inside_children cfg ~u ~v ~case x =
   let tree = Config.tree cfg in
-  List.rev
-    (Rooted.fold_children tree x
-       (fun acc c ->
-         if (not (on_border cfg ~u ~v c)) && child_inside cfg ~u ~v ~case x c
-         then c :: acc
-         else acc)
-       [])
+  let lo, hi = inside_range cfg ~u ~v ~case x in
+  List.init (hi - lo) (fun i -> Rooted.child tree x (lo + i))
 
 (* ------------------------------------------------------------------ *)
 (* Interior membership in O(log n) (Remark 1 + Claims 3 and 5).        *)
@@ -174,21 +189,23 @@ let is_inside cfg ~u ~v z =
   end
 
 (* All interior members, via the local rule: union of the subtrees hanging
-   inside at each border node.  O(|border| * degree + |interior|). *)
+   inside at each border node.  O(|border| * log n + |interior|) — what
+   Phases 4 and 5 of the separator consume. *)
 let interior cfg ~u ~v =
   let tree = Config.tree cfg in
   let case = classify cfg ~u ~v in
   let acc = ref [] in
   List.iter
     (fun x ->
-      List.iter
-        (fun c ->
-          (* The whole subtree of an inside child is inside. *)
-          let lo = Rooted.pi_left tree c in
-          for i = lo to lo + Rooted.size tree c - 1 do
-            acc := Rooted.node_at_left tree i :: !acc
-          done)
-        (inside_children cfg ~u ~v ~case x))
+      let lo, hi = inside_range cfg ~u ~v ~case x in
+      for k = lo to hi - 1 do
+        (* The whole subtree of an inside child is inside. *)
+        let c = Rooted.child tree x k in
+        let first = Rooted.pi_left tree c in
+        for i = first to first + Rooted.size tree c - 1 do
+          acc := Rooted.node_at_left tree i :: !acc
+        done
+      done)
     (border cfg ~u ~v);
   !acc
 

@@ -3,9 +3,14 @@
     For a real fundamental edge e = uv (normalized so that
     [pi_left u < pi_left v]), the fundamental face F_e is the face of T + e
     not containing the virtual root.  The module provides both the paper's
-    O(log n) local characterization (Claims 1/3/4/5, Remark 1) and an exact
-    O(n) face-traversal reference; the test suite enforces their
-    agreement. *)
+    O(log n) local characterization (Claims 1/3/4/5, Remark 1) — which the
+    production separator uses — and an exact O(n) face-traversal reference,
+    kept as ground truth for tests and fuzz oracles only; the test suite
+    enforces their agreement.
+
+    The local rule relies on the configuration's tree laying each child row
+    out clockwise from the same anchor [npos] uses, i.e. the tree was built
+    with the configuration's own [root_first]. *)
 
 type edge_case =
   | Unrelated  (** neither endpoint is an ancestor of the other *)
@@ -36,6 +41,12 @@ val child_inside : Config.t -> u:int -> v:int -> case:edge_case -> int -> int ->
 (** [child_inside cfg ~u ~v ~case x c]: is the tree child [c] of border node
     [x] inside F_e?  (Claims 1 and 4.) *)
 
+val inside_range : Config.t -> u:int -> v:int -> case:edge_case -> int -> int * int
+(** [inside_range cfg ~u ~v ~case x] = [(lo, hi)]: the children of border
+    node [x] hanging inside F_e are exactly those at clockwise row indices
+    [lo .. hi - 1] (see {!Repro_tree.Rooted.child}).  Two binary searches
+    over the row, O(log deg(x) + log n). *)
+
 val inside_children : Config.t -> u:int -> v:int -> case:edge_case -> int -> int list
 (** Children of a border node hanging inside F_e, in rotation order. *)
 
@@ -43,11 +54,14 @@ val is_inside : Config.t -> u:int -> v:int -> int -> bool
 (** O(log n) interior membership (Remark 1 / Claims 3 and 5). *)
 
 val interior : Config.t -> u:int -> v:int -> int list
-(** All interior members, via the local characterization. *)
+(** All interior members, via the local characterization, in
+    O(|border| log n + |interior|).  The separator's Phases 4 and 5 use
+    this. *)
 
 val interior_reference : Config.t -> u:int -> v:int -> int list
 (** Exact interior by traversing the two faces of T + e and discarding the
-    one holding the virtual root corner. *)
+    one holding the virtual root corner.  O(n) per call; ground truth for
+    tests and oracles, not used by the separator. *)
 
 val edge_in_face : Config.t -> e:int * int -> f:int * int -> bool
 (** Is the real fundamental edge [f] contained in (the closed region of)

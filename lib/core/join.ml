@@ -90,15 +90,36 @@ let decode_anchor n code =
 let encode_target n ~depth ~rank = 1 + (depth * n) + (n - 1 - rank)
 let decode_target_rank n code = n - 1 - ((code - 1) mod n)
 
+(* The vertex -> member-index map of [preferring_tree], one per domain:
+   -1 outside the component being indexed.  It grows to the graph's n once
+   and is then reused by every component of every iteration of every join
+   on that domain, so a join allocates nothing proportional to the global
+   n.  [occupant] holds the members currently marked; a join un-marks them
+   on entry (the [Graph.Scratch] discipline), so a join that raised halfway
+   through indexing leaves no stale marks behind.  Domains never share a
+   scratch, so concurrent joins on the pool stay independent. *)
+type scratch = { mutable idx : int array; mutable occupant : int array }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { idx = [||]; occupant = [||] })
+
+let scratch_for n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.idx < n then
+    s.idx <- Array.make (max n (2 * Array.length s.idx)) (-1)
+  else Array.iter (fun v -> s.idx.(v) <- -1) s.occupant;
+  s.occupant <- [||];
+  s
+
 (* Spanning tree of the member set rooted at [anchor], preferring edges
    between still-marked nodes (Kruskal with 0/1 weights), then BFS over the
-   chosen edges for parents and depths, both in member-index space.  [idx]
-   is the shared vertex -> member-index scratch (-1 outside the current
-   component): filled on entry and cleared before returning, so one flat
-   array serves every component of every iteration without the per-call
-   hash table the serial choreography allocates. *)
-let preferring_tree st members ~anchor ~marked ~idx =
+   chosen edges for parents and depths, both in member-index space.  The
+   member index lives in the domain's [scratch]: filled on entry and
+   cleared before returning, so one flat array serves every component
+   without the per-call hash table the serial choreography allocates. *)
+let preferring_tree st members ~anchor ~marked ~scratch =
   let k = Array.length members in
+  let idx = scratch.idx in
+  scratch.occupant <- members;
   Array.iteri (fun i v -> idx.(v) <- i) members;
   let uf = Repro_util.Union_find.create k in
   let adj = Array.make k [] in
@@ -141,6 +162,7 @@ let preferring_tree st members ~anchor ~marked ~idx =
       adj.(jv)
   done;
   Array.iter (fun v -> idx.(v) <- -1) members;
+  scratch.occupant <- [||];
   (parent, depth)
 
 (* Attach the tree path anchor -> target (given by its member rank) to the
@@ -187,7 +209,7 @@ let join_inner ?rounds ?exec st ~members ~separator =
     (fun v -> if not (in_tree st v) then Hashtbl.replace remaining v ())
     separator;
   let marked v = Hashtbl.mem remaining v in
-  let idx = Array.make n (-1) in
+  let scratch = scratch_for n in
   let iterations = ref 0 in
   while Hashtbl.length remaining > 0 do
     incr iterations;
@@ -232,7 +254,7 @@ let join_inner ?rounds ?exec st ~members ~separator =
             if a0.(i) = 0 then
               invalid_arg "Join.join: component with no tree neighbour";
             let anchor_parent, anchor = decode_anchor n a0.(i) in
-            let tparent, tdepth = preferring_tree st comp ~anchor ~marked ~idx in
+            let tparent, tdepth = preferring_tree st comp ~anchor ~marked ~scratch in
             forests.(i) <- Some (anchor_parent, tparent, tdepth)
           end)
         comps

@@ -233,7 +233,7 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
   let n = Config.n cfg in
   let case = Faces.classify cfg ~u ~v in
   charge_opt rounds (fun r -> Rounds.charge_detect_face r);
-  let interior = Faces.interior_reference cfg ~u ~v in
+  let interior = Faces.interior cfg ~u ~v in
   charge_opt rounds (fun r ->
       Rounds.charge_aggregate r "full-augmentation[Phase4]");
   let pi = pi_for_case cfg case in

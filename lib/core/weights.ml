@@ -17,10 +17,13 @@ open Repro_tree
 
 (* Sum of subtree sizes of the children of [x] hanging inside F_e.  This is
    the paper's p_{F_e}(x): the number of nodes of F_e in the strict subtree
-   of x. *)
+   of x.  The inside children form one clockwise row interval
+   ([Faces.inside_range], two binary searches), so the sum is one
+   difference of the tree's child prefix sums: O(log deg(x) + log n)
+   instead of a scan over every child of x. *)
 let p_term cfg ~u ~v ~case x =
-  Faces.inside_children cfg ~u ~v ~case x
-  |> List.fold_left (fun acc c -> acc + Rooted.size (Config.tree cfg) c) 0
+  let lo, hi = Faces.inside_range cfg ~u ~v ~case x in
+  Rooted.children_size_between (Config.tree cfg) x lo hi
 
 let weight cfg ~u ~v =
   let tree = Config.tree cfg in
@@ -71,12 +74,12 @@ let all_weights cfg =
 
 (* Nodes outside F_e split into F_l (visited before the face in the LEFT
    order, or hanging outside below u) and F_r (visited after).  Computed
-   from the exact interior; returns (f_left, f_right) as node lists. *)
+   from the local interior rule; returns (f_left, f_right) as node lists. *)
 let outside_split cfg ~u ~v =
   let tree = Config.tree cfg in
   let n = Config.n cfg in
   let in_face = Array.make n false in
-  List.iter (fun x -> in_face.(x) <- true) (Faces.interior_reference cfg ~u ~v);
+  List.iter (fun x -> in_face.(x) <- true) (Faces.interior cfg ~u ~v);
   List.iter (fun x -> in_face.(x) <- true) (Faces.border cfg ~u ~v);
   let fl = ref [] and fr = ref [] in
   for z = 0 to n - 1 do

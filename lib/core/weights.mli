@@ -7,7 +7,9 @@
 val p_term :
   Config.t -> u:int -> v:int -> case:Faces.edge_case -> int -> int
 (** p_{F_e}(x): number of nodes of F_e in the strict subtree of border node
-    [x] — locally computable from the rotation. *)
+    [x] — locally computable from the rotation.  O(log deg(x) + log n): the
+    inside children are one row interval ({!Faces.inside_range}) summed by
+    the tree's child prefix sums. *)
 
 val weight : Config.t -> u:int -> v:int -> int
 (** Definition 2 for the real fundamental edge (u, v) (normalized). *)
@@ -21,4 +23,5 @@ val all_weights : Config.t -> ((int * int) * int) list
 
 val outside_split : Config.t -> u:int -> v:int -> int list * int list
 (** The sets F_l and F_r of Lemma 8: nodes outside F_e, split by LEFT
-    position relative to the face. *)
+    position relative to the face.  Uses the local interior rule
+    ({!Faces.interior}). *)

@@ -182,9 +182,14 @@ let connected_in t members =
   done;
   !count = Array.length members
 
+(* Resolve a part to its cache spec and a builder for its configuration.
+   Everything that decides the key or rejects the request (the range and
+   connectivity checks, the decomposition lookup of a piece) runs here,
+   before anything is built; the configuration itself is built only on a
+   miss, so a hit costs the key and the checks alone. *)
 let part_config t part =
   match part with
-  | Workload.All -> ("all", t.cfg0)
+  | Workload.All -> ("all", fun () -> t.cfg0)
   | Workload.Piece i ->
     let e, _hit = decomposition t Workload.default_piece_target in
     let pieces =
@@ -201,7 +206,7 @@ let part_config t part =
     let members = Array.of_list p in
     let root = Array.fold_left min members.(0) members in
     ( "piece:" ^ string_of_int i,
-      Config.of_part ~members ~root t.emb )
+      fun () -> Config.of_part ~members ~root t.emb )
   | Workload.Vertices vs ->
     let n = Graph.n t.g in
     if vs = [] then raise (Bad_request "empty part");
@@ -215,10 +220,10 @@ let part_config t part =
       raise (Bad_request "part is not connected");
     let root = members.(0) in
     ( Printf.sprintf "v:%s" (hex_of_hash (hash_ints (Array.to_list members))),
-      Config.of_part ~members ~root t.emb )
+      fun () -> Config.of_part ~members ~root t.emb )
 
 let sep_entry t part =
-  let spec, cfg =
+  let spec, build_cfg =
     (* Resolving a Piece part may itself fill the decomposition key; the
        cache's [find_or_add] is re-entrant for exactly this nesting. *)
     part_config t part
@@ -226,6 +231,7 @@ let sep_entry t part =
   let key = "sep:" ^ spec in
   let entry, hit =
     Cache.find_or_add t.cache key (fun () ->
+        let cfg = build_cfg () in
         with_ledger t @@ fun rounds ->
         let r = t.backend.Backend.find ~rounds cfg in
         let v = Check.check_separator cfg r.Separator.separator in

@@ -468,6 +468,19 @@ let run_collective (inst : Instance.t) =
 (*    = centralized face traversal.                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* p_{F_e}(x) by per-child enumeration: scan every tree child of border
+   node [x], keep those off the border that [Faces.child_inside] puts
+   inside F_e, and sum their subtree sizes.  O(deg(x) log n) — ground
+   truth for the prefix-sum [Weights.p_term]. *)
+let p_term_reference cfg ~u ~v ~case x =
+  let tree = Config.tree cfg in
+  Rooted.fold_children tree x
+    (fun acc c ->
+      if (not (Faces.on_border cfg ~u ~v c)) && Faces.child_inside cfg ~u ~v ~case x c
+      then acc + Rooted.size tree c
+      else acc)
+    0
+
 let run_faces (inst : Instance.t) =
   let ctx = ctx_create () in
   let g = Config.graph inst.config in
@@ -493,6 +506,20 @@ let run_faces (inst : Instance.t) =
         (fm.Composed.inside = as_marks inside_ref);
       ck ctx "detect-face border = centralized border path"
         (fm.Composed.border = as_marks border_ref);
+      (* The separator's host-side face machinery: the local interior rule
+         and the prefix-sum p-terms against their ground truths. *)
+      ck ctx
+        (Printf.sprintf "local interior(%d,%d) = centralized face traversal" u v)
+        (List.sort compare (Faces.interior inst.config ~u ~v)
+        = List.sort compare inside_ref);
+      let case = Faces.classify inst.config ~u ~v in
+      List.iter
+        (fun x ->
+          ck ctx
+            (Printf.sprintf "p-term(%d) of (%d,%d) = per-child enumeration" x u v)
+            (Weights.p_term inst.config ~u ~v ~case x
+            = p_term_reference inst.config ~u ~v ~case x))
+        border_ref;
       bud ctx "detect-face" st.Composed.rounds ((16 * (d + 3)) + 64);
       (* HIDDEN on the first interior T-leaf, when the face has one. *)
       match List.filter (Rooted.is_leaf tree) inside_ref with

@@ -43,6 +43,18 @@ module Diff (P : Repro_congest.Engine.PROGRAM) : sig
       divergence covers outputs and all four statistics. *)
 end
 
+val p_term_reference :
+  Repro_core.Config.t ->
+  u:int ->
+  v:int ->
+  case:Repro_core.Faces.edge_case ->
+  int ->
+  int
+(** p_{F_e}(x) by per-child enumeration: every tree child of border node
+    [x] tested with {!Repro_core.Faces.child_inside}.  Ground truth for the
+    prefix-sum {!Repro_core.Weights.p_term} in the ["faces"] oracle and the
+    weight tests. *)
+
 val register : t -> unit
 (** Raises {!Duplicate_oracle} if the name is taken. *)
 

@@ -20,6 +20,7 @@ type t = {
   depth : int array;
   ch_off : int array; (* n + 1 offsets into ch *)
   ch : int array; (* n - 1 children, clockwise, parent edge first *)
+  ch_size_pre : int array; (* prefix sums of subtree sizes along ch *)
   size : int array; (* n_T(v): nodes in the subtree rooted at v *)
   pi_left : int array; (* LEFT-DFS-ORDER position, 0-based *)
   pi_right : int array; (* RIGHT-DFS-ORDER position, 0-based *)
@@ -49,6 +50,12 @@ let fold_children t v f acc =
   !acc
 
 let size t v = t.size.(v)
+
+(* Total subtree size of the children of [v] at row indices [i .. j - 1]:
+   one difference of the flat prefix sums, O(1). *)
+let children_size_between t v i j =
+  t.ch_size_pre.(t.ch_off.(v) + j) - t.ch_size_pre.(t.ch_off.(v) + i)
+
 let pi_left t v = t.pi_left.(v)
 let pi_right t v = t.pi_right.(v)
 let node_at_left t i = t.left_at.(i)
@@ -132,6 +139,10 @@ let build ?root_first ~rot ~root parent =
       size.(v) <- size.(v) + size.(ch.(j))
     done
   done;
+  let ch_size_pre = Array.make (ch_off.(n) + 1) 0 in
+  for i = 0 to ch_off.(n) - 1 do
+    ch_size_pre.(i + 1) <- ch_size_pre.(i) + size.(ch.(i))
+  done;
   let assign_order pi ~leftmost_first =
     let clock = ref 0 in
     stack.(0) <- root;
@@ -184,6 +195,7 @@ let build ?root_first ~rot ~root parent =
     depth;
     ch_off;
     ch;
+    ch_size_pre;
     size;
     pi_left;
     pi_right;

@@ -41,6 +41,14 @@ val fold_children : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 val size : t -> int -> int
 (** [n_T(v)]: number of nodes in the subtree rooted at [v]. *)
 
+val children_size_between : t -> int -> int -> int -> int
+(** [children_size_between t v i j] is the summed subtree size of the
+    children of [v] at clockwise row indices [i .. j - 1] (unchecked:
+    [0 <= i <= j <= children_count t v]), in O(1) from a prefix-sum array
+    kept beside the flat child rows.  Children are laid out in clockwise
+    order from the parent edge, so any angular range of children is one
+    such row interval. *)
+
 val is_leaf : t -> int -> bool
 
 val pi_left : t -> int -> int

@@ -106,6 +106,21 @@ let prop_local_interior_matches_reference =
           a = b)
         (Config.fundamental_edges cfg))
 
+(* The same agreement on the part configurations the separator actually
+   sees ([Config.of_part]: root_first = None, root anywhere) — the local
+   rule is what Phases 4 and 5 enumerate a face with. *)
+let prop_local_interior_matches_reference_on_parts =
+  QCheck.Test.make ~name:"local interior = face-traversal reference (parts)"
+    ~count:40 Test_weights.arb_part_family (fun (which, n, seed) ->
+      List.for_all
+        (fun cfg ->
+          List.for_all
+            (fun (u, v) ->
+              List.sort compare (Faces.interior cfg ~u ~v)
+              = List.sort compare (Faces.interior_reference cfg ~u ~v))
+            (Config.fundamental_edges cfg))
+        (Test_weights.part_configs (Test_weights.part_family which ~n ~seed)))
+
 let prop_is_inside_matches_reference =
   QCheck.Test.make ~name:"is_inside = reference membership" ~count:40
     QCheck.(pair (int_range 8 40) (int_bound 10000))
@@ -237,6 +252,7 @@ let suites =
         Alcotest.test_case "containment implies region order" `Quick
           test_edge_in_face_region_containment;
         qtest prop_local_interior_matches_reference;
+        qtest prop_local_interior_matches_reference_on_parts;
         qtest prop_is_inside_matches_reference;
         qtest prop_interior_matches_geometry;
     ]

@@ -126,6 +126,43 @@ let test_batched_never_marks_paths () =
   Alcotest.(check bool) "elections charged" true
     (Rounds.label_invocations ledger "join-elections" > 0)
 
+(* The member index of [Join.join] is a per-domain scratch that grows to
+   the largest n it has seen and is reused by every later join on that
+   domain.  Reuse across graphs of different sizes, and after a join that
+   raised, must not leak into any result: each run below equals the same
+   run on a fresh domain (whose scratch starts empty). *)
+let test_scratch_reuse_across_graphs () =
+  let dfs emb () =
+    let g = Embedded.graph emb in
+    let rounds =
+      Rounds.create ~n:(Graph.n g) ~d:(max 1 (Algo.diameter g)) ()
+    in
+    let r = Dfs.run ~rounds emb ~root:0 in
+    (r.Dfs.parent, r.Dfs.depth, Rounds.total rounds)
+  in
+  let fresh f = Domain.join (Domain.spawn f) in
+  let same name emb =
+    let here = dfs emb () in
+    Alcotest.(check bool)
+      (name ^ ": parent, depth and charged rounds = fresh domain")
+      true
+      (here = fresh (dfs emb))
+  in
+  (* A component holding separator nodes but no visited neighbour: the
+     "no tree neighbour" failure, raised mid-join. *)
+  let failing_join () =
+    let g = Embedded.graph (Gen.path 6) in
+    let st = Join.create g ~root:0 in
+    match Join.join st ~members:[| 3; 4; 5 |] ~separator:[ 4 ] with
+    | _ -> Alcotest.fail "join without a tree neighbour succeeded"
+    | exception Invalid_argument _ -> ()
+  in
+  same "large" (Gen.stacked_triangulation ~seed:5 ~n:700 ());
+  same "small" (Gen.grid ~rows:5 ~cols:5);
+  failing_join ();
+  same "small after failure" (Gen.wheel 20);
+  same "large again" (Gen.grid_diag ~seed:4 ~rows:30 ~cols:30 ())
+
 let suites =
   Suite.make __MODULE__
     [
@@ -135,6 +172,8 @@ let suites =
         test_exec_engine_run_ratio;
       Alcotest.test_case "batched join retires mark-path" `Quick
         test_batched_never_marks_paths;
+      Alcotest.test_case "scratch reuse: large/small/raise/large = fresh domain"
+        `Quick test_scratch_reuse_across_graphs;
       Suite.property ~count:25 ~max_size:56 ~seed:204 ~oracles:[ "join" ]
         "batched = reference = executed, >=2x cheaper (fuzz)";
     ]

@@ -129,6 +129,102 @@ let test_p_term_matches_subtree_count () =
         (Weights.p_term cfg ~u ~v ~case v))
     (Config.fundamental_edges cfg)
 
+(* ------------------------------------------------------------------ *)
+(* Part configurations: what Dfs.run and Decomposition.build hand to    *)
+(* the separator.  [Config.of_part] leaves root_first = None, and the   *)
+(* root (a component's anchor, or its smallest member) need not lie on  *)
+(* the outer face — unlike every [Config.of_embedded] property above.   *)
+(* ------------------------------------------------------------------ *)
+
+let part_family which ~n ~seed =
+  match which with
+  | 0 -> Gen.stacked_triangulation ~seed ~n ()
+  | 1 -> Gen.by_family ~seed "tgrid" ~n
+  | 2 -> Gen.grid_diag ~seed ~rows:(max 2 (n / 8)) ~cols:8 ()
+  | 3 -> Gen.thin ~seed ~keep:0.6 (Gen.stacked_triangulation ~seed ~n ())
+  | 4 -> Gen.wheel (max 4 n)
+  | _ -> Gen.fan (max 3 n)
+
+let part_family_count = 6
+
+(* The components of the first two DFS phases, built exactly as
+   [Dfs.run] builds them (root at the component's anchor), followed by the
+   parts of the first two decomposition levels (root at the smallest
+   member, as [Decomposition.build] does).  Parts of at most 3 vertices
+   never reach the separator and are skipped. *)
+let part_configs emb =
+  let g = Embedded.graph emb in
+  let n = Graph.n g in
+  let all = Array.init n Fun.id in
+  let acc = ref [] in
+  let keep cfg = acc := cfg :: !acc in
+  let separator_of cfg =
+    List.map (Config.to_global cfg) (Separator.find cfg).Separator.separator
+  in
+  let st = Join.create g ~root:0 in
+  for _phase = 1 to 2 do
+    let comps = Join.unvisited_components st all in
+    let seps =
+      List.map
+        (fun members ->
+          if Array.length members <= 3 then (members, Array.to_list members)
+          else begin
+            let root =
+              match Join.component_anchor st members with
+              | Some (v, _) -> v
+              | None -> members.(0)
+            in
+            let cfg = Config.of_part ~members ~root emb in
+            keep cfg;
+            (members, separator_of cfg)
+          end)
+        comps
+    in
+    List.iter
+      (fun (members, separator) -> ignore (Join.join st ~members ~separator))
+      seps
+  done;
+  let split members =
+    let cfg = Config.of_part ~members ~root:members.(0) emb in
+    keep cfg;
+    let sep = Hashtbl.create 16 in
+    List.iter (fun v -> Hashtbl.replace sep v ()) (separator_of cfg);
+    Algo.restricted_components g ~members ~skip:(Hashtbl.mem sep)
+    |> List.filter (fun m -> Array.length m > 3)
+  in
+  List.iter (fun m -> ignore (split m)) (split all);
+  List.rev !acc
+
+let arb_part_family =
+  QCheck.(
+    triple (int_range 0 (part_family_count - 1)) (int_range 12 80) (int_bound 10000))
+
+let prop_p_term_prefix_sums_on_parts =
+  QCheck.Test.make ~name:"prefix-sum p-term = per-child enumeration (parts)"
+    ~count:40 arb_part_family (fun (which, n, seed) ->
+      List.for_all
+        (fun cfg ->
+          List.for_all
+            (fun (u, v) ->
+              let case = Faces.classify cfg ~u ~v in
+              List.for_all
+                (fun x ->
+                  Weights.p_term cfg ~u ~v ~case x
+                  = Repro_testkit.Oracle.p_term_reference cfg ~u ~v ~case x)
+                (Faces.border cfg ~u ~v))
+            (Config.fundamental_edges cfg))
+        (part_configs (part_family which ~n ~seed)))
+
+let prop_weights_exact_on_parts =
+  QCheck.Test.make ~name:"Definition 2 = Lemma 3/4 count (parts)" ~count:40
+    arb_part_family (fun (which, n, seed) ->
+      List.for_all
+        (fun cfg ->
+          List.for_all
+            (fun (u, v) -> Weights.weight cfg ~u ~v = Weights.count_reference cfg ~u ~v)
+            (Config.fundamental_edges cfg))
+        (part_configs (part_family which ~n ~seed)))
+
 let suites =
   Repro_testkit.Suite.make __MODULE__
     [
@@ -141,4 +237,6 @@ let suites =
         qtest prop_weights_exact_everywhere;
         qtest prop_weight_bounds_interior;
         qtest prop_lemma5_soundness;
+        qtest prop_p_term_prefix_sums_on_parts;
+        qtest prop_weights_exact_on_parts;
     ]
