@@ -9,12 +9,16 @@
    - Phase 3: a real fundamental face has weight in [n/3, 2n/3] — its border
      path is the separator (Lemma 5).
    - Phase 4: some face is heavier than 2n/3 — take the minimal such face
-     and search its full augmentation from u (Lemma 7): a sweep of the
-     interior leaves in the face's DFS order, then the maximal hiding edge,
-     then the face border itself.
+     (NOT-CONTAINS, Lemma 18) and search its full augmentation from u
+     (Lemma 7): a sweep of the interior leaves in the face's DFS order,
+     then the maximal hiding edge, then the face border itself.
    - Phase 5: all faces lighter than n/3 — take a maximal face, split the
      outside into F_l / F_r (Lemma 8), and either the border path works or
      one side is heavy and is swept like Phase 4 from the root.
+
+   Nothing runs below the phases: each sweep probes its whole balanced
+   window (see [crossing_leaves]), and when every candidate of the phase
+   set fails, [find] raises [No_separator_found].
 
    Every candidate is verified with a balance probe before being returned —
    but verification is amortized over each phase group: the Phase-1 tree
@@ -144,23 +148,27 @@ let region_leaves_with_counter cfg ~pi ~counter region =
     arr;
   List.rev !acc
 
-(* Candidate leaves: the one at which the counter first reaches n/3, its
-   sweep neighbours, and a bounded evenly-spaced sample of the leaves whose
-   counter lies in the balanced window [n/3, 2n/3].  The sample bound keeps
-   the number of Õ(D) verification probes constant. *)
-let max_window_probes = 24
+(* Candidate leaves, in probe order: the one at which the counter first
+   reaches n/3 and its sweep neighbours, an evenly spaced sample of the
+   leaves whose counter lies in the balanced window [n/3, 2n/3], then every
+   other leaf of that window.  The sample only orders the probes (it finds
+   the usual hit early); the window itself is complete, so a sweep never
+   skips its only balanced hit.  Every probe rides the phase group's one
+   running balance aggregate, so the window costs no extra charged batch. *)
+let window_sample = 24
 
 let crossing_leaves ~n leaves_with_counter =
-  let in_window =
-    List.filter (fun (_, c) -> 3 * c >= n && 3 * c <= 2 * n) leaves_with_counter
+  let window =
+    List.filter_map
+      (fun (t, c) -> if 3 * c >= n && 3 * c <= 2 * n then Some t else None)
+      leaves_with_counter
   in
   let sampled =
-    let k = List.length in_window in
-    if k <= max_window_probes then List.map fst in_window
+    let k = List.length window in
+    if k <= window_sample then window
     else begin
-      let arr = Array.of_list in_window in
-      List.init max_window_probes (fun i ->
-          fst arr.(i * (k - 1) / (max_window_probes - 1)))
+      let arr = Array.of_list window in
+      List.init window_sample (fun i -> arr.(i * (k - 1) / (window_sample - 1)))
     end
   in
   let around =
@@ -175,7 +183,7 @@ let crossing_leaves ~n leaves_with_counter =
     in
     find None leaves_with_counter
   in
-  (* Dedup, preserving priority: crossing point first, then the window. *)
+  (* Dedup, preserving priority: crossing point, sample, rest of window. *)
   let seen = Hashtbl.create 16 in
   List.filter
     (fun t ->
@@ -184,7 +192,7 @@ let crossing_leaves ~n leaves_with_counter =
         Hashtbl.replace seen t ();
         true
       end)
-    (around @ sampled)
+    (around @ sampled @ window)
 
 (* NOT-CONTAINED / NOT-CONTAINS selection (Lemmas 17 and 18).  Weights are
    monotone under face containment, so a weight-extremal edge can only be
@@ -225,10 +233,9 @@ let pi_for_case cfg = function
   | Faces.Anc_left -> Rooted.pi_right (Config.tree cfg)
   | Faces.Unrelated | Faces.Anc_right -> Rooted.pi_left (Config.tree cfg)
 
-(* Phase 4 on a concrete heavy face F_e: a sweep anchored at each endpoint
-   (the paper augments from u; sweeping from v as well covers embeddings
-   whose root is not on the outer face, where the augmentation geometry is
-   mirrored), then the hidden-edge fallback, then the border itself. *)
+(* Phase 4 on the minimal heavy face F_e, augmented from u (Lemma 7): the
+   sweep hits, then the maximal hiding edge of each hit, then the border
+   itself. *)
 let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
   let n = Config.n cfg in
   let case = Faces.classify cfg ~u ~v in
@@ -236,60 +243,50 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
   let interior = Faces.interior cfg ~u ~v in
   charge_opt rounds (fun r ->
       Rounds.charge_aggregate r "full-augmentation[Phase4]");
-  let pi = pi_for_case cfg case in
-  let sweep ~anchor ~order =
-    let key = match order with `Asc -> pi | `Desc -> fun z -> -pi z in
-    let leaves =
-      region_leaves_with_counter cfg ~pi:key ~counter:`Prefix interior
-    in
-    let hits = crossing_leaves ~n leaves in
-    let paths =
-      (* Sweep hits are balance-verified; a closing edge is reported only
-         with the paper's own certificate: the hit is anchored at u and not
-         hidden (Lemma 6 = (T, F_e)-compatibility with u).  Hits anchored at
-         v (the mirrored sweep) are reported as balanced path separators. *)
-      List.map
-        (fun t () ->
-          let closing =
-            if anchor = u && not (Hidden.is_hidden cfg ~e:(u, v) ~t) then
-              Some (u, t)
-            else None
-          in
-          try_path ?rounds cfg ver tried ~batch:"phase4" ~phase:"4-augmented"
-            ~closing (anchor, t))
-        hits
-    in
-    let hidden =
-      List.map
-        (fun t () ->
-          charge_opt rounds (fun r -> Rounds.charge_hidden r);
-          match Hidden.maximal_hiding_edge cfg ~e:(u, v) ~t with
-          | None -> None
-          | Some (z1, z2) ->
-            (* Claim 6 certifies the virtual edge u-z2; the mirrored
-               (anchor = v) variants are path separators. *)
-            let closing z = if anchor = u then Some (u, z) else None in
-            first_some
-              [
-                (fun () ->
-                  try_path ?rounds cfg ver tried ~batch:"phase4"
-                    ~phase:"4-hidden" ~closing:(closing z2) (anchor, z2));
-                (fun () ->
-                  try_path ?rounds cfg ver tried ~batch:"phase4"
-                    ~phase:"4-hidden" ~closing:(closing z1) (anchor, z1));
-              ])
-        hits
-    in
-    paths @ hidden
+  let leaves =
+    region_leaves_with_counter cfg ~pi:(pi_for_case cfg case) ~counter:`Prefix
+      interior
+  in
+  let hits = crossing_leaves ~n leaves in
+  let paths =
+    (* Sweep hits are balance-verified; a closing edge is reported only
+       with the paper's own certificate: the hit is not hidden (Lemma 6 =
+       (T, F_e)-compatibility with u). *)
+    List.map
+      (fun t () ->
+        let closing =
+          if Hidden.is_hidden cfg ~e:(u, v) ~t then None else Some (u, t)
+        in
+        try_path ?rounds cfg ver tried ~batch:"phase4" ~phase:"4-augmented"
+          ~closing (u, t))
+      hits
+  in
+  let hidden =
+    List.map
+      (fun t () ->
+        charge_opt rounds (fun r -> Rounds.charge_hidden r);
+        match Hidden.maximal_hiding_edge cfg ~e:(u, v) ~t with
+        | None -> None
+        | Some (z1, z2) ->
+          (* Claim 6 certifies the virtual edge u-z2. *)
+          first_some
+            [
+              (fun () ->
+                try_path ?rounds cfg ver tried ~batch:"phase4"
+                  ~phase:"4-hidden" ~closing:(Some (u, z2)) (u, z2));
+              (fun () ->
+                try_path ?rounds cfg ver tried ~batch:"phase4"
+                  ~phase:"4-hidden" ~closing:(Some (u, z1)) (u, z1));
+            ])
+      hits
   in
   first_some
-    (sweep ~anchor:u ~order:`Asc
+    (paths @ hidden
     @ [
         (fun () ->
           try_path ?rounds cfg ver tried ~batch:"phase4" ~phase:"4-border"
             ~closing:(Some (u, v)) (u, v));
-      ]
-    @ sweep ~anchor:v ~order:`Desc)
+      ])
 
 (* Phase-5 heavy-outside sweep: the region outside F_e on one side, swept
    from the tree root (simulating the virtual face F_{root,u'} of Lemma 8). *)
@@ -371,24 +368,11 @@ let find ?rounds cfg =
             begin
             (* Phase 4: a minimal heavy face — one that does not contain any
                other heavy face (NOT-CONTAINS, Lemma 18).  Containment can
-               only hold within the minimum-weight tier.  If every candidate
-               of that face fails (possible on embeddings whose root is not
-               on the outer face), fall through to the other heavy faces in
-               weight order, up to a constant cap. *)
+               only hold within the minimum-weight tier. *)
             charge_opt rounds (fun r -> Rounds.charge_not_contained r);
             let wmin = List.fold_left (fun a (_, w) -> min a w) max_int heavy in
-            let primary = pick_not_contains cfg (weight_tier ~best:wmin heavy) in
-            let others =
-              List.sort (fun (_, w1) (_, w2) -> compare w1 w2) heavy
-              |> List.map fst
-              |> List.filter (fun e -> e <> primary)
-              |> List.filteri (fun i _ -> i < 7)
-            in
-            first_some
-              (List.map
-                 (fun (u, v) () ->
-                   heavy_face_candidates ?rounds cfg ver tried ~u ~v)
-                 (primary :: others))
+            let u, v = pick_not_contains cfg (weight_tier ~best:wmin heavy) in
+            heavy_face_candidates ?rounds cfg ver tried ~u ~v
           end
           else
             span rounds "sep.phase5-light" @@ fun () ->
@@ -429,86 +413,12 @@ let find ?rounds cfg =
                   ~label:"5-right-sweep" f_right
               else []
             in
-            (* Backup: sweep the larger outside region even when neither
-               exceeds 2n/3 — lazily evaluated, so it costs rounds only if
-               the paper's primary candidates all fail. *)
-            let backup () =
-              if sweeps <> [] then None
-              else begin
-                let label, region =
-                  if nl >= nr then ("5-left-sweep", f_left)
-                  else ("5-right-sweep", f_right)
-                in
-                first_some
-                  (outside_sweep_candidates ?rounds cfg ver tried ~label region)
-              end
-            in
-            first_some (base_candidates @ sweeps @ [ backup ])
+            first_some (base_candidates @ sweeps)
           end
         in
-        (match result with
+        match result with
         | Some r -> finish r
-        | None ->
-          (* Safety net: reached when the bounded sweeps miss (the even
-             window sample of [crossing_leaves] can skip the only balanced
-             hit — observed on tgrid 100x100 seed 3) or no face border
-             balances at all. *)
-          let fallback =
-            span rounds "sep.fallback" @@ fun () ->
-            first_some
-              [
-                (fun () ->
-                  try_path ?rounds cfg ver tried ~batch:"fallback"
-                    ~phase:"fallback-centroid" ~closing:None
-                    (root, Rooted.centroid tree));
-                (fun () ->
-                  (* Closest-to-balanced face border. *)
-                  let sorted =
-                    List.sort
-                      (fun (_, w1) (_, w2) ->
-                        compare (abs ((2 * w1) - n)) (abs ((2 * w2) - n)))
-                      weights
-                  in
-                  first_some
-                    (List.filteri (fun i _ -> i < 50) sorted
-                    |> List.map (fun ((u, v), _) () ->
-                           try_path ?rounds cfg ver tried ~batch:"fallback"
-                             ~phase:"fallback-face" ~closing:(Some (u, v))
-                             (u, v))));
-                (fun () ->
-                  (* Exhaustive root-anchored leaf sweep: a root-to-leaf
-                     path encloses pi_left(t) + 1 nodes on one side, so
-                     ordering ALL tree leaves by how close that side is to
-                     n/2 probes the most balanced candidates first.  The
-                     probes ride the fallback batch's running aggregate
-                     (one charged collective however many leaves are
-                     tried), and unlike the Phase-4/5 sweeps nothing is
-                     sampled away — this is the completeness backstop for
-                     the bounded [crossing_leaves] window. *)
-                  charge_opt rounds (fun r ->
-                      Rounds.charge_aggregate r "fallback-leaf-sweep");
-                  let pi = Rooted.pi_left tree in
-                  let leaves = ref [] in
-                  for v = 0 to n - 1 do
-                    if Rooted.is_leaf tree v then leaves := v :: !leaves
-                  done;
-                  let arr = Array.of_list !leaves in
-                  Array.sort
-                    (fun a b ->
-                      compare
-                        (abs ((2 * (pi a + 1)) - n), pi a)
-                        (abs ((2 * (pi b + 1)) - n), pi b))
-                    arr;
-                  first_some
-                    (Array.to_list arr
-                    |> List.map (fun t () ->
-                           try_path ?rounds cfg ver tried ~batch:"fallback"
-                             ~phase:"fallback-leaf" ~closing:None (root, t))));
-              ]
-          in
-          (match fallback with
-          | Some r -> finish r
-          | None -> raise (No_separator_found "all candidates failed")))
+        | None -> raise (No_separator_found "every phase candidate failed")
     end
   end
 

@@ -30,6 +30,8 @@ type result = {
 exception No_separator_found of string
 
 val find : ?rounds:Rounds.t -> Config.t -> result
+(** Raises [No_separator_found] when every candidate of the phase set
+    fails; nothing runs below the phases. *)
 
 val shrink : ?rounds:Rounds.t -> Config.t -> int list -> int list
 (** Trim a separator path from both ends while it stays balanced (balance is

@@ -60,6 +60,18 @@ let test_separator_is_tree_path () =
   Alcotest.(check bool) "tree path" true
     (Check.is_tree_path (Config.tree cfg) r.Separator.separator)
 
+let test_tgrid_window_complete () =
+  (* A high-diameter part where the even 24-leaf sample of the Phase-5
+     window misses every balanced leaf: the rest of the window must still
+     be probed, so a phase (not a search below the phases) answers. *)
+  let cfg = Config.of_embedded (Gen.grid_diag ~seed:6 ~rows:60 ~cols:60 ()) in
+  let r = Separator.find cfg in
+  assert_valid "tgrid 60x60 seed 6" (cfg, r);
+  Alcotest.(check bool)
+    (Printf.sprintf "phase %s is a Phase-5 candidate" r.Separator.phase)
+    true
+    (String.starts_with ~prefix:"5-" r.Separator.phase)
+
 let test_rounds_charged () =
   let emb = Gen.grid_diag ~seed:4 ~rows:8 ~cols:8 () in
   let g = Embedded.graph emb in
@@ -202,6 +214,8 @@ let suites =
         Alcotest.test_case "star uses tree phase" `Quick test_star_phase_is_tree;
         Alcotest.test_case "trivial sizes" `Quick test_trivial_small;
         Alcotest.test_case "output is a tree path" `Quick test_separator_is_tree_path;
+        Alcotest.test_case "tgrid window complete" `Quick
+          test_tgrid_window_complete;
         Alcotest.test_case "rounds charged" `Quick test_rounds_charged;
         Alcotest.test_case "partition interface" `Quick test_partition_version;
         Alcotest.test_case "singleton parts" `Quick test_singleton_parts;
