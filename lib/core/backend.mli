@@ -45,7 +45,7 @@ type t = {
           ["O(n + m) centralized; ledger charged O(part) collect"] *)
   find : ?rounds:Rounds.t -> Config.t -> Separator.result;
   trim : ?rounds:Rounds.t -> Config.t -> int list -> int list;
-      (** balanced-trim post-pass applied by [Decomposition.build ~trim];
+      (** balanced-trim post-pass applied by [Decomposition.build];
           every built-in backend uses {!Separator.shrink}, which only
           relies on balance monotonicity and so works on any separator
           vertex list, path-shaped or not *)

@@ -30,18 +30,15 @@ type t = {
 
 (* One split: separator of the part (via the selected backend), then the
    connected remainders.  Pure with respect to shared state — safe as a
-   pool task.  [trim] goes through the backend's own trim hook, so the
+   pool task.  The trim goes through the backend's own trim hook, so the
    balanced-trim post-pass applies uniformly regardless of which backend
    produced the separator. *)
-let split_part ?rounds ~trim ~backend emb members =
+let split_part ?rounds ~backend emb members =
   let g = Embedded.graph emb in
   let cfg = Config.of_part ~members ~root:members.(0) emb in
   let local = Option.map Repro_congest.Rounds.like rounds in
   let r = backend.Backend.find ?rounds:local cfg in
-  let sep =
-    if trim then backend.Backend.trim ?rounds:local cfg r.Separator.separator
-    else r.Separator.separator
-  in
+  let sep = backend.Backend.trim ?rounds:local cfg r.Separator.separator in
   let sep_global = List.map (Config.to_global cfg) sep in
   (* Guard against stalling when the separator comes back empty (tiny
      pieces): drop at least one vertex so the recursion always makes
@@ -69,28 +66,20 @@ let pick_backend ~backend ~small_part_cutoff ~small_backend members =
   | Some c when Array.length members <= c -> small_backend
   | _ -> backend
 
-(* [?small_backend] defaults to the first registered centralized backend
+(* The small-part backend is the first registered centralized backend
    (lt-level once [Repro_baseline.Backends.ensure] has run), falling back
    to the main backend when none is registered. *)
-let resolve_backends ?backend ?small_backend () =
+let resolve_backends ?backend () =
   let backend =
     match backend with Some b -> b | None -> Backend.default ()
   in
-  let small_backend =
-    match small_backend with
-    | Some b -> b
-    | None -> (
-      match Backend.centralized_default () with
-      | Some b -> b
-      | None -> backend)
-  in
-  (backend, small_backend)
+  (backend, Option.value ~default:backend (Backend.centralized_default ()))
 
 (* Level-synchronous driver shared by the size- and diameter-bounded
    variants.  [stop] decides whether a part is already a piece (it runs
    inside the batch, in parallel); [guard] bounds the level count. *)
-let build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff
-    ~small_backend ~stop ~guard emb =
+let build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
+    ~stop ~guard emb =
   let g = Embedded.graph emb in
   let n = Graph.n g in
   let removed = Array.make n false in
@@ -121,7 +110,7 @@ let build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff
           if stop members then `Piece members
           else
             `Split
-              (split_part ?rounds ~trim
+              (split_part ?rounds
                  ~backend:
                    (pick_backend ~backend ~small_part_cutoff ~small_backend
                       members)
@@ -155,12 +144,11 @@ let build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff
     separator_count;
   }
 
-let build ?rounds ?pool ?(piece_target = 20) ?(trim = true) ?backend
-    ?small_part_cutoff ?small_backend emb =
+let build ?rounds ?pool ?(piece_target = 20) ?backend ?small_part_cutoff emb =
   if piece_target < 1 then invalid_arg "Decomposition.build: piece_target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.build" emb;
-  let backend, small_backend = resolve_backends ?backend ?small_backend () in
-  build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff ~small_backend
+  let backend, small_backend = resolve_backends ?backend () in
+  build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
     ~stop:(fun members -> Array.length members <= piece_target)
     ~guard:(fun _ -> ())
     emb
@@ -287,14 +275,14 @@ let piece_diameter_exceeds g members target =
         members
   end
 
-let bounded_diameter ?rounds ?pool ?(trim = true) ?backend ?small_part_cutoff
-    ?small_backend ~diameter_target emb =
+let bounded_diameter ?rounds ?pool ?backend ?small_part_cutoff ~diameter_target
+    emb =
   if diameter_target < 1 then
     invalid_arg "Decomposition.bounded_diameter: target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.bounded_diameter" emb;
   let g = Embedded.graph emb in
-  let backend, small_backend = resolve_backends ?backend ?small_backend () in
-  build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff ~small_backend
+  let backend, small_backend = resolve_backends ?backend () in
+  build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
     ~stop:(fun members -> not (piece_diameter_exceeds g members diameter_target))
     ~guard:(fun level ->
       if level > 4 * Graph.n g then

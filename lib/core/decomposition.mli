@@ -16,20 +16,18 @@ val build :
   ?rounds:Rounds.t ->
   ?pool:Repro_util.Pool.t ->
   ?piece_target:int ->
-  ?trim:bool ->
   ?backend:Backend.t ->
   ?small_part_cutoff:int ->
-  ?small_backend:Backend.t ->
   Embedded.t ->
   t
 (** Recursively split until every piece has at most [piece_target]
     (default 20) vertices.  Splitting goes through [backend] (default:
     the registry's ["congest"] six-phase algorithm — bit-identical to the
-    pre-registry pipeline); [trim] (default true) applies the backend's
-    balanced-trim post-pass to every separator.  When
-    [small_part_cutoff] is given, parts at or below that size dispatch to
-    [small_backend] instead (default: the first registered centralized
-    backend, i.e. lt-level once [Repro_baseline.Backends.ensure] has run)
+    pre-registry pipeline), and the backend's balanced-trim post-pass
+    applies to every separator.  When [small_part_cutoff] is given, parts
+    at or below that size dispatch to the first registered centralized
+    backend instead (lt-level once [Repro_baseline.Backends.ensure] has
+    run; [backend] when none is registered)
     — the centralized fast path for the small parts that dominate deep
     recursion levels, charged its O(part) collect cost in the ledger and
     visible as a distinct [backend.<name>] trace span.  The recursion
@@ -54,10 +52,8 @@ val is_independent : Graph.t -> int list -> bool
 val bounded_diameter :
   ?rounds:Repro_congest.Rounds.t ->
   ?pool:Repro_util.Pool.t ->
-  ?trim:bool ->
   ?backend:Backend.t ->
   ?small_part_cutoff:int ->
-  ?small_backend:Backend.t ->
   diameter_target:int ->
   Embedded.t ->
   t

@@ -39,7 +39,7 @@ let tracer rounds = Option.bind rounds Rounds.tracer
 let span rounds name f = Repro_trace.Trace.within (tracer rounds) name f
 
 let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
-    ?small_part_cutoff ?small_backend emb ~root =
+    ?small_part_cutoff emb ~root =
   let g = Embedded.graph emb in
   let n = Graph.n g in
   Graph.check_vertex g root;
@@ -50,12 +50,7 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
     match backend with Some b -> b | None -> Backend.default ()
   in
   let small_backend =
-    match small_backend with
-    | Some b -> b
-    | None -> (
-      match Backend.centralized_default () with
-      | Some b -> b
-      | None -> backend)
+    Option.value ~default:backend (Backend.centralized_default ())
   in
   let pick members =
     match small_part_cutoff with

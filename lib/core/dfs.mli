@@ -21,7 +21,6 @@ val run :
   ?pool:Repro_util.Pool.t ->
   ?backend:Backend.t ->
   ?small_part_cutoff:int ->
-  ?small_backend:Backend.t ->
   Embedded.t ->
   root:int ->
   result
@@ -33,9 +32,9 @@ val run :
     Separators are computed by [backend] (default: the registry's
     ["congest"] backend — bit-identical to the pre-registry pipeline).
     When [small_part_cutoff] is given, components at or below that size
-    dispatch to [small_backend] instead (default: the first registered
-    centralized backend), charged their O(part) collect cost and visible
-    as distinct [backend.<name>] trace spans. *)
+    dispatch to the first registered centralized backend instead (or to
+    [backend] when none is registered), charged their O(part) collect
+    cost and visible as distinct [backend.<name>] trace spans. *)
 
 val verify : Embedded.t -> root:int -> result -> bool
 (** DFS-tree check: spanning, rooted correctly, and every non-tree edge

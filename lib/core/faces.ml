@@ -22,11 +22,6 @@ open Repro_tree
 
 type edge_case = Unrelated | Anc_left | Anc_right
 
-let case_name = function
-  | Unrelated -> "unrelated"
-  | Anc_left -> "anc-left"
-  | Anc_right -> "anc-right"
-
 (* Normalized rotation position: the parent edge (or the virtual root edge
    position) is at 0 and positions grow clockwise. *)
 let anchor cfg x =

@@ -17,8 +17,6 @@ type edge_case =
   | Anc_left  (** u ancestor of v, edge E-left oriented (Definition 1) *)
   | Anc_right
 
-val case_name : edge_case -> string
-
 val normalize : Config.t -> int * int -> int * int
 (** Order an edge's endpoints by LEFT position. *)
 

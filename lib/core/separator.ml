@@ -11,7 +11,8 @@
    - Phase 4: some face is heavier than 2n/3 — take the minimal such face
      (NOT-CONTAINS, Lemma 18) and search its full augmentation from u
      (Lemma 7): a sweep of the interior leaves in the face's DFS order,
-     then the maximal hiding edge, then the face border itself.
+     then the maximal hiding edge, then the face border itself.  If all of
+     them fail, the other heavy faces follow in increasing weight.
    - Phase 5: all faces lighter than n/3 — take a maximal face, split the
      outside into F_l / F_r (Lemma 8), and either the border path works or
      one side is heavy and is swept like Phase 4 from the root.
@@ -371,8 +372,23 @@ let find ?rounds cfg =
                only hold within the minimum-weight tier. *)
             charge_opt rounds (fun r -> Rounds.charge_not_contained r);
             let wmin = List.fold_left (fun a (_, w) -> min a w) max_int heavy in
-            let u, v = pick_not_contains cfg (weight_tier ~best:wmin heavy) in
-            heavy_face_candidates ?rounds cfg ver tried ~u ~v
+            let face (u, v) () = heavy_face_candidates ?rounds cfg ver tried ~u ~v in
+            let e = pick_not_contains cfg (weight_tier ~best:wmin heavy) in
+            match face e () with
+            | Some _ as r -> r
+            | None ->
+              (* Every candidate of that face can fail in a configuration
+                 with no outward root direction ([Config.root_first] =
+                 None: a DFS component, or an embedding without
+                 coordinates), where Section 4's outer-face root
+                 convention does not hold; the failing face is usually
+                 anchored at the root.  Fall through to the other heavy
+                 faces in increasing weight, uncapped (DESIGN.md
+                 deviation 2). *)
+              span rounds "sep.phase4-next-face" @@ fun () ->
+              List.stable_sort (fun (_, w1) (_, w2) -> compare w1 w2) heavy
+              |> List.filter_map (fun (f, _) -> if f = e then None else Some (face f))
+              |> first_some
           end
           else
             span rounds "sep.phase5-light" @@ fun () ->

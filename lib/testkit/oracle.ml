@@ -761,6 +761,16 @@ let run_dfs (inst : Instance.t) =
     then wf := false
   done;
   ck ctx "depth array consistent with parent chains" !wf;
+  (* The run above uses a BFS tree from the hull vertex.  Run again with
+     the instance's own spanning kind from a seeded root anywhere in the
+     graph, as callers of [Dfs.run] may. *)
+  let root' = Rng.int (Rng.create inst.spec.Instance.seed) n in
+  ck ctx
+    (Printf.sprintf "Dfs.verify (%s tree, root %d)"
+       (Instance.spanning_name inst.spec.Instance.spanning)
+       root')
+    (Dfs.verify inst.emb ~root:root'
+       (Dfs.run ~spanning:inst.spec.Instance.spanning inst.emb ~root:root'));
   let lg = log2ceil n in
   ck ctx
     (Printf.sprintf "recursion phases %d <= %d" r.Dfs.phases ((2 * lg) + 8))

@@ -72,7 +72,14 @@ let test_dfs_nonouter_root () =
       Alcotest.(check bool)
         (Printf.sprintf "root=%d" root)
         true (Dfs.verify emb ~root r))
-    [ 24; 10; 48 ]
+    [ 24; 10; 48 ];
+  (* A random spanning tree from an inner root: a component's minimal heavy
+     face, anchored at the component root, fails every candidate, and the
+     next heavy face answers. *)
+  let emb = Gen.by_family ~seed:57504 "tgrid" ~n:64 in
+  let r = Dfs.run ~spanning:(Repro_tree.Spanning.Random 880) emb ~root:22 in
+  Alcotest.(check bool) "tgrid:64:57504:rand880 root=22" true
+    (Dfs.verify emb ~root:22 r)
 
 let test_dfs_rounds_charged () =
   let emb = Gen.grid_diag ~seed:5 ~rows:8 ~cols:8 () in

@@ -1,5 +1,7 @@
 open Repro_graph
 open Repro_embedding
+open Repro_tree
+open Repro_core
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -120,22 +122,54 @@ let prop_generated_planar_always_embedded =
       | Some rot -> Rotation.is_planar_embedding g rot
       | None -> false)
 
+(* A coordinate-free embedding: shuffle the labels, re-embed with DMP. *)
+let dmp_embedding ~seed emb0 =
+  let g = shuffle_labels ~seed (Embedded.graph emb0) in
+  Option.map (Embedded.make ~name:"dmp" g) (Planarity.embed g)
+
 let prop_separator_works_on_dmp_embeddings =
   (* The algorithmic pipeline runs on embeddings produced without any
-     coordinates: generate, shuffle labels, re-embed with DMP, separate. *)
+     coordinates, so the configuration has no outward root direction:
+     generate, shuffle labels, re-embed with DMP, separate. *)
   QCheck.Test.make ~name:"separator valid on DMP-embedded graphs" ~count:25
-    QCheck.(pair (int_range 10 120) (int_bound 10000))
-    (fun (n, seed) ->
-      let emb0 = Gen.stacked_triangulation ~seed ~n () in
-      let g = shuffle_labels ~seed:(seed + 7) (Embedded.graph emb0) in
-      match Planarity.embed g with
+    QCheck.(
+      triple (int_range 0 6) (pair (int_range 10 120) (int_bound 10000))
+        (int_range 0 2))
+    (fun (which, (n, seed), spi) ->
+      let family = List.nth Gen.family_names which in
+      match dmp_embedding ~seed:(seed + 7) (Gen.by_family ~seed family ~n) with
       | None -> false
-      | Some rot ->
-        let emb = Embedded.make ~name:"dmp" g rot in
-        let cfg = Repro_core.Config.of_embedded emb in
-        let r = Repro_core.Separator.find cfg in
-        (Repro_core.Check.check_separator cfg r.Repro_core.Separator.separator)
-          .Repro_core.Check.valid)
+      | Some emb ->
+        let spanning =
+          match spi with
+          | 0 -> Spanning.Bfs
+          | 1 -> Spanning.Dfs
+          | _ -> Spanning.Random seed
+        in
+        let cfg = Config.of_embedded ~spanning emb in
+        let r = Separator.find cfg in
+        (Check.check_separator cfg r.Separator.separator).Check.valid
+        && Option.fold ~none:true
+             ~some:(fun endpoints -> Check.cycle_closable cfg ~endpoints)
+             r.Separator.endpoints)
+
+let test_separator_dmp_grid_pinned () =
+  (* The minimal heavy face is anchored at the root and every one of its
+     candidates fails; the next heavy face answers. *)
+  match
+    dmp_embedding ~seed:833964 (Gen.by_family ~seed:833963 "grid" ~n:46)
+  with
+  | None -> Alcotest.fail "grid rejected"
+  | Some emb -> (
+    let cfg = Config.of_embedded ~spanning:(Spanning.Random 833963) emb in
+    let r = Separator.find cfg in
+    Alcotest.(check bool) "valid" true
+      (Check.check_separator cfg r.Separator.separator).Check.valid;
+    match r.Separator.endpoints with
+    | Some endpoints ->
+      Alcotest.(check bool) "closing edge certified" true
+        (Check.cycle_closable cfg ~endpoints)
+    | None -> Alcotest.fail "no closing edge reported")
 
 let prop_dfs_works_on_dmp_embeddings =
   QCheck.Test.make ~name:"DFS valid on DMP-embedded graphs" ~count:15
@@ -144,13 +178,9 @@ let prop_dfs_works_on_dmp_embeddings =
       let emb0 =
         Gen.thin ~seed ~keep:0.7 (Gen.stacked_triangulation ~seed ~n ())
       in
-      let g = shuffle_labels ~seed:(seed + 3) (Embedded.graph emb0) in
-      match Planarity.embed g with
+      match dmp_embedding ~seed:(seed + 3) emb0 with
       | None -> false
-      | Some rot ->
-        let emb = Embedded.make ~name:"dmp" g rot in
-        let r = Repro_core.Dfs.run emb ~root:0 in
-        Repro_core.Dfs.verify emb ~root:0 r)
+      | Some emb -> Dfs.verify emb ~root:0 (Dfs.run emb ~root:0))
 
 let suites =
   Repro_testkit.Suite.make __MODULE__
@@ -169,5 +199,7 @@ let suites =
         Alcotest.test_case "edge-bound shortcut" `Quick test_edge_bound_shortcut;
         qtest prop_generated_planar_always_embedded;
         qtest prop_separator_works_on_dmp_embeddings;
+        Alcotest.test_case "separator on a DMP-embedded grid" `Quick
+          test_separator_dmp_grid_pinned;
         qtest prop_dfs_works_on_dmp_embeddings;
     ]

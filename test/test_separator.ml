@@ -72,6 +72,25 @@ let test_tgrid_window_complete () =
     true
     (String.starts_with ~prefix:"5-" r.Separator.phase)
 
+let test_closing_edges_pinned () =
+  (* Two pinned grids, every spanning kind: each separator is valid and
+     each reported closing edge is real or planarly insertable. *)
+  List.iter
+    (fun seed ->
+      let emb = Gen.by_family ~seed "grid" ~n:50 in
+      List.iter
+        (fun sp ->
+          let name = Printf.sprintf "grid:50:%d %s" seed (Spanning.kind_name sp) in
+          let cfg, r = find_on emb sp in
+          assert_valid name (cfg, r);
+          match r.Separator.endpoints with
+          | None -> ()
+          | Some endpoints ->
+            Alcotest.(check bool) (name ^ " closing edge certified") true
+              (Check.cycle_closable cfg ~endpoints))
+        [ Spanning.Bfs; Spanning.Dfs; Spanning.Random seed ])
+    [ 434796; 483504 ]
+
 let test_rounds_charged () =
   let emb = Gen.grid_diag ~seed:4 ~rows:8 ~cols:8 () in
   let g = Embedded.graph emb in
@@ -216,6 +235,8 @@ let suites =
         Alcotest.test_case "output is a tree path" `Quick test_separator_is_tree_path;
         Alcotest.test_case "tgrid window complete" `Quick
           test_tgrid_window_complete;
+        Alcotest.test_case "pinned closing edges" `Quick
+          test_closing_edges_pinned;
         Alcotest.test_case "rounds charged" `Quick test_rounds_charged;
         Alcotest.test_case "partition interface" `Quick test_partition_version;
         Alcotest.test_case "singleton parts" `Quick test_singleton_parts;
