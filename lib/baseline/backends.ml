@@ -91,11 +91,7 @@ let hn_cycle_find ?rounds cfg =
        embedding) rank the real fundamental edges by how close their face
        weight is to n/2; each candidate cycle is the tree path between the
        edge's endpoints closed by the edge itself. *)
-    let weights =
-      List.map
-        (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v))
-        (Config.fundamental_edges cfg)
-    in
+    let weights = Weights.all_weights cfg in
     let ordered =
       List.stable_sort
         (fun (_, w1) (_, w2) ->

@@ -22,6 +22,11 @@ val normalize : Config.t -> int * int -> int * int
 
 val classify : Config.t -> u:int -> v:int -> edge_case
 
+val anchor : Config.t -> int -> int
+(** Rotation index of the node's parent edge, or of the virtual root edge
+    at the root ([Config.root_first], else 0): where {!npos} is 0 and
+    where [Rooted.build] starts the node's clockwise child row. *)
+
 val npos : Config.t -> int -> int -> int
 (** Rotation position of a neighbour, normalized so the parent edge (or the
     virtual root edge) sits at 0. *)

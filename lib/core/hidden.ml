@@ -25,18 +25,20 @@ let subtree_part_in_face cfg ~e:(u, v) ~f:(a, b) =
          done;
          !ok)
 
-(* Real fundamental edges hiding node [t] in F_e (Definition 4). *)
-let hiding_edges cfg ~e:(u, v) ~t =
-  Config.fundamental_edges cfg
-  |> List.filter (fun (a, b) ->
-         (a, b) <> (u, v)
-         && Faces.edge_in_face cfg ~e:(u, v) ~f:(a, b)
-         && Faces.is_inside cfg ~u:a ~v:b t
-         &&
-         if a <> u && b <> u then true (* condition 1 *)
-         else not (subtree_part_in_face cfg ~e:(u, v) ~f:(a, b)) (* condition 2 *))
+(* Does the real fundamental edge (a, b) hide node [t] in F_e
+   (Definition 4)? *)
+let hides cfg ~e:(u, v) ~t (a, b) =
+  (a, b) <> (u, v)
+  && Faces.edge_in_face cfg ~e:(u, v) ~f:(a, b)
+  && Faces.is_inside cfg ~u:a ~v:b t
+  &&
+  if a <> u && b <> u then true (* condition 1 *)
+  else not (subtree_part_in_face cfg ~e:(u, v) ~f:(a, b)) (* condition 2 *)
 
-let is_hidden cfg ~e ~t = hiding_edges cfg ~e ~t <> []
+let hiding_edges cfg ~e ~t =
+  List.filter (hides cfg ~e ~t) (Config.fundamental_edges cfg)
+
+let is_hidden cfg ~e ~t = List.exists (hides cfg ~e ~t) (Config.fundamental_edges cfg)
 
 (* The hiding edge not contained in any other hiding edge (NOT-CONTAINED,
    Lemma 17, restricted to the hiding set).  Resolved by an explicit

@@ -33,6 +33,7 @@
    the experiments can show the paper's first-choice candidate almost
    always wins. *)
 
+open Repro_graph
 open Repro_tree
 open Repro_congest
 
@@ -252,14 +253,15 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
   let paths =
     (* Sweep hits are balance-verified; a closing edge is reported only
        with the paper's own certificate: the hit is not hidden (Lemma 6 =
-       (T, F_e)-compatibility with u). *)
+       (T, F_e)-compatibility with u).  The probe does not depend on it,
+       so only the balanced hit is tested. *)
     List.map
       (fun t () ->
-        let closing =
-          if Hidden.is_hidden cfg ~e:(u, v) ~t then None else Some (u, t)
-        in
         try_path ?rounds cfg ver tried ~batch:"phase4" ~phase:"4-augmented"
-          ~closing (u, t))
+          ~closing:None (u, t)
+        |> Option.map (fun r ->
+               if Hidden.is_hidden cfg ~e:(u, v) ~t then r
+               else { r with endpoints = Some (u, t) }))
       hits
   in
   let hidden =
@@ -335,13 +337,10 @@ let find ?rounds cfg =
             Rounds.charge_spanning_forest r;
             Rounds.charge_dfs_order r;
             Rounds.charge_weights r));
-    let fundamental = Config.fundamental_edges cfg in
-    if fundamental = [] then
+    let weights = Weights.all_weights cfg in
+    if weights = [] then
       span rounds "sep.phase2-tree" (fun () -> tree_phase ?rounds cfg ver tried)
     else begin
-      let weights =
-        List.map (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v)) fundamental
-      in
       let wcount = List.length weights in
       let finish r = { r with weights_computed = wcount } in
       (* Phase 3: a face with weight in range. *)
@@ -440,13 +439,21 @@ let find ?rounds cfg =
 
 (* Balanced-trim post-pass: drop vertices from both ends of the separator
    path while the balance holds.  Balance is monotone under set inclusion of
-   tree paths (removing more vertices only shrinks components), so a binary
-   search per end suffices: O(log n) verification probes.
+   tree paths (removing more vertices only shrinks components), so each end
+   has one threshold, and adding the path back one vertex at a time into a
+   single union-find finds it: one O(m α) pass per end.
 
-   The probes all test contiguous windows of the ONE marked path, so the
-   removal marks are maintained incrementally — each probe flips only the
-   window boundary that moved and charges a single running-aggregate
-   update, not a fresh mark-path + re-walk.
+   - Pass 1 starts from G minus the whole path and adds arr.(0), arr.(1),
+     ... back; the first add-back x that leaves a component above the
+     limit unbalances [x+1 .. k-1], so i = x (k - 1 when none does).
+   - Pass 2 starts from G minus [i .. k-1] and adds arr.(k-1), arr.(k-2),
+     ... back down to arr.(i+1); the first y that overflows unbalances
+     [i .. y-1], so j = y (i when none does).
+
+   The modelled CONGEST algorithm finds the same thresholds by binary
+   search, one running-aggregate update per probe, so the ledger replays
+   those probes: their number depends only on k, i and j.  When no window
+   is balanced the path comes back unchanged.
 
    The result is still a balanced tree-path separator, but the closing edge
    of the trimmed path may no longer be insertable in the embedding — use it
@@ -455,54 +462,49 @@ let find ?rounds cfg =
 let shrink ?rounds cfg path =
   let arr = Array.of_list path in
   let k = Array.length arr in
-  let n = Config.n cfg in
-  let removed = Array.make n false in
-  Array.iter (fun v -> removed.(v) <- true) arr;
-  let lo = ref 0 and hi = ref (k - 1) in
-  let set_window i j =
-    for x = !lo to !hi do
-      if x < i || x > j then removed.(arr.(x)) <- false
-    done;
-    for x = i to j do
-      if x < !lo || x > !hi then removed.(arr.(x)) <- true
-    done;
-    lo := i;
-    hi := j
-  in
-  let balanced_sub i j =
-    span rounds "sep.shrink-probe" (fun () ->
-        charge_opt rounds (fun r -> Rounds.charge_aggregate r "shrink-balance"));
-    set_window i j;
-    Check.max_component_without (Config.graph cfg) removed
-    <= Check.balance_limit n
-  in
   if k <= 1 then path
   else begin
-    (* Largest i such that [i .. k-1] stays balanced. *)
-    let rec search_lo lo hi =
-      (* invariant: [lo .. k-1] balanced, [hi .. k-1] not (or hi = k). *)
-      if hi - lo <= 1 then lo
-      else begin
+    let g = Config.graph cfg in
+    let n = Config.n cfg in
+    let limit = Check.balance_limit n in
+    let removed = Array.make n false in
+    (* From G minus arr.(lo .. k-1), add arr.(from), arr.(from + step), ...
+       back; the first whose add-back overflows, or [stop] (not added). *)
+    let first_overflow ~lo ~from ~stop ~step =
+      Array.iteri (fun x v -> removed.(v) <- x >= lo) arr;
+      let uf = Repro_util.Union_find.create n in
+      let largest = ref 0 in
+      let link a b =
+        if (not removed.(b)) && Repro_util.Union_find.union uf a b then
+          largest := max !largest (Repro_util.Union_find.component_size uf a)
+      in
+      Graph.iter_edges g (fun a b -> if not removed.(a) then link a b);
+      let rec go x =
+        if x = stop then stop
+        else begin
+          let v = arr.(x) in
+          removed.(v) <- false;
+          Graph.iter_neighbors g v (link v);
+          if !largest > limit then x else go (x + step)
+        end
+      in
+      go from
+    in
+    let i = first_overflow ~lo:0 ~from:0 ~stop:(k - 1) ~step:1 in
+    let j = first_overflow ~lo:i ~from:(k - 1) ~stop:i ~step:(-1) in
+    (* The binary searches' probes: [i .. k-1] is balanced iff mid <= i,
+       [i .. mid] iff mid >= j. *)
+    let rec replay lo hi below =
+      if hi - lo > 1 then begin
+        span rounds "sep.shrink-probe" (fun () ->
+            charge_opt rounds (fun r -> Rounds.charge_aggregate r "shrink-balance"));
         let mid = (lo + hi) / 2 in
-        if balanced_sub mid (k - 1) then search_lo mid hi else search_lo lo mid
+        if below mid then replay mid hi below else replay lo mid below
       end
     in
-    let i = search_lo 0 k in
-    (* Smallest j such that [i .. j] stays balanced. *)
-    let rec search_hi lo hi =
-      (* invariant: [i .. hi] balanced, [i .. lo] not (or lo = i - 1). *)
-      if hi - lo <= 1 then hi
-      else begin
-        let mid = (lo + hi) / 2 in
-        if balanced_sub i mid then search_hi lo mid else search_hi mid hi
-      end
-    in
-    let j = search_hi (i - 1) (k - 1) in
-    let out = ref [] in
-    for x = j downto i do
-      out := arr.(x) :: !out
-    done;
-    !out
+    replay 0 k (fun mid -> mid <= i);
+    replay (i - 1) (k - 1) (fun mid -> mid < j);
+    Array.to_list (Array.sub arr i (j - i + 1))
   end
 
 (* Theorem 1: separators for every part of a partition.  Parts run

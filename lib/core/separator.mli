@@ -34,10 +34,13 @@ val find : ?rounds:Rounds.t -> Config.t -> result
     fails; nothing runs below the phases. *)
 
 val shrink : ?rounds:Rounds.t -> Config.t -> int list -> int list
-(** Trim a separator path from both ends while it stays balanced (balance is
-    monotone under path inclusion, so two binary searches = O(log n)
-    verification probes).  The result remains a balanced tree-path separator
-    but may lose the cycle-closing property; use for applications that only
+(** Trim a separator path from both ends while it stays balanced.  Balance
+    is monotone under path inclusion, so each end has one threshold; the
+    host finds it with one reverse union-find pass per end (O(m α) each),
+    and the ledger charges the O(log n) probes of the binary search the
+    modelled CONGEST algorithm runs.  A path with no balanced window comes
+    back unchanged.  The result remains a balanced tree-path separator but
+    may lose the cycle-closing property; use for applications that only
     need balance. *)
 
 val find_partition :

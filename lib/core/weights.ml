@@ -1,9 +1,13 @@
 (* Face weights — the paper's deterministic replacement for the randomized
    weight estimation of Ghaffari–Parter.
 
-   [weight] implements Definition 2 exactly for real fundamental edges: an
-   O(deg(u) + deg(v) + log n) formula built from the LEFT/RIGHT DFS orders,
-   subtree sizes, depths and the locally-computable p-terms.  Lemmas 3 and 4
+   [all_weights] computes Definition 2 for every real fundamental edge in
+   one O(m) pass over the rotation system, as Lemma 12 computes WEIGHTS in
+   one batch; it is what the separator's Phase 1 uses.  [weight] is the
+   per-edge statement of Definition 2: an O(deg(u) + deg(v) + log n)
+   formula built from the LEFT/RIGHT DFS orders, subtree sizes, depths and
+   the locally-computable p-terms, kept for single-edge callers and as the
+   reference the one-pass weights are checked against.  Lemmas 3 and 4
    state what it counts:
 
    - u not an ancestor of v: |F~_e| = interior of F_e plus the border path
@@ -13,6 +17,8 @@
    The test suite checks the formula against [count_reference], which counts
    those sets from the exact face-traversal interior. *)
 
+open Repro_graph
+open Repro_embedding
 open Repro_tree
 
 (* Sum of subtree sizes of the children of [x] hanging inside F_e.  This is
@@ -64,9 +70,89 @@ let count_reference cfg ~u ~v =
     List.length interior + (Rooted.depth tree v - Rooted.depth tree w)
 
 (* Weights of all real fundamental edges (Phase-1 precomputation,
-   WEIGHTS-PROBLEM / Lemma 12). *)
+   WEIGHTS-PROBLEM / Lemma 12), in [Config.fundamental_edges] order, in one
+   O(m) pass.  Each vertex's rotation is walked once, clockwise from its
+   anchor, recording for every dart x->y the summed subtree sizes of the
+   children of x met before y ([before]); at a child c that sum is [sib c],
+   the sizes of its earlier siblings.  The p-terms of Definition 2 are then
+   differences of these sums, with z the child of u towards v:
+
+   - Unrelated: p(u) = before(u->v), p(v) = size v - 1 - before(v->u);
+   - Anc_right: p(u) = before(u->v) - (sib z + size z), p(v) as above;
+   - Anc_left: p(u) = sib z - before(u->v), p(v) = before(v->u).
+
+   The case is one comparison too: v comes before z clockwise around u iff
+   before(u->v) <= sib z, as z alone adds size z >= 1 past it. *)
 let all_weights cfg =
-  List.map (fun (u, v) -> ((u, v), weight cfg ~u ~v)) (Config.fundamental_edges cfg)
+  let g = Config.graph cfg in
+  let rot = Config.rot cfg in
+  let tree = Config.tree cfg in
+  let n = Config.n cfg in
+  let pl = Rooted.pi_left tree and size = Rooted.size tree in
+  (* [before.(Graph.adj_offset g x + i)] belongs to the dart from x to its
+     i-th rotation neighbour; a leaf's darts all stay 0. *)
+  let before = Array.make (2 * Graph.m g) 0 in
+  let sib = Array.make n 0 in
+  for x = 0 to n - 1 do
+    if not (Rooted.is_leaf tree x) then begin
+      let off = Graph.adj_offset g x in
+      let d = Rotation.degree rot x in
+      let a = Faces.anchor cfg x in
+      let acc = ref 0 in
+      for k = a to a + d - 1 do
+        let i = if k < d then k else k - d in
+        let y = Rotation.nth rot x i in
+        before.(off + i) <- !acc;
+        if Rooted.parent tree y = x then begin
+          sib.(y) <- !acc;
+          acc := !acc + size y
+        end
+      done
+    end
+  done;
+  let weight_of u v ~bu ~bv =
+    if Rooted.is_ancestor tree ~anc:u ~desc:v then begin
+      let z = Faces.child_toward cfg u v in
+      let path = Rooted.depth tree v - Rooted.depth tree z in
+      if bu <= sib.(z) then
+        (* Anc_left *)
+        sib.(z) - bu + bv
+        + (Rooted.pi_right tree v - Rooted.pi_right tree z)
+        - path
+      else
+        (* Anc_right *)
+        bu - (sib.(z) + size z) + (size v - 1 - bv) + (pl v - pl z) - path
+    end
+    else (* Unrelated *)
+      bu + (size v - 1 - bv) + pl v - (pl u + size u) + 1
+  in
+  (* Edges come as in [Graph.iter_edges]: (x, y), x < y, by increasing x.
+     Rows are sorted, so the x's reaching a given y arrive in the order of
+     y's row, and [next.(y)] is the slot of x in that row. *)
+  let next = Array.init n (Graph.adj_offset g) in
+  let acc = ref [] in
+  for x = 0 to n - 1 do
+    let off = Graph.adj_offset g x in
+    for r = 0 to Graph.degree g x - 1 do
+      let y = Graph.nth_neighbor g x r in
+      if x < y then begin
+        let ry = next.(y) - Graph.adj_offset g y in
+        next.(y) <- next.(y) + 1;
+        if Rooted.parent tree x <> y && Rooted.parent tree y <> x then begin
+          let bx = before.(off + Rotation.position_of_rank rot x r) in
+          let by =
+            before.(Graph.adj_offset g y + Rotation.position_of_rank rot y ry)
+          in
+          let e =
+            if pl x < pl y then ((x, y), weight_of x y ~bu:bx ~bv:by)
+            else ((y, x), weight_of y x ~bu:by ~bv:bx)
+          in
+          acc := e :: !acc
+        end
+      end
+    done
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* The outside split of Lemma 8.                                       *)

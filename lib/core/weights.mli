@@ -1,5 +1,9 @@
 (** Deterministic face weights (Definition 2; Lemmas 3 and 4).
 
+    {!all_weights} weighs every real fundamental edge in one O(m) pass over
+    the rotation system; {!weight} is the per-edge statement of
+    Definition 2, which the one-pass weights must equal.
+
     Note: Definition 2's case labels pair the orientations with the wrong
     DFS orders; this implementation follows the (consistent) convention of
     the Lemma 4 proof, validated against the exact reference. *)
@@ -12,14 +16,19 @@ val p_term :
     the tree's child prefix sums. *)
 
 val weight : Config.t -> u:int -> v:int -> int
-(** Definition 2 for the real fundamental edge (u, v) (normalized). *)
+(** Definition 2 for the real fundamental edge (u, v) (normalized), as
+    written: O(deg(u) + deg(v) + log n) per edge. *)
 
 val count_reference : Config.t -> u:int -> v:int -> int
 (** What Lemmas 3/4 prove [weight] counts, measured from the exact
     face-traversal interior (ground truth for tests and experiment E6). *)
 
 val all_weights : Config.t -> ((int * int) * int) list
-(** Weights of every real fundamental edge (Lemma 12). *)
+(** Weights of every real fundamental edge (Lemma 12), in
+    {!Config.fundamental_edges} order: one clockwise walk of each rotation
+    records the child-size sums the p-terms are differences of, then each
+    edge is O(1) plus, when u is an ancestor of v, one [child_toward].
+    Equal to {!weight} on every edge. *)
 
 val outside_split : Config.t -> u:int -> v:int -> int list * int list
 (** The sets F_l and F_r of Lemma 8: nodes outside F_e, split by LEFT

@@ -86,10 +86,12 @@ let induced t ~sub ~new_of_old ~old_of_new =
 
 let order t v = Array.sub t.ord (Graph.adj_offset t.g v) (degree t v)
 
+let position_of_rank t v r = t.pos_of_rank.(Graph.adj_offset t.g v + r)
+
 let position t v u =
   let r = Graph.neighbor_rank t.g v u in
   if r < 0 then invalid_arg "Rotation.position: not a neighbour";
-  t.pos_of_rank.(Graph.adj_offset t.g v + r)
+  position_of_rank t v r
 
 let next_clockwise t v u =
   let d = degree t v in

@@ -40,6 +40,12 @@ val degree : t -> int -> int
 val position : t -> int -> int -> int
 (** [position t v u] is the index of [u] in the rotation of [v]. *)
 
+val position_of_rank : t -> int -> int -> int
+(** [position_of_rank t v r] is the rotation index of the [r]-th neighbour
+    of [v] in sorted adjacency order ({!Repro_graph.Graph.nth_neighbor}):
+    {!position} without its binary search (unchecked:
+    [0 <= r < degree t v]). *)
+
 val next_clockwise : t -> int -> int -> int
 (** Neighbour following [u] clockwise around [v]. *)
 

@@ -533,6 +533,28 @@ let run_faces (inst : Instance.t) =
           = (Hidden.hiding_edges inst.config ~e:(u, v) ~t |> List.sort compare));
         bud ctx "hidden" sth.Composed.rounds ((10 * (d + 3)) + 160))
     (take 3 (Config.fundamental_edges inst.config));
+  (* The one-pass weights equal per-edge Definition 2 on every fundamental
+     edge: of the instance's configuration, and of the whole graph as a
+     part rooted at the seeded random root the "dfs" oracle draws
+     ([root_first] = None: the DFS-component case). *)
+  let weights_per_edge cfg =
+    Weights.all_weights cfg
+    = List.map
+        (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v))
+        (Config.fundamental_edges cfg)
+  in
+  ck ctx "one-pass weights = per-edge Definition 2"
+    (weights_per_edge inst.config);
+  let n = Graph.n g in
+  let root = Rng.int (Rng.create inst.spec.Instance.seed) n in
+  let part =
+    Config.of_part ~spanning:inst.spec.Instance.spanning
+      ~members:(Array.init n Fun.id) ~root inst.emb
+  in
+  ck ctx
+    (Printf.sprintf "one-pass weights = per-edge Definition 2 (part, root %d)"
+       root)
+    (weights_per_edge part);
   finish ~name:"faces" ctx
 
 (* ------------------------------------------------------------------ *)
@@ -611,6 +633,78 @@ let run_pipeline (inst : Instance.t) =
 (*    centralized Check/Lipton–Tarjan side.                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The balanced trim as the modelled CONGEST algorithm runs it: a binary
+   search per end of the path, each probe one union-find over G
+   ([Check.max_component_without]) after moving the window's boundary
+   marks, and one "shrink-balance" charge.  Ground truth for the one-pass
+   [Separator.shrink], path and ledger alike. *)
+let shrink_reference ?rounds cfg path =
+  let arr = Array.of_list path in
+  let k = Array.length arr in
+  let n = Config.n cfg in
+  let removed = Array.make n false in
+  Array.iter (fun v -> removed.(v) <- true) arr;
+  let lo = ref 0 and hi = ref (k - 1) in
+  let set_window i j =
+    for x = !lo to !hi do
+      if x < i || x > j then removed.(arr.(x)) <- false
+    done;
+    for x = i to j do
+      if x < !lo || x > !hi then removed.(arr.(x)) <- true
+    done;
+    lo := i;
+    hi := j
+  in
+  let balanced_sub i j =
+    Repro_trace.Trace.within (Option.bind rounds Rounds.tracer)
+      "sep.shrink-probe" (fun () ->
+        Option.iter (fun r -> Rounds.charge_aggregate r "shrink-balance") rounds);
+    set_window i j;
+    Check.max_component_without (Config.graph cfg) removed
+    <= Check.balance_limit n
+  in
+  if k <= 1 then path
+  else begin
+    (* Largest i such that [i .. k-1] stays balanced. *)
+    let rec search_lo lo hi =
+      (* invariant: [lo .. k-1] balanced, [hi .. k-1] not (or hi = k). *)
+      if hi - lo <= 1 then lo
+      else begin
+        let mid = (lo + hi) / 2 in
+        if balanced_sub mid (k - 1) then search_lo mid hi else search_lo lo mid
+      end
+    in
+    let i = search_lo 0 k in
+    (* Smallest j such that [i .. j] stays balanced. *)
+    let rec search_hi lo hi =
+      (* invariant: [i .. hi] balanced, [i .. lo] not (or lo = i - 1). *)
+      if hi - lo <= 1 then hi
+      else begin
+        let mid = (lo + hi) / 2 in
+        if balanced_sub i mid then search_hi lo mid else search_hi mid hi
+      end
+    in
+    let j = search_hi (i - 1) (k - 1) in
+    Array.to_list (Array.sub arr i (j - i + 1))
+  end
+
+(* [Separator.shrink] against [shrink_reference] on fresh ledgers: the same
+   trimmed path and the same number of charged probes.  Returns the trimmed
+   path. *)
+let check_shrink ctx ~label ~d cfg path =
+  let fresh () = Rounds.create ~n:(Config.n cfg) ~d:(max 1 d) () in
+  let l = fresh () and l' = fresh () in
+  let s = Separator.shrink ~rounds:l cfg path in
+  let s' = shrink_reference ~rounds:l' cfg path in
+  ck ctx (label "shrink = binary-search reference") (s = s');
+  let probes l = Rounds.label_invocations l "shrink-balance" in
+  ck ctx
+    (label
+       (Printf.sprintf "shrink-balance probes %d = reference %d" (probes l)
+          (probes l')))
+    (probes l = probes l');
+  s
+
 let run_separator (inst : Instance.t) =
   let ctx = ctx_create () in
   let g = Config.graph inst.config in
@@ -633,8 +727,10 @@ let run_separator (inst : Instance.t) =
   | Some e ->
     ck ctx "closing edge certifiable (DMP)"
       (Check.cycle_closable inst.config ~endpoints:e));
-  (* Shrinking keeps balance and never grows. *)
-  let shrunk = Separator.shrink inst.config r.Separator.separator in
+  (* Shrinking matches its reference, keeps balance and never grows. *)
+  let shrunk =
+    check_shrink ctx ~label:Fun.id ~d inst.config r.Separator.separator
+  in
   ck ctx "shrunk separator still balanced" (Check.balanced inst.config shrunk);
   ck ctx "shrink never grows"
     (List.length shrunk <= List.length r.Separator.separator);
@@ -952,7 +1048,9 @@ let run_backend (inst : Instance.t) =
           (b.Backend.certificate = Backend.Cycle_certified);
         ck ctx (lbl "closing edge certifiable (DMP)")
           (Check.cycle_closable inst.config ~endpoints:e));
-      (* The uniform trim post-pass keeps balance and never grows. *)
+      (* The uniform trim post-pass matches its reference on this
+         backend's output, keeps balance and never grows. *)
+      ignore (check_shrink ctx ~label:lbl ~d inst.config sep);
       let trimmed = b.Backend.trim inst.config sep in
       ck ctx (lbl "trim never grows")
         (List.length trimmed <= List.length sep);

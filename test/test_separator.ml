@@ -168,6 +168,54 @@ let test_shrink_singleton_stable () =
   let s = Separator.shrink cfg [ 0 ] in
   Alcotest.(check (list int)) "unchanged" [ 0 ] s
 
+(* [Separator.shrink] against the binary-search reference on fresh
+   ledgers: the same trimmed path and the same number of charged
+   probes. *)
+let shrink_matches_reference cfg path =
+  let fresh () = Rounds.create ~n:(Config.n cfg) ~d:1 () in
+  let l = fresh () and l' = fresh () in
+  let s = Separator.shrink ~rounds:l cfg path in
+  let s' = Repro_testkit.Oracle.shrink_reference ~rounds:l' cfg path in
+  ( s,
+    s',
+    Rounds.label_invocations l "shrink-balance",
+    Rounds.label_invocations l' "shrink-balance" )
+
+let test_shrink_no_balanced_window () =
+  (* Two nodes out of a 400-node grid leave a component far above 2n/3:
+     no window is balanced, and both sides return the path unchanged. *)
+  let cfg = Config.of_embedded (Gen.grid ~rows:20 ~cols:20) in
+  let tree = Config.tree cfg in
+  let root = Rooted.root tree in
+  let path = [ root; Rooted.child tree root 0 ] in
+  let s, s', probes, probes' = shrink_matches_reference cfg path in
+  Alcotest.(check (list int)) "one-pass unchanged" path s;
+  Alcotest.(check (list int)) "reference unchanged" path s';
+  Alcotest.(check int) "shrink-balance probes" probes' probes
+
+let prop_shrink_matches_reference =
+  QCheck.Test.make ~name:"shrink = binary-search reference (path, probes)"
+    ~count:60
+    QCheck.(
+      triple (int_range 0 6) (pair (int_range 6 300) (int_bound 100000))
+        (int_range 0 2))
+    (fun (which, (n, seed), spi) ->
+      let family = List.nth Gen.family_names which in
+      let emb = Gen.by_family ~seed family ~n in
+      let spanning =
+        match spi with 0 -> Spanning.Bfs | 1 -> Spanning.Dfs | _ -> Spanning.Random seed
+      in
+      let cfg = Config.of_embedded ~spanning emb in
+      let nn = Config.n cfg in
+      (* The separator, and a tree path between two seeded nodes, which
+         need not be balanced at all. *)
+      let other = Rooted.path (Config.tree cfg) (seed mod nn) (seed / 7 mod nn) in
+      List.for_all
+        (fun path ->
+          let s, s', probes, probes' = shrink_matches_reference cfg path in
+          s = s' && probes = probes')
+        [ (Separator.find cfg).Separator.separator; other ])
+
 let prop_certified_closing_edges =
   (* Whenever a closing edge is reported, the full cycle-separator
      definition holds: the edge is real or planarly insertable. *)
@@ -245,8 +293,11 @@ let suites =
         Alcotest.test_case "shrink cycle to n/3" `Quick
           test_shrink_cycle_recovers_third;
         Alcotest.test_case "shrink singleton" `Quick test_shrink_singleton_stable;
+        Alcotest.test_case "shrink with no balanced window" `Quick
+          test_shrink_no_balanced_window;
         qtest prop_certified_closing_edges;
         qtest prop_shrink_preserves_balance;
+        qtest prop_shrink_matches_reference;
         qtest prop_separator_always_valid;
         qtest prop_phase3_weight_in_range_never_fails;
     ]

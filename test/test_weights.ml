@@ -5,13 +5,22 @@ open Repro_core
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* The one-pass weights equal per-edge Definition 2, list for list. *)
+let one_pass_weights_exact cfg =
+  Weights.all_weights cfg
+  = List.map
+      (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v))
+      (Config.fundamental_edges cfg)
+
 (* The core experiment-E6 property: Definition 2 equals its proven meaning
-   (Lemmas 3/4), i.e. the exact count from the reference interior. *)
+   (Lemmas 3/4), i.e. the exact count from the reference interior, and the
+   one-pass weights equal it. *)
 let weights_exact emb spanning =
   let cfg = Config.of_embedded ~spanning emb in
-  List.for_all
-    (fun (u, v) -> Weights.weight cfg ~u ~v = Weights.count_reference cfg ~u ~v)
-    (Config.fundamental_edges cfg)
+  one_pass_weights_exact cfg
+  && List.for_all
+       (fun (u, v) -> Weights.weight cfg ~u ~v = Weights.count_reference cfg ~u ~v)
+       (Config.fundamental_edges cfg)
 
 let test_weights_grid () =
   List.iter
@@ -204,7 +213,8 @@ let prop_p_term_prefix_sums_on_parts =
     ~count:40 arb_part_family (fun (which, n, seed) ->
       List.for_all
         (fun cfg ->
-          List.for_all
+          one_pass_weights_exact cfg
+          && List.for_all
             (fun (u, v) ->
               let case = Faces.classify cfg ~u ~v in
               List.for_all
@@ -220,7 +230,8 @@ let prop_weights_exact_on_parts =
     arb_part_family (fun (which, n, seed) ->
       List.for_all
         (fun cfg ->
-          List.for_all
+          one_pass_weights_exact cfg
+          && List.for_all
             (fun (u, v) -> Weights.weight cfg ~u ~v = Weights.count_reference cfg ~u ~v)
             (Config.fundamental_edges cfg))
         (part_configs (part_family which ~n ~seed)))
