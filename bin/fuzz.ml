@@ -19,7 +19,7 @@ let usage () =
     \            [-v]\n\n\
      --list       print the registered oracles and generator families\n\
      --backend    separator backends the `backend' oracle checks\n\
-    \             (default: congest,lt-level,hn-cycle,random-sep)\n\
+    \             (default: congest,lt-level,hn-cycle)\n\
      --replay     re-run the oracles on one spec (family:n:seed:spanning)\n\
      --self-check injected-bug drill: prove a planted failure is caught,\n\
     \             shrunk to the minimal size and replayable";

@@ -60,8 +60,7 @@ let backend_arg =
   let doc =
     "Separator backend: $(b,congest) (the distributed six-phase algorithm), \
      $(b,lt-level) (centralized BFS level), $(b,hn-cycle) (centralized \
-     simple-cycle heuristic), $(b,random-sep) (randomized weight sampler \
-     with deterministic fallback), or any client-registered name."
+     simple-cycle heuristic), or any client-registered name."
   in
   Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
 

@@ -45,8 +45,8 @@ let seed_arg =
 let backend_arg =
   let doc =
     "Separator backend serving the separator/decompose/dfs queries \
-     ($(b,congest), $(b,lt-level), $(b,hn-cycle), $(b,random-sep), or any \
-     client-registered name)."
+     ($(b,congest), $(b,lt-level), $(b,hn-cycle), or any client-registered \
+     name)."
   in
   Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
 

@@ -185,74 +185,10 @@ let hn_cycle =
       trim = Separator.shrink;
     }
 
-(* ------------------------------------------------------------------ *)
-(* random-sep: the Ghaffari–Parter sampling estimator, made safe.      *)
-(* ------------------------------------------------------------------ *)
-
-(* The raw sampler (lib/baseline/random_sep.ml, experiment E4) trusts an
-   in-window weight estimate without verification, so its output is
-   occasionally unbalanced — the failure probability E4 measures.  A
-   registry backend must keep the balance contract, so the wrapper
-   re-checks the candidate exactly and re-runs the deterministic
-   six-phase search when the estimate lied.  The seed is fixed: a
-   registered backend must be a deterministic function of its
-   configuration (the [backend] oracle double-runs every find). *)
-let random_sep_seed = 0x5eed
-let random_sep_samples = 48
-
-let random_sep_find ?rounds cfg =
-  let n = Config.n cfg in
-  let root = Rooted.root (Config.tree cfg) in
-  span rounds "backend.random-sep" @@ fun () ->
-  if n <= 3 then trivial_result root
-  else begin
-    let o =
-      Random_sep.find ?rounds ~seed:random_sep_seed
-        ~samples:random_sep_samples cfg
-    in
-    if o.Random_sep.balanced then
-      Separator.
-        {
-          separator = o.Random_sep.separator;
-          endpoints = None;
-          phase =
-            (if o.Random_sep.fell_back then "random-fallback"
-             else "random-estimate");
-          candidates_tried = 1;
-          weights_computed = (if o.Random_sep.fell_back then 0 else 1);
-        }
-    else
-      (* The fallback may find a certified cycle, but this backend only
-         promises Balance_only — drop the endpoints so the certificate
-         matches the registry's declared contract. *)
-      let r = Separator.find ?rounds cfg in
-      {
-        r with
-        Separator.phase = "random-verified:" ^ r.Separator.phase;
-        endpoints = None;
-      }
-  end
-
-let random_sep =
-  Backend.
-    {
-      name = "random-sep";
-      description =
-        "randomized Ghaffari-Parter weight sampler (balance re-checked; \
-         deterministic fallback when the estimate misleads)";
-      kind = Distributed;
-      certificate = Balance_only;
-      cost_model =
-        "O~(D) charged rounds (sampling replaces the weight aggregation)";
-      find = random_sep_find;
-      trim = Separator.shrink;
-    }
-
 let registered =
   lazy
     (Backend.register lt_level;
-     Backend.register hn_cycle;
-     Backend.register random_sep)
+     Backend.register hn_cycle)
 
 let ensure () = Lazy.force registered
 let () = ensure ()

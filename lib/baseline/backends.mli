@@ -2,13 +2,6 @@
 
     - ["lt-level"]: the Lipton–Tarjan BFS-level separator — always
       balanced, never cycle-shaped, O(n + m) on the host.
-    - ["random-sep"]: the randomized Ghaffari–Parter weight sampler
-      ({!Random_sep}, experiment E4) behind the registry's balance
-      contract: the sampled candidate is re-checked exactly and the
-      deterministic six-phase search covers any unbalanced estimate, so
-      the backend stays [Distributed] in cost but never ships E4's
-      failure probability.  Fixed internal seed — a registered backend is
-      a deterministic function of its configuration.
     - ["hn-cycle"]: a simple cycle separator in the spirit of
       Har-Peled–Nayyeri (arXiv 1709.08122), built on the existing
       Rotation/Faces/Weights layers: fundamental-face weights pick a
@@ -25,7 +18,6 @@
 
 val lt_level : Repro_core.Backend.t
 val hn_cycle : Repro_core.Backend.t
-val random_sep : Repro_core.Backend.t
 
 val ensure : unit -> unit
 (** Force this module (and therefore both registrations); idempotent. *)

@@ -23,14 +23,14 @@ type outcome = {
 
 (* Membership in the set the weight of Definition 2 counts (Lemmas 3/4):
    the interior, plus — when the endpoints are unrelated — the border tail
-   from the LCA (exclusive) down to v. *)
+   from the LCA (exclusive) down to v: the ancestors of v that are not
+   ancestors of u. *)
 let in_weighted_set cfg ~u ~v z =
   let tree = Config.tree cfg in
   Faces.is_inside cfg ~u ~v z
   || (Faces.classify cfg ~u ~v = Faces.Unrelated
-     && z <> Repro_tree.Rooted.lca tree u v
      && Repro_tree.Rooted.is_ancestor tree ~anc:z ~desc:v
-     && Faces.on_border cfg ~u ~v z)
+     && not (Repro_tree.Rooted.is_ancestor tree ~anc:z ~desc:u))
 
 let estimate_weight cfg rng ~samples ~u ~v =
   let n = Config.n cfg in

@@ -41,30 +41,28 @@ let npos_at cfg x =
   let a = anchor cfg x in
   fun y -> ((Rotation.position rot x y - a) + d) mod d
 
-let npos cfg x y = npos_at cfg x y
-
-(* Child of [x] on the tree path towards its descendant [z]. *)
-let child_toward cfg x z =
-  let tree = Config.tree cfg in
-  Rooted.kth_ancestor tree z (Rooted.depth tree z - Rooted.depth tree x - 1)
-
-let normalize cfg (a, b) =
-  let tree = Config.tree cfg in
-  if Rooted.pi_left tree a < Rooted.pi_left tree b then (a, b) else (b, a)
+(* Child of [x] on the tree path towards its strict descendant [z]. *)
+let child_toward cfg x z = Rooted.child_toward (Config.tree cfg) x z
 
 let classify cfg ~u ~v =
   let tree = Config.tree cfg in
   if Rooted.is_ancestor tree ~anc:u ~desc:v then begin
-    let z = child_toward cfg u v in
-    if npos cfg u v < npos cfg u z then Anc_left else Anc_right
+    let np = npos_at cfg u in
+    if np v < np (child_toward cfg u v) then Anc_left else Anc_right
   end
   else Unrelated
 
+(* The border is every ancestor of u or v that is not a strict ancestor of
+   their LCA w.  Above w, u and v hang below the same child; at w (and at
+   an endpoint that is an ancestor of the other) they do not. *)
 let on_border cfg ~u ~v x =
   let tree = Config.tree cfg in
-  let w = Rooted.lca tree u v in
-  (Rooted.is_ancestor tree ~anc:x ~desc:u || Rooted.is_ancestor tree ~anc:x ~desc:v)
-  && Rooted.is_ancestor tree ~anc:w ~desc:x
+  let au = Rooted.is_ancestor tree ~anc:x ~desc:u in
+  let av = Rooted.is_ancestor tree ~anc:x ~desc:v in
+  (au || av)
+  && not
+       (au && av && x <> u && x <> v
+       && child_toward cfg x u = child_toward cfg x v)
 
 let border cfg ~u ~v = Rooted.path (Config.tree cfg) u v
 
@@ -74,22 +72,23 @@ let border cfg ~u ~v = Rooted.path (Config.tree cfg) u v
 (* ------------------------------------------------------------------ *)
 
 (* Claims 1 and 4 as an angular window: a neighbour y of border node [x]
-   (not itself on the border) lies inside F_e iff lo < npos x y < hi.  The
-   bounds are the positions of border neighbours — which the strict
-   inequalities exclude — or the open ends -1 and deg(x).  [np] is
-   [npos_at cfg x]. *)
+   (not itself on the border) lies inside F_e iff lo < np y < hi, where
+   [np] is [npos_at cfg x].  The bounds are the positions of border
+   neighbours — which the strict inequalities exclude — or the open ends
+   -1 and deg(x). *)
 let inside_window cfg ~u ~v ~case x np =
   let tree = Config.tree cfg in
   let d = Rotation.degree (Config.rot cfg) x in
   match case with
   | Unrelated ->
-    let w = Rooted.lca tree u v in
+    let au = Rooted.is_ancestor tree ~anc:x ~desc:u in
     if x = u then (-1, np v) (* Claim 1 (ii) *)
     else if x = v then (np u, d) (* Claim 1 (iii) *)
-    else if x = w then
-      (* Claim 1 (i): strictly between the branch to v and the branch to u. *)
-      (np (child_toward cfg w v), np (child_toward cfg w u))
-    else if Rooted.is_ancestor tree ~anc:x ~desc:u then
+    else if au && Rooted.is_ancestor tree ~anc:x ~desc:v then
+      (* Claim 1 (i): the border node above both endpoints is their LCA w;
+         strictly between the branch to v and the branch to u. *)
+      (np (child_toward cfg x v), np (child_toward cfg x u))
+    else if au then
       (* Claim 1 (iv): interior node of the w->u branch. *)
       (-1, np (child_toward cfg x u))
     else (* Claim 1 (v): interior node of the w->v branch. *)
@@ -115,9 +114,10 @@ let child_inside cfg ~u ~v ~case x c =
   lo < p && p < hi
 
 (* The same rule as a row interval.  [Rooted.build] lays the children of
-   [x] out clockwise from its anchor, i.e. in increasing [npos], so the
-   children inside the window are the row indices [lo .. hi - 1], found by
-   two binary searches: O(log deg(x) + log n) per border node. *)
+   [x] out clockwise from its anchor, i.e. in increasing normalized
+   position, so the children inside the window are the row indices
+   [lo .. hi - 1], found by two binary searches: O(log deg(x)) per border
+   node, the window's own [child_toward] included. *)
 let inside_range cfg ~u ~v ~case x =
   let tree = Config.tree cfg in
   let np = npos_at cfg x in
@@ -151,14 +151,14 @@ let is_inside cfg ~u ~v z =
   else begin
     match case with
     | Unrelated ->
-      let w = Rooted.lca tree u v in
       if Rooted.is_ancestor tree ~anc:u ~desc:z then
         child_inside cfg ~u ~v ~case u (child_toward cfg u z)
       else if Rooted.is_ancestor tree ~anc:v ~desc:z then
         child_inside cfg ~u ~v ~case v (child_toward cfg v z)
-      else if not (Rooted.is_ancestor tree ~anc:w ~desc:z) then false
       else begin
-        (* Claim 3 interval, with border nodes already excluded. *)
+        (* Claim 3 interval, with border nodes already excluded.  u and v
+           lie in the subtree of their LCA, a LEFT interval, so every
+           position strictly between them does too. *)
         let pl = Rooted.pi_left tree in
         pl z > pl u + Rooted.size tree u - 1 && pl z < pl v
       end

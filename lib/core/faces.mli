@@ -9,33 +9,29 @@
     enforces their agreement.
 
     The local rule relies on the configuration's tree laying each child row
-    out clockwise from the same anchor [npos] uses, i.e. the tree was built
-    with the configuration's own [root_first]. *)
+    out clockwise from the node's {!anchor}, i.e. the tree was built with
+    the configuration's own [root_first]. *)
 
 type edge_case =
   | Unrelated  (** neither endpoint is an ancestor of the other *)
   | Anc_left  (** u ancestor of v, edge E-left oriented (Definition 1) *)
   | Anc_right
 
-val normalize : Config.t -> int * int -> int * int
-(** Order an edge's endpoints by LEFT position. *)
-
 val classify : Config.t -> u:int -> v:int -> edge_case
 
 val anchor : Config.t -> int -> int
 (** Rotation index of the node's parent edge, or of the virtual root edge
-    at the root ([Config.root_first], else 0): where {!npos} is 0 and
-    where [Rooted.build] starts the node's clockwise child row. *)
-
-val npos : Config.t -> int -> int -> int
-(** Rotation position of a neighbour, normalized so the parent edge (or the
-    virtual root edge) sits at 0. *)
+    at the root ([Config.root_first], else 0): where normalized rotation
+    positions start and where [Rooted.build] starts the node's clockwise
+    child row. *)
 
 val child_toward : Config.t -> int -> int -> int
-(** Child of the first node on the tree path towards its descendant. *)
+(** Child of the first node on the tree path towards its strict
+    descendant ({!Repro_tree.Rooted.child_toward}). *)
 
 val on_border : Config.t -> u:int -> v:int -> int -> bool
-(** Is the node on the tree path between u and v? *)
+(** Is the node on the tree path between u and v?  Two interval tests and,
+    above both endpoints, one child-row search each. *)
 
 val border : Config.t -> u:int -> v:int -> int list
 (** The border path C_e, from u to v. *)
@@ -47,8 +43,8 @@ val child_inside : Config.t -> u:int -> v:int -> case:edge_case -> int -> int ->
 val inside_range : Config.t -> u:int -> v:int -> case:edge_case -> int -> int * int
 (** [inside_range cfg ~u ~v ~case x] = [(lo, hi)]: the children of border
     node [x] hanging inside F_e are exactly those at clockwise row indices
-    [lo .. hi - 1] (see {!Repro_tree.Rooted.child}).  Two binary searches
-    over the row, O(log deg(x) + log n). *)
+    [lo .. hi - 1] (see {!Repro_tree.Rooted.child}).  Binary searches
+    over the row, O(log deg(x)). *)
 
 val inside_children : Config.t -> u:int -> v:int -> case:edge_case -> int -> int list
 (** Children of a border node hanging inside F_e, in rotation order. *)

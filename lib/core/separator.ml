@@ -21,17 +21,20 @@
    window (see [crossing_leaves]), and when every candidate of the phase
    set fails, [find] raises [No_separator_found].
 
-   Every candidate is verified with a balance probe before being returned —
-   but verification is amortized over each phase group: the Phase-1 tree
-   and its orders (already charged once in "sep.phase1-precompute") make
-   path membership node-local, so the candidates a phase generates ride
-   the slots of ONE running inside/outside weight aggregation on the
-   shared tree handle, instead of a fresh mark-path + aggregation per
-   candidate (the Lemma 18/19 balance-check idiom; DESIGN.md deviation 2).
-   Host-side the handle carries one scratch removal array reused by every
-   probe.  The phase and the number of candidates tried are reported so
-   the experiments can show the paper's first-choice candidate almost
-   always wins. *)
+   Phases 2 and 3 are balanced by count — subtree sizes and Lemma 5's
+   face weight bound both sides — so their candidate is returned without
+   a probe; every Phase 4/5 candidate is verified with a balance probe
+   before being returned.  Each group still charges its balance check,
+   amortized over the group: the Phase-1 tree and its orders (already
+   charged once in "sep.phase1-precompute") make path membership
+   node-local, so the candidates a phase generates ride the slots of ONE
+   running inside/outside weight aggregation on the shared tree handle,
+   instead of a fresh mark-path + aggregation per candidate (the Lemma
+   18/19 balance-check idiom; DESIGN.md deviation 2).  Host-side the
+   handle carries one scratch removal array reused by every probe.  The
+   phase and the number of candidates tried are reported so the
+   experiments can show the paper's first-choice candidate almost always
+   wins. *)
 
 open Repro_graph
 open Repro_tree
@@ -66,29 +69,31 @@ type verifier = { scratch : bool array; mutable batch : string option }
 
 let verifier_create n = { scratch = Array.make n false; batch = None }
 
-(* Try the T-path between [a] and [b].  The first probe of a phase group
-   charges the group's single k-slot balance aggregation (the running
-   inside/outside weights of every candidate the group generates ride one
-   collective on the Phase-1 tree); later probes of the same group are
-   free slots of it.  Path membership is node-local given the Phase-1
-   orders, so no per-candidate mark-path is charged. *)
-let try_path ?rounds cfg ver tried ~batch ~phase ~closing (a, b) =
+(* The T-path between [a] and [b] as a candidate.  The first candidate of
+   a phase group charges the group's single k-slot balance aggregation
+   (the running inside/outside weights of every candidate the group
+   generates ride one collective on the Phase-1 tree); later candidates of
+   the same group are free slots of it.  Path membership is node-local
+   given the Phase-1 orders, so no per-candidate mark-path is charged. *)
+let candidate ?rounds cfg ver tried ~batch ~phase ~closing (a, b) =
   incr tried;
   if ver.batch <> Some batch then begin
     ver.batch <- Some batch;
     span rounds "sep.verify" (fun () ->
         charge_opt rounds (fun r -> Rounds.charge_aggregate r "verify-balance"))
   end;
-  let path = Rooted.path (Config.tree cfg) a b in
-  if Check.balanced_with ~scratch:ver.scratch cfg path then
-    Some
-      {
-        separator = path;
-        endpoints = closing;
-        phase;
-        candidates_tried = !tried;
-        weights_computed = 0;
-      }
+  {
+    separator = Rooted.path (Config.tree cfg) a b;
+    endpoints = closing;
+    phase;
+    candidates_tried = !tried;
+    weights_computed = 0;
+  }
+
+(* A candidate whose balance no lemma certifies by count: probe it. *)
+let try_path ?rounds cfg ver tried ~batch ~phase ~closing ab =
+  let r = candidate ?rounds cfg ver tried ~batch ~phase ~closing ab in
+  if Check.balanced_with ~scratch:ver.scratch cfg r.separator then Some r
   else None
 
 let first_some candidates =
@@ -118,12 +123,13 @@ let tree_phase ?rounds cfg ver tried =
          centroid path is still a valid separator. *)
       Rooted.centroid tree
   in
-  match
-    try_path ?rounds cfg ver tried ~batch:"tree" ~phase:"2-tree" ~closing:None
-      (Rooted.root tree, v0)
-  with
-  | Some r -> r
-  | None -> raise (No_separator_found "tree phase failed — centroid path unbalanced?")
+  (* Balanced by count, so accepted without a probe: G[P] is the tree, and
+     every subtree hanging off the root path to v0 lies either inside
+     T(v0) below v0 (fewer than n_T(v0) <= 2n/3 nodes) or outside T(v0)
+     (at most n - n_T(v0) <= 2n/3 nodes); for the centroid, each hangs
+     inside one of its components, of at most n/2 nodes. *)
+  candidate ?rounds cfg ver tried ~batch:"tree" ~phase:"2-tree" ~closing:None
+    (Rooted.root tree, v0)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 4 sweep: monotone counter over a region's leaves.             *)
@@ -343,20 +349,17 @@ let find ?rounds cfg =
     else begin
       let wcount = List.length weights in
       let finish r = { r with weights_computed = wcount } in
-      (* Phase 3: a face with weight in range. *)
+      (* Phase 3: a face with weight in range.  Its border path is
+         balanced by count (Lemma 5): the weight bounds the nodes inside
+         the cycle from above and, with the border, those outside it. *)
       let phase3_result =
         span rounds "sep.phase3-face" (fun () ->
             charge_opt rounds (fun r ->
                 Rounds.charge_aggregate r "range-weights[Phase3]");
-            let in_range =
-              List.filter (fun (_, w) -> 3 * w >= n && 3 * w <= 2 * n) weights
-            in
-            first_some
-              (List.map
-                 (fun ((u, v), _) () ->
-                   try_path ?rounds cfg ver tried ~batch:"phase3"
-                     ~phase:"3-face" ~closing:(Some (u, v)) (u, v))
-                 in_range))
+            List.find_opt (fun (_, w) -> 3 * w >= n && 3 * w <= 2 * n) weights
+            |> Option.map (fun ((u, v), _) ->
+                   candidate ?rounds cfg ver tried ~batch:"phase3"
+                     ~phase:"3-face" ~closing:(Some (u, v)) (u, v)))
       in
       match phase3_result with
       | Some r -> finish r

@@ -1,12 +1,14 @@
 (** The deterministic cycle-separator algorithm (Theorem 1, Section 5.3).
 
-    [find] runs the paper's six-phase algorithm on one planar configuration;
-    every candidate path is verified with a balance probe before being
-    returned (see DESIGN.md, deviation 2).  Verification is amortized: one
-    shared handle (scratch marks + the phase-1 tree) serves every probe of
-    a [find], and each phase group charges a single running balance
-    aggregate — the Lemma 18/19 balance check maintained incrementally —
-    however many candidates the group tries.  [find_partition] is
+    [find] runs the paper's six-phase algorithm on one planar configuration.
+    Phases 2 and 3 return their candidate on the count (subtree sizes,
+    Lemma 5); every Phase 4/5 candidate path is verified with a balance
+    probe before being returned (see DESIGN.md, deviations 1 and 2).
+    Verification is amortized: one shared handle (scratch marks + the
+    phase-1 tree) serves every probe of a [find], and each phase group
+    charges a single running balance aggregate — the Lemma 18/19 balance
+    check maintained incrementally — however many candidates the group
+    tries.  [find_partition] is
     Theorem 1 proper: separators for all parts of a partition, charged as
     a parallel batch. *)
 
@@ -30,8 +32,8 @@ type result = {
 exception No_separator_found of string
 
 val find : ?rounds:Rounds.t -> Config.t -> result
-(** Raises [No_separator_found] when every candidate of the phase set
-    fails; nothing runs below the phases. *)
+(** Raises [No_separator_found] when every Phase 4/5 candidate fails;
+    nothing runs below the phases. *)
 
 val shrink : ?rounds:Rounds.t -> Config.t -> int list -> int list
 (** Trim a separator path from both ends while it stays balanced.  Balance

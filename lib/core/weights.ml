@@ -4,9 +4,9 @@
    [all_weights] computes Definition 2 for every real fundamental edge in
    one O(m) pass over the rotation system, as Lemma 12 computes WEIGHTS in
    one batch; it is what the separator's Phase 1 uses.  [weight] is the
-   per-edge statement of Definition 2: an O(deg(u) + deg(v) + log n)
-   formula built from the LEFT/RIGHT DFS orders, subtree sizes, depths and
-   the locally-computable p-terms, kept for single-edge callers and as the
+   per-edge statement of Definition 2: an O(deg(u) + deg(v)) formula
+   built from the LEFT/RIGHT DFS orders, subtree sizes, depths and the
+   locally-computable p-terms, kept for single-edge callers and as the
    reference the one-pass weights are checked against.  Lemmas 3 and 4
    state what it counts:
 
@@ -25,8 +25,8 @@ open Repro_tree
    the paper's p_{F_e}(x): the number of nodes of F_e in the strict subtree
    of x.  The inside children form one clockwise row interval
    ([Faces.inside_range], two binary searches), so the sum is one
-   difference of the tree's child prefix sums: O(log deg(x) + log n)
-   instead of a scan over every child of x. *)
+   difference of the tree's child prefix sums: O(log deg(x)) instead of a
+   scan over every child of x. *)
 let p_term cfg ~u ~v ~case x =
   let lo, hi = Faces.inside_range cfg ~u ~v ~case x in
   Rooted.children_size_between (Config.tree cfg) x lo hi

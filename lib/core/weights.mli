@@ -11,13 +11,13 @@
 val p_term :
   Config.t -> u:int -> v:int -> case:Faces.edge_case -> int -> int
 (** p_{F_e}(x): number of nodes of F_e in the strict subtree of border node
-    [x] — locally computable from the rotation.  O(log deg(x) + log n): the
+    [x] — locally computable from the rotation.  O(log deg(x)): the
     inside children are one row interval ({!Faces.inside_range}) summed by
     the tree's child prefix sums. *)
 
 val weight : Config.t -> u:int -> v:int -> int
 (** Definition 2 for the real fundamental edge (u, v) (normalized), as
-    written: O(deg(u) + deg(v) + log n) per edge. *)
+    written: O(deg(u) + deg(v)) per edge. *)
 
 val count_reference : Config.t -> u:int -> v:int -> int
 (** What Lemmas 3/4 prove [weight] counts, measured from the exact

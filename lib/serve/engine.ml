@@ -32,7 +32,6 @@ let hex_of_hash h = Printf.sprintf "%016x" h
 type dfs_info = { phases : int; depth : int; hash : int }
 
 type sep_info = {
-  cfg : Config.t; (* pins the part's phase-1 tree with the result *)
   size : int;
   max_component : int;
   limit : int;
@@ -240,7 +239,6 @@ let sep_entry t part =
         in
         Sep_entry
           {
-            cfg;
             size = v.Check.size;
             max_component = v.Check.max_component;
             limit = v.Check.limit;

@@ -973,10 +973,10 @@ let run_pool (inst : Instance.t) =
 (*     post-pass behaves, and the charge discipline matches the kind.   *)
 (* ------------------------------------------------------------------ *)
 
-(* Fuzz-selectable subset of the backend registry: defaults to the four
+(* Fuzz-selectable subset of the backend registry: defaults to the three
    shipped backends so test-registered extras don't leak into fuzz runs;
    [restrict_backends] (bin/fuzz --backend) narrows or widens it. *)
-let backend_filter = ref [ "congest"; "lt-level"; "hn-cycle"; "random-sep" ]
+let backend_filter = ref [ "congest"; "lt-level"; "hn-cycle" ]
 let restrict_backends names = backend_filter := names
 
 let run_backend (inst : Instance.t) =
@@ -993,7 +993,7 @@ let run_backend (inst : Instance.t) =
   ck ctx "shipped backends present"
     (List.for_all
        (fun name -> List.exists (fun b -> b.Backend.name = name) bs)
-       [ "congest"; "lt-level"; "hn-cycle"; "random-sep" ]);
+       [ "congest"; "lt-level"; "hn-cycle" ]);
   ck ctx "lookup round-trips"
     (List.for_all
        (fun b -> (Backend.lookup b.Backend.name).Backend.name = b.Backend.name)

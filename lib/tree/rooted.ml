@@ -25,8 +25,6 @@ type t = {
   pi_left : int array; (* LEFT-DFS-ORDER position, 0-based *)
   pi_right : int array; (* RIGHT-DFS-ORDER position, 0-based *)
   left_at : int array; (* inverse of pi_left *)
-  right_at : int array; (* inverse of pi_right *)
-  up : int array array; (* binary-lifting ancestor table [k].(v) *)
 }
 
 let n t = Array.length t.parent
@@ -59,15 +57,12 @@ let children_size_between t v i j =
 let pi_left t v = t.pi_left.(v)
 let pi_right t v = t.pi_right.(v)
 let node_at_left t i = t.left_at.(i)
-let node_at_right t i = t.right_at.(i)
 let is_leaf t v = children_count t v = 0
 
 (* DFS-interval ancestor test: u is an ancestor of v (reflexively). *)
 let is_ancestor t ~anc ~desc =
   t.pi_left.(anc) <= t.pi_left.(desc)
   && t.pi_left.(desc) < t.pi_left.(anc) + t.size.(anc)
-
-let in_subtree t ~of_:u v = is_ancestor t ~anc:u ~desc:v
 
 let build ?root_first ~rot ~root parent =
   let n = Array.length parent in
@@ -171,23 +166,9 @@ let build ?root_first ~rot ~root parent =
      them clockwise. *)
   assign_order pi_left ~leftmost_first:true;
   assign_order pi_right ~leftmost_first:false;
-  let left_at = Array.make n (-1) and right_at = Array.make n (-1) in
+  let left_at = Array.make n (-1) in
   for v = 0 to n - 1 do
-    left_at.(pi_left.(v)) <- v;
-    right_at.(pi_right.(v)) <- v
-  done;
-  (* Binary lifting for LCA queries. *)
-  let levels =
-    let rec go k = if 1 lsl k >= n then k + 1 else go (k + 1) in
-    go 0
-  in
-  let up = Array.make levels [||] in
-  up.(0) <- Array.map (fun p -> if p < 0 then -1 else p) parent;
-  for k = 1 to levels - 1 do
-    up.(k) <-
-      Array.init n (fun v ->
-          let mid = up.(k - 1).(v) in
-          if mid < 0 then -1 else up.(k - 1).(mid))
+    left_at.(pi_left.(v)) <- v
   done;
   {
     root;
@@ -200,30 +181,30 @@ let build ?root_first ~rot ~root parent =
     pi_left;
     pi_right;
     left_at;
-    right_at;
-    up;
   }
 
-let kth_ancestor t v k =
-  let v = ref v and k = ref k and bit = ref 0 in
-  while !k > 0 && !v >= 0 do
-    if !k land 1 = 1 then v := if !v < 0 then -1 else t.up.(!bit).(!v);
-    k := !k lsr 1;
-    incr bit
+(* The child of [x] whose subtree holds its strict descendant [z].  LEFT
+   order visits the children of [x] counterclockwise, so [pi_left]
+   decreases along the clockwise row, and the wanted child is the first
+   row entry at or before [z] in LEFT order: one binary search over the
+   row, O(log deg(x)). *)
+let child_toward t x z =
+  let pz = t.pi_left.(z) in
+  let lo = ref t.ch_off.(x) and hi = ref (t.ch_off.(x + 1) - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.pi_left.(t.ch.(mid)) <= pz then hi := mid else lo := mid + 1
   done;
-  !v
+  t.ch.(!lo)
 
+(* Climb from [a] until the DFS interval of the current node holds [b]:
+   O(depth a - depth (lca a b)), which [path] walks anyway. *)
 let lca t a b =
-  if is_ancestor t ~anc:a ~desc:b then a
-  else if is_ancestor t ~anc:b ~desc:a then b
-  else begin
-    let a = ref a in
-    for k = Array.length t.up - 1 downto 0 do
-      let cand = t.up.(k).(!a) in
-      if cand >= 0 && not (is_ancestor t ~anc:cand ~desc:b) then a := cand
-    done;
-    t.parent.(!a)
-  end
+  let a = ref a in
+  while not (is_ancestor t ~anc:!a ~desc:b) do
+    a := t.parent.(!a)
+  done;
+  !a
 
 (* Vertices of the tree path from u to v, endpoints included, in order. *)
 let path t u v =
@@ -232,15 +213,6 @@ let path t u v =
   let from_u = List.rev (climb u []) in (* u .. just below w *)
   let from_v = climb v [] in (* just below w .. v *)
   from_u @ [ w ] @ from_v
-
-let path_length t u v =
-  let w = lca t u v in
-  t.depth.(u) + t.depth.(v) - (2 * t.depth.(w))
-
-(* Last node of the subtree of v in the given DFS order; this is always a
-   leaf (the deepest node along the chain of last-visited children). *)
-let last_leaf_left t v = t.left_at.(t.pi_left.(v) + t.size.(v) - 1)
-let last_leaf_right t v = t.right_at.(t.pi_right.(v) + t.size.(v) - 1)
 
 (* A centroid: removing it leaves components of size <= n/2. *)
 let centroid t =
@@ -288,7 +260,5 @@ let edges t =
     if t.parent.(v) >= 0 then acc := (v, t.parent.(v)) :: !acc
   done;
   !acc
-
-let parent_array t = Array.copy t.parent
 
 let pp fmt t = Fmt.pf fmt "tree(n=%d, root=%d)" (n t) t.root

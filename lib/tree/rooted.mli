@@ -2,8 +2,12 @@
 
     Children of each node are stored clockwise starting right after the
     parent edge, realizing the paper's convention [t_v(parent) = 0].
-    LEFT/RIGHT DFS orders, subtree sizes and LCA structures are precomputed
-    at construction. *)
+    A tree holds only node-local DFS data, the data the paper's tree
+    subroutines read (Section 5.1): parents, depths, subtree sizes, the
+    LEFT/RIGHT DFS positions and the clockwise child rows.  Ancestor
+    queries are interval tests, the child towards a descendant is a binary
+    search over one child row, and the LCA climbs parents under the
+    interval test. *)
 
 open Repro_embedding
 
@@ -60,28 +64,20 @@ val pi_right : t -> int -> int
 val node_at_left : t -> int -> int
 (** Inverse of [pi_left]. *)
 
-val node_at_right : t -> int -> int
-
 val is_ancestor : t -> anc:int -> desc:int -> bool
 (** Reflexive ancestor test via DFS intervals. *)
 
-val in_subtree : t -> of_:int -> int -> bool
-
-val kth_ancestor : t -> int -> int -> int
-(** [kth_ancestor t v k]; [-1] when walking above the root. *)
+val child_toward : t -> int -> int -> int
+(** [child_toward t x z] is the child of [x] on the tree path to its
+    strict descendant [z] (unchecked), by binary search over the child row
+    of [x]: O(log deg(x)). *)
 
 val lca : t -> int -> int -> int
+(** Climbs parents from the first node until its DFS interval holds the
+    second: O(depth a - depth (lca a b)). *)
 
 val path : t -> int -> int -> int list
 (** Vertices of the tree path between two nodes, endpoints included. *)
-
-val path_length : t -> int -> int -> int
-(** Number of edges on the tree path. *)
-
-val last_leaf_left : t -> int -> int
-(** The leaf of the subtree of [v] with the greatest LEFT position. *)
-
-val last_leaf_right : t -> int -> int
 
 val centroid : t -> int
 (** A vertex whose removal leaves components of size at most [n/2]. *)
@@ -90,5 +86,4 @@ val reroot : ?root_first:int -> rot:Rotation.t -> t -> int -> t
 (** Same tree edges, new root (RE-ROOT-PROBLEM, Lemma 19). *)
 
 val edges : t -> (int * int) list
-val parent_array : t -> int array
 val pp : Format.formatter -> t -> unit

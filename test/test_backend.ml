@@ -31,7 +31,7 @@ let test_registry_roundtrip () =
         (Printf.sprintf "%s registered" name)
         true
         (List.mem name (Backend.names ())))
-    [ "congest"; "lt-level"; "hn-cycle"; "random-sep" ];
+    [ "congest"; "lt-level"; "hn-cycle" ];
   List.iter
     (fun b ->
       Alcotest.(check string)

@@ -170,6 +170,46 @@ let prop_interior_matches_geometry =
           !ok)
         (Config.fundamental_edges cfg))
 
+(* [on_border] against membership in the tree path, for every fundamental
+   edge and vertex: every family with fundamental edges, under BFS, DFS
+   and random trees, on the whole-graph configuration and on a part
+   configuration of every vertex rooted at a seeded random vertex (no
+   virtual root edge). *)
+let border_families = [ "grid"; "tgrid"; "stacked"; "thinned"; "cycle"; "fan"; "wheel" ]
+
+let prop_on_border_is_tree_path =
+  QCheck.Test.make ~name:"on_border = tree-path membership" ~count:10
+    QCheck.(pair (int_range 8 60) (int_bound 10000))
+    (fun (n, seed) ->
+      List.for_all
+        (fun family ->
+          let emb = Gen.by_family ~seed family ~n in
+          let nn = Graph.n (Embedded.graph emb) in
+          let root = Repro_util.Rng.int (Repro_util.Rng.create seed) nn in
+          List.for_all
+            (fun spanning ->
+              List.for_all
+                (fun cfg ->
+                  let tree = Config.tree cfg in
+                  let on_path = Array.make nn false in
+                  List.for_all
+                    (fun (u, v) ->
+                      let path = Rooted.path tree u v in
+                      List.iter (fun x -> on_path.(x) <- true) path;
+                      let ok = ref true in
+                      for x = 0 to nn - 1 do
+                        if Faces.on_border cfg ~u ~v x <> on_path.(x) then ok := false
+                      done;
+                      List.iter (fun x -> on_path.(x) <- false) path;
+                      !ok)
+                    (Config.fundamental_edges cfg))
+                [
+                  Config.of_embedded ~spanning emb;
+                  Config.of_part ~spanning ~members:(Array.init nn Fun.id) ~root emb;
+                ])
+            [ Spanning.Bfs; Spanning.Dfs; Spanning.Random seed ])
+        border_families)
+
 let test_edge_in_face_self () =
   let cfg = cfg_of (Gen.grid_diag ~seed:2 ~rows:4 ~cols:4 ()) in
   List.iter
@@ -254,5 +294,6 @@ let suites =
         qtest prop_local_interior_matches_reference;
         qtest prop_local_interior_matches_reference_on_parts;
         qtest prop_is_inside_matches_reference;
+        qtest prop_on_border_is_tree_path;
         qtest prop_interior_matches_geometry;
     ]

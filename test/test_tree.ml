@@ -107,7 +107,10 @@ let test_path_endpoints () =
   let p = Rooted.path t 3 12 in
   Alcotest.(check int) "starts at u" 3 (List.hd p);
   Alcotest.(check int) "ends at v" 12 (List.nth p (List.length p - 1));
-  Alcotest.(check int) "length" (Rooted.path_length t 3 12 + 1) (List.length p);
+  let w = Rooted.lca t 3 12 in
+  Alcotest.(check int) "length"
+    (Rooted.depth t 3 + Rooted.depth t 12 - (2 * Rooted.depth t w) + 1)
+    (List.length p);
   (* Consecutive path nodes are tree edges. *)
   let rec consecutive = function
     | a :: (b :: _ as rest) ->
@@ -117,16 +120,6 @@ let test_path_endpoints () =
     | _ -> ()
   in
   consecutive p
-
-let test_last_leaves () =
-  let t = build_on grid44 Spanning.Dfs in
-  let root = Rooted.root t in
-  let ll = Rooted.last_leaf_left t root in
-  let lr = Rooted.last_leaf_right t root in
-  Alcotest.(check bool) "left last is leaf" true (Rooted.is_leaf t ll);
-  Alcotest.(check bool) "right last is leaf" true (Rooted.is_leaf t lr);
-  Alcotest.(check int) "left last position" (Rooted.n t - 1) (Rooted.pi_left t ll);
-  Alcotest.(check int) "right last position" (Rooted.n t - 1) (Rooted.pi_right t lr)
 
 let test_centroid_star () =
   let emb = Gen.star 20 in
@@ -153,12 +146,13 @@ let test_reroot_preserves_edges () =
     (norm (Rooted.edges t)) (norm (Rooted.edges t'));
   (* Depth in the re-rooted tree equals tree distance to the new root. *)
   for v = 0 to Rooted.n t - 1 do
-    Alcotest.(check int) "depth = path length" (Rooted.path_length t v 17)
+    Alcotest.(check int) "depth = path length"
+      (List.length (Rooted.path t v 17) - 1)
       (Rooted.depth t' v)
   done
 
 let prop_lca_matches_naive =
-  QCheck.Test.make ~name:"binary-lifting LCA = naive LCA" ~count:60
+  QCheck.Test.make ~name:"interval-climb LCA = naive LCA" ~count:60
     QCheck.(triple (int_range 4 60) (int_bound 1000) (int_bound 10000))
     (fun (n, seed, qseed) ->
       let emb = Gen.stacked_triangulation ~seed ~n () in
@@ -171,17 +165,41 @@ let prop_lca_matches_naive =
       done;
       !ok)
 
-let prop_kth_ancestor =
-  QCheck.Test.make ~name:"kth_ancestor walks the parent chain" ~count:60
-    QCheck.(pair (int_range 4 60) (int_bound 1000))
-    (fun (n, seed) ->
-      let emb = Gen.random_tree ~seed ~n () in
-      let t = build_on emb Spanning.Bfs in
+(* For every node z and every strict ancestor x on its parent chain, the
+   child of x towards z is the chain node just below x.  Random trees, and
+   wheels, fans and stars whose hub rows run to n - 1 children, each from
+   a seeded root, spanning kind and virtual root edge. *)
+let prop_child_toward =
+  QCheck.Test.make ~name:"child_toward = chain node below" ~count:60
+    QCheck.(triple (int_range 0 3) (int_range 4 300) (int_bound 1000))
+    (fun (which, n, seed) ->
+      let emb =
+        match which with
+        | 0 -> Gen.random_tree ~seed ~n ()
+        | 1 -> Gen.wheel n
+        | 2 -> Gen.fan n
+        | _ -> Gen.star n
+      in
+      let g = Embedded.graph emb and rot = Embedded.rot emb in
+      let root = Repro_util.Rng.int (Repro_util.Rng.create seed) (Graph.n g) in
+      let kind =
+        match seed mod 3 with
+        | 0 -> Spanning.Bfs
+        | 1 -> Spanning.Dfs
+        | _ -> Spanning.Random seed
+      in
+      let root_first = Rotation.nth rot root (seed mod Rotation.degree rot root) in
+      let t =
+        Rooted.build ~root_first ~rot ~root (Spanning.make kind g ~root)
+      in
       let ok = ref true in
-      for v = 0 to n - 1 do
-        let d = Rooted.depth t v in
-        if Rooted.kth_ancestor t v d <> Rooted.root t then ok := false;
-        if d >= 1 && Rooted.kth_ancestor t v 1 <> Rooted.parent t v then ok := false
+      for z = 0 to Rooted.n t - 1 do
+        let below = ref z in
+        while Rooted.parent t !below >= 0 do
+          let x = Rooted.parent t !below in
+          if Rooted.child_toward t x z <> !below then ok := false;
+          below := x
+        done
       done;
       !ok)
 
@@ -215,11 +233,10 @@ let suites =
         Alcotest.test_case "subtree intervals" `Quick test_subtree_intervals;
         Alcotest.test_case "lca small" `Quick test_lca_small;
         Alcotest.test_case "path endpoints" `Quick test_path_endpoints;
-        Alcotest.test_case "last leaves" `Quick test_last_leaves;
         Alcotest.test_case "centroid star" `Quick test_centroid_star;
         Alcotest.test_case "centroid path" `Quick test_centroid_path;
         Alcotest.test_case "reroot" `Quick test_reroot_preserves_edges;
         qtest prop_lca_matches_naive;
-        qtest prop_kth_ancestor;
+        qtest prop_child_toward;
         qtest prop_orders_subtree_contiguous;
     ]
