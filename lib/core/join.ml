@@ -90,17 +90,25 @@ let decode_anchor n code =
 let encode_target n ~depth ~rank = 1 + (depth * n) + (n - 1 - rank)
 let decode_target_rank n code = n - 1 - ((code - 1) mod n)
 
-(* The vertex -> member-index map of [preferring_tree], one per domain:
-   -1 outside the component being indexed.  It grows to the graph's n once
-   and is then reused by every component of every iteration of every join
-   on that domain, so a join allocates nothing proportional to the global
-   n.  [occupant] holds the members currently marked; a join un-marks them
-   on entry (the [Graph.Scratch] discipline), so a join that raised halfway
-   through indexing leaves no stale marks behind.  Domains never share a
-   scratch, so concurrent joins on the pool stay independent. *)
-type scratch = { mutable idx : int array; mutable occupant : int array }
+(* JOIN's per-domain scratch.  [idx] is the vertex -> member-index map of
+   [preferring_tree]: -1 outside the component being indexed.  It grows to
+   the graph's n once and is then reused by every component of every
+   iteration of every join on that domain, so a join allocates nothing
+   proportional to the global n.  [occupant] holds the members currently
+   marked; a join un-marks them on entry (the [Graph.Scratch] discipline),
+   so a join that raised halfway through indexing leaves no stale marks
+   behind.  [remaining] marks the separator nodes not yet in the tree, with
+   the separator as its occupant under the same rule.  Domains never share
+   a scratch, so concurrent joins on the pool stay independent. *)
+type scratch = {
+  mutable idx : int array;
+  mutable occupant : int array;
+  remaining : Graph.Marks.t;
+}
 
-let scratch_key = Domain.DLS.new_key (fun () -> { idx = [||]; occupant = [||] })
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { idx = [||]; occupant = [||]; remaining = Graph.Marks.create () })
 
 let scratch_for n =
   let s = Domain.DLS.get scratch_key in
@@ -204,14 +212,21 @@ let exec_create ?(serial = false) st ~root =
    tree.  Returns the number of halving iterations used. *)
 let join_inner ?rounds ?exec st ~members ~separator =
   let n = Graph.n st.g in
-  let remaining = Hashtbl.create (2 * List.length separator) in
-  List.iter
-    (fun v -> if not (in_tree st v) then Hashtbl.replace remaining v ())
-    separator;
-  let marked v = Hashtbl.mem remaining v in
   let scratch = scratch_for n in
+  let remaining =
+    Graph.Marks.acquire scratch.remaining n ~occupant:(Array.of_list separator)
+  in
+  let count = ref 0 in
+  let marked v = Bytes.get remaining v = '\001' in
+  List.iter
+    (fun v ->
+      if not (in_tree st v || marked v) then begin
+        Bytes.set remaining v '\001';
+        incr count
+      end)
+    separator;
   let iterations = ref 0 in
-  while Hashtbl.length remaining > 0 do
+  while !count > 0 do
     incr iterations;
     (match rounds with
     | Some r ->
@@ -289,7 +304,11 @@ let join_inner ?rounds ?exec st ~members ~separator =
                 ~target_rank:(decode_target_rank n b0.(i));
               touched := true;
               Array.iter
-                (fun v -> if in_tree st v then Hashtbl.remove remaining v)
+                (fun v ->
+                  if in_tree st v && marked v then begin
+                    Bytes.set remaining v '\000';
+                    decr count
+                  end)
                 comp
             end)
         comps;
@@ -343,10 +362,11 @@ let join_inner ?rounds ?exec st ~members ~separator =
             ~root:e.bcast_root ~parts ~visited_depth ~marked:marked_arr ~forest
             ~attach:attach_cb
       in
-      assert (t.(0) = Hashtbl.length remaining);
+      assert (t.(0) = !count);
       e.stats <- Collective.add e.stats stats;
       Option.iter (fun r -> Rounds.note_exec r stats) rounds
   done;
+  Graph.Marks.release scratch.remaining;
   !iterations
 
 let join ?rounds ?exec st ~members ~separator =

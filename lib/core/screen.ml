@@ -38,9 +38,12 @@ let span rounds name f = Repro_trace.Trace.within (tracer rounds) name f
    instances are built through [induced]-style raw paths on purpose, so
    re-establish permutation closure here: every rotation row must be a
    permutation of its CSR adjacency row and the position index must
-   round-trip. *)
+   round-trip.  A row of deg entries is a permutation of the deg
+   neighbours iff every entry is a neighbour and no neighbour rank
+   repeats; [seen] stamps rank r with the vertex that last used it. *)
 let rotation_violation g rot =
   let n = Graph.n g in
+  let seen = Array.make n (-1) in
   let bad = ref (-1) in
   (try
      for v = 0 to n - 1 do
@@ -49,12 +52,14 @@ let rotation_violation g rot =
          bad := v;
          raise Exit
        end;
-       let sorted = Array.init deg (Rotation.nth rot v) in
-       Array.sort compare sorted;
-       if sorted <> Graph.neighbors g v then begin
-         bad := v;
-         raise Exit
-       end;
+       for i = 0 to deg - 1 do
+         let r = Graph.neighbor_rank g v (Rotation.nth rot v i) in
+         if r < 0 || seen.(r) = v then begin
+           bad := v;
+           raise Exit
+         end;
+         seen.(r) <- v
+       done;
        for i = 0 to deg - 1 do
          let u = Rotation.nth rot v i in
          if Rotation.position rot v u <> i then begin
@@ -94,28 +99,29 @@ let structural_reason g rot ~outer =
 
 let dart g u v = Graph.adj_offset g u + Graph.neighbor_rank g u v
 
-(* One pass over the face walks: the face count, plus every edge whose
-   two darts land on the same walk, tagged with the walk length and
-   keyed (deterministically) by the edge's smaller dart id.  [stamp] is
-   a flat walk-id mark per canonical dart, so the scan stays
-   allocation-light at bench sizes. *)
+(* The walk id of every dart and the face count, plus every edge whose
+   two darts land on the same walk, tagged with the walk length and keyed
+   (deterministically) by the edge's smaller dart id.  Walk ids come flat
+   from [Rotation.dart_faces] and walk lengths from one counting pass over
+   them; scanning each edge at its smaller dart lists the candidates in key
+   order, with no walk list and no per-dart tuple. *)
 let face_scan g rot =
-  let faces = ref 0 in
+  let face, faces = Rotation.dart_faces rot in
+  let len = Array.make faces 0 in
+  Array.iter (fun f -> len.(f) <- len.(f) + 1) face;
   let cands = ref [] in
-  let stamp = Array.make (max 1 (2 * Graph.m g)) (-1) in
-  Rotation.iter_faces g rot (fun walk ->
-      let id = !faces in
-      incr faces;
-      let len = List.length walk in
-      List.iter
-        (fun (a, b) ->
-          let key = min (dart g a b) (dart g b a) in
-          if stamp.(key) = id then
-            cands := ((min a b, max a b), key, len) :: !cands
-          else stamp.(key) <- id)
-        walk);
-  ( !faces,
-    List.sort (fun (_, k1, _) (_, k2, _) -> compare k1 k2) !cands )
+  for u = Graph.n g - 1 downto 0 do
+    let off = Graph.adj_offset g u in
+    for r = Graph.degree g u - 1 downto 0 do
+      let v = Graph.nth_neighbor g u r in
+      if u < v then begin
+        let key = off + r in
+        let f = face.(key) in
+        if face.(dart g v u) = f then cands := ((u, v), key, len.(f)) :: !cands
+      end
+    done
+  done;
+  (face, faces, !cands)
 
 (* Bridge edges by iterative Tarjan lowlink (explicit stack: hostile
    instances reach bench sizes where recursion would blow the stack).
@@ -190,7 +196,7 @@ let check ?rounds emb =
     let n = Graph.n g and m = Graph.m g in
     if m = 0 then Accepted (* connected with no edges: a single vertex *)
     else begin
-      let faces, cands = face_scan g rot in
+      let _, faces, cands = face_scan g rot in
       let expected = 2 - n + m in
       if faces = expected then Accepted
       else begin
@@ -269,21 +275,22 @@ let local_tallies emb =
   let leader = Array.make n 0 in
   let sentinel = no_violation emb in
   let viol = Array.make n sentinel in
+  let face, _, cands = face_scan g rot in
   (* Attribute each face walk to the tail of its minimal dart, so the
-     leadership column sums to the face count. *)
-  Rotation.iter_faces g rot (fun walk ->
-      let best = ref max_int and tail = ref (-1) in
-      List.iter
-        (fun (a, b) ->
-          let d = dart g a b in
-          if d < !best then begin
-            best := d;
-            tail := a
-          end)
-        walk;
-      if !tail >= 0 then leader.(!tail) <- leader.(!tail) + 1);
-  if Graph.m g > 0 then begin
-    let _, cands = face_scan g rot in
+     leadership column sums to the face count.  Walks are numbered in
+     order of their smallest dart id, so that dart is the first one, in id
+     order, to carry its walk's id. *)
+  let next = ref 0 in
+  for u = 0 to n - 1 do
+    let off = Graph.adj_offset g u in
+    for r = 0 to Graph.degree g u - 1 do
+      if face.(off + r) = !next then begin
+        leader.(u) <- leader.(u) + 1;
+        incr next
+      end
+    done
+  done;
+  if cands <> [] then begin
     let is_bridge = bridge_darts g in
     List.iter
       (fun ((u, v), key, _) ->

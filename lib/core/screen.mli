@@ -17,7 +17,7 @@
       row), the Euler bound [m <= 3n - 6], and connectivity.
     - {b planarity} ([screen.planarity], one embedding broadcast plus one
       aggregate): face-count vs Euler's formula via
-      [Rotation.iter_faces], and — when the genus check fails — a
+      [Rotation.dart_faces], and — when the genus check fails — a
       one-sided witness election in the spirit of Levi–Medina–Ron
       (arXiv 1805.10657): the minimal non-bridge edge whose two darts lie
       on the same face walk certifies non-planarity of the rotation

@@ -140,6 +140,34 @@ let iter_faces g t f =
       visit u v;
       visit v u)
 
+(* The same walks, traced by dart id alone: the successor of the dart
+   u -> v (id [adj_offset u + rank of v]) is the dart from v to the
+   neighbour in v's next rotation slot after u.  Walks are numbered in
+   order of their smallest dart id; nothing is allocated per walk. *)
+let dart_faces t =
+  let g = t.g in
+  let face = Array.make (2 * Graph.m g) (-1) in
+  let count = ref 0 in
+  for u = 0 to Graph.n g - 1 do
+    let off = Graph.adj_offset g u in
+    for r = 0 to Graph.degree g u - 1 do
+      if face.(off + r) < 0 then begin
+        let id = !count in
+        incr count;
+        let a = ref u and b = ref (Graph.nth_neighbor g u r) in
+        let d = ref (off + r) in
+        while face.(!d) < 0 do
+          face.(!d) <- id;
+          let w = next_clockwise t !b !a in
+          a := !b;
+          b := w;
+          d := dart_id t !a w
+        done
+      end
+    done
+  done;
+  (face, !count)
+
 let faces g t =
   let result = ref [] in
   iter_faces g t (fun walk -> result := walk :: !result);

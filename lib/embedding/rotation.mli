@@ -63,6 +63,12 @@ val faces : Graph.t -> t -> (int * int) list list
 val iter_faces : Graph.t -> t -> ((int * int) list -> unit) -> unit
 (** Apply to each face walk without retaining the face list. *)
 
+val dart_faces : t -> int array * int
+(** [dart_faces t] is the walk id of every dart, indexed by dart id
+    [Graph.adj_offset g u + Graph.neighbor_rank g u v], plus the number of
+    walks: the walks of {!faces}, numbered in order of their smallest dart
+    id, traced without building them. *)
+
 val count_faces : Graph.t -> t -> int
 
 val is_planar_embedding : Graph.t -> t -> bool

@@ -65,24 +65,31 @@ let component_sizes g =
   Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
   sizes
 
+(* Membership marks of [restricted_components], one per domain: byte [v]
+   is 1 while [v] is a surviving member not yet reached by the BFS.  The
+   members are the occupant, so a [skip] that raised, or an out-of-range
+   member, leaves nothing stale for the next call on that domain. *)
+let marks_key = Domain.DLS.new_key Graph.Marks.create
+
 (* Connected components of [members \ skip], discovered in member order.
    Every surviving member enters a single preallocated ring exactly once, so
    each component is a contiguous slice of it — no per-node list cells.  The
    shared hot path of the part-parallel batches in [Dfs] and
-   [Decomposition]; it only reads the graph, so concurrent calls on
-   disjoint member sets are safe. *)
+   [Decomposition], of every JOIN iteration and of the daemon's
+   connectivity probe. *)
 let restricted_components g ~members ~skip =
   let k = Array.length members in
-  let inside = Hashtbl.create (2 * k) in
-  Array.iter (fun v -> if not (skip v) then Hashtbl.replace inside v ()) members;
+  let marks = Domain.DLS.get marks_key in
+  let mark = Graph.Marks.acquire marks (Graph.n g) ~occupant:members in
+  Array.iter (fun v -> if not (skip v) then Bytes.set mark v '\001') members;
   let queue = Array.make (max 1 k) 0 in
   let tail = ref 0 in
   let comps = ref [] in
   Array.iter
     (fun v ->
-      if Hashtbl.mem inside v then begin
+      if Bytes.get mark v = '\001' then begin
         let start = !tail in
-        Hashtbl.remove inside v;
+        Bytes.set mark v '\000';
         queue.(!tail) <- v;
         incr tail;
         let head = ref start in
@@ -90,8 +97,8 @@ let restricted_components g ~members ~skip =
           let x = queue.(!head) in
           incr head;
           Graph.iter_neighbors g x (fun u ->
-              if Hashtbl.mem inside u then begin
-                Hashtbl.remove inside u;
+              if Bytes.unsafe_get mark u = '\001' then begin
+                Bytes.unsafe_set mark u '\000';
                 queue.(!tail) <- u;
                 incr tail
               end)
@@ -99,6 +106,7 @@ let restricted_components g ~members ~skip =
         comps := Array.sub queue start (!tail - start) :: !comps
       end)
     members;
+  Graph.Marks.release marks;
   List.rev !comps
 
 let is_connected g = Graph.n g = 0 || snd (components g) = 1

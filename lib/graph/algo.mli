@@ -15,7 +15,10 @@ val restricted_components :
   Graph.t -> members:int array -> skip:(int -> bool) -> int array list
 (** Connected components of the subgraph induced by the members for which
     [skip] is false, in member-discovery order; each component lists its
-    vertices in BFS order.  Only reads the graph. *)
+    vertices in BFS order.  Membership lives in a per-domain byte mark of
+    length at least [Graph.n g], reused across calls, so a call costs
+    O(members + incident edges).  Calls on different domains are safe;
+    [skip] must not call this function again. *)
 
 val is_connected : Graph.t -> bool
 

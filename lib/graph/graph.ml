@@ -176,6 +176,29 @@ module Scratch = struct
   let create () = { new_of_old = [||]; prev = [||] }
 end
 
+(* Reusable per-vertex byte marks under the same rule: [acquire] grows the
+   buffer by doubling or un-marks the previous occupant, so a caller that
+   raised halfway leaves nothing stale, and [release] records that the
+   caller cleared its own marks.  Out-of-range occupants are skipped: a
+   caller that failed on one never set its byte. *)
+module Marks = struct
+  type t = { mutable bytes : Bytes.t; mutable occupant : int array }
+
+  let create () = { bytes = Bytes.empty; occupant = [||] }
+
+  let acquire m n ~occupant =
+    let len = Bytes.length m.bytes in
+    if len < n then m.bytes <- Bytes.make (max n (2 * len)) '\000'
+    else
+      Array.iter
+        (fun v -> if v >= 0 && v < len then Bytes.unsafe_set m.bytes v '\000')
+        m.occupant;
+    m.occupant <- occupant;
+    m.bytes
+
+  let release m = m.occupant <- [||]
+end
+
 (* Core induced build over a member array already sorted ascending (so new
    ids are assigned in increasing old id, matching the historical keep-scan
    compaction).  [new_of_old] must be -1 at every non-member on entry; it is

@@ -71,6 +71,20 @@ module Scratch : sig
   val create : unit -> t
 end
 
+(** Reusable per-vertex byte marks under the {!Scratch} rule.
+    [acquire m n ~occupant] returns a buffer of at least [n] bytes, all
+    zero: it grows by doubling, or clears the bytes of the previous
+    occupant.  The caller may set bytes only at vertices of [occupant];
+    [release m] says it has cleared every byte it set.  Like a scratch, a
+    marks buffer must never be shared between concurrent callers. *)
+module Marks : sig
+  type t
+
+  val create : unit -> t
+  val acquire : t -> int -> occupant:int array -> Bytes.t
+  val release : t -> unit
+end
+
 val induced : t -> bool array -> t * int array * int array
 (** [induced g keep] is the subgraph induced by the marked vertices, plus
     the old-to-new (-1 when dropped) and new-to-old vertex maps.  New ids

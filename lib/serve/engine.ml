@@ -158,28 +158,12 @@ let decomposition t piece =
 
 (* Connectivity probe for explicit vertex-list parts: [Config.of_part]
    requires a connected member set, so reject disconnected lists at the
-   front door instead of corrupting the pipeline. *)
+   front door instead of corrupting the pipeline.  The members are sorted,
+   unique and in range. *)
 let connected_in t members =
-  let n = Graph.n t.g in
-  let inset = Array.make n false in
-  Array.iter (fun v -> inset.(v) <- true) members;
-  let seen = Array.make n false in
-  let stack = ref [ members.(0) ] in
-  seen.(members.(0)) <- true;
-  let count = ref 0 in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      incr count;
-      Graph.iter_neighbors t.g v (fun w ->
-          if inset.(w) && not seen.(w) then begin
-            seen.(w) <- true;
-            stack := w :: !stack
-          end)
-  done;
-  !count = Array.length members
+  match Algo.restricted_components t.g ~members ~skip:(fun _ -> false) with
+  | [ _ ] -> true
+  | _ -> false
 
 (* Resolve a part to its cache spec and a builder for its configuration.
    Everything that decides the key or rejects the request (the range and

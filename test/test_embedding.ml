@@ -149,14 +149,37 @@ let prop_grid_diag_valid =
       let emb = Gen.grid_diag ~seed ~rows:r ~cols:c () in
       Embedded.is_valid emb)
 
+(* The walks of [Rotation.faces] partition the darts, and
+   [Rotation.dart_faces] names them: one id per walk, shared by all of its
+   darts and by no other walk's.  Also on the hostile rotations the screen
+   scans, whose walks do not close a sphere. *)
 let prop_faces_partition_darts =
   QCheck.Test.make ~name:"faces partition the darts" ~count:30
     QCheck.(pair (int_range 4 60) (int_bound 1000))
     (fun (n, seed) ->
-      let emb = Gen.stacked_triangulation ~seed ~n () in
-      let g = Embedded.graph emb in
-      let faces = Rotation.faces g (Embedded.rot emb) in
-      List.fold_left (fun acc f -> acc + List.length f) 0 faces = 2 * Graph.m g)
+      let partitioned emb =
+        let g = Embedded.graph emb in
+        let rot = Embedded.rot emb in
+        let faces = Rotation.faces g rot in
+        let face, count = Rotation.dart_faces rot in
+        let dart (a, b) = Graph.adj_offset g a + Graph.neighbor_rank g a b in
+        let ids =
+          List.map
+            (fun walk ->
+              let id = face.(dart (List.hd walk)) in
+              if List.for_all (fun d -> face.(dart d) = id) walk then id else -1)
+            faces
+        in
+        List.fold_left (fun acc f -> acc + List.length f) 0 faces = 2 * Graph.m g
+        && count = List.length faces
+        && List.for_all (fun id -> id >= 0) ids
+        && List.length (List.sort_uniq compare ids) = count
+      in
+      let hostile = max 16 n in
+      partitioned (Gen.stacked_triangulation ~seed ~n ())
+      && partitioned (Repro_testkit.Instance.corrupted_rotation ~seed ~n:hostile)
+      && partitioned
+           (Repro_testkit.Instance.planar_plus_chords ~seed ~n:hostile ~k:4))
 
 let suites =
   Repro_testkit.Suite.make __MODULE__

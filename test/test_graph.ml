@@ -165,6 +165,81 @@ let prop_component_sizes_sum =
       let g = Graph.of_edges ~n !edges in
       Array.fold_left ( + ) 0 (Algo.component_sizes g) = n)
 
+(* The hash-table version [Algo.restricted_components] replaced, verbatim:
+   the output it must keep, component order and BFS order included. *)
+let restricted_components_reference g ~members ~skip =
+  let k = Array.length members in
+  let inside = Hashtbl.create (2 * k) in
+  Array.iter (fun v -> if not (skip v) then Hashtbl.replace inside v ()) members;
+  let queue = Array.make (max 1 k) 0 in
+  let tail = ref 0 in
+  let comps = ref [] in
+  Array.iter
+    (fun v ->
+      if Hashtbl.mem inside v then begin
+        let start = !tail in
+        Hashtbl.remove inside v;
+        queue.(!tail) <- v;
+        incr tail;
+        let head = ref start in
+        while !head < !tail do
+          let x = queue.(!head) in
+          incr head;
+          Graph.iter_neighbors g x (fun u ->
+              if Hashtbl.mem inside u then begin
+                Hashtbl.remove inside u;
+                queue.(!tail) <- u;
+                incr tail
+              end)
+        done;
+        comps := Array.sub queue start (!tail - start) :: !comps
+      end)
+    members;
+  List.rev !comps
+
+(* A random member subset in random order, and a random skip set. *)
+let random_restriction rng g =
+  let n = Graph.n g in
+  let members = Array.init n Fun.id in
+  Rng.shuffle_in_place rng members;
+  let members = Array.sub members 0 (Rng.int_in_range rng ~lo:1 ~hi:n) in
+  let skipped = Array.init n (fun _ -> Rng.int rng 4 = 0) in
+  (members, fun v -> skipped.(v))
+
+(* The per-domain marks against the reference.  Each case first runs a
+   larger graph, so the marks are longer than the graph under test, then a
+   call whose [skip] raises halfway: the next call on the domain must not
+   see the marks it left. *)
+let prop_restricted_components =
+  let large = Repro_embedding.(Embedded.graph (Gen.by_family ~seed:1 "grid" ~n:2500)) in
+  QCheck.Test.make ~name:"restricted_components = reference" ~count:60
+    QCheck.(pair (int_bound 6) (int_bound 10_000))
+    (fun (f, seed) ->
+      let rng = Rng.create seed in
+      let agrees g (members, skip) =
+        Algo.restricted_components g ~members ~skip
+        = restricted_components_reference g ~members ~skip
+      in
+      let family = List.nth Repro_embedding.Gen.family_names f in
+      let g =
+        Repro_embedding.(
+          Embedded.graph
+            (Gen.by_family ~seed family ~n:(Rng.int_in_range rng ~lo:4 ~hi:300)))
+      in
+      let large_ok = agrees large (random_restriction rng large) in
+      let first = agrees g (random_restriction rng g) in
+      let members, skip = random_restriction rng g in
+      let calls = ref 0 in
+      let raising v =
+        incr calls;
+        if !calls > Array.length members / 2 then raise Exit;
+        skip v
+      in
+      (match Algo.restricted_components g ~members ~skip:raising with
+      | _ -> ()
+      | exception Exit -> ());
+      large_ok && first && agrees g (random_restriction rng g))
+
 let suites =
   Repro_testkit.Suite.make __MODULE__
     [
@@ -190,4 +265,5 @@ let suites =
         qtest prop_dfs_tree_valid;
         qtest prop_bfs_dist_triangle_ineq;
         qtest prop_component_sizes_sum;
+        qtest prop_restricted_components;
     ]

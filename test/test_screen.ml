@@ -92,6 +92,15 @@ let test_reason_coverage () =
   | Screen.Rejected (Screen.Rotation_inconsistent { vertex }) ->
     Alcotest.(check bool) "vertex in range" true (vertex >= 0 && vertex < 3)
   | v -> Alcotest.failf "bad-rot: %s" (Screen.verdict_to_string v));
+  (* Same degrees, wrong neighbours: the 4-cycle 0-1-2-3 with the rotation
+     of the 4-cycle 0-2-1-3, whose row at 0 lists 2, not a neighbour. *)
+  let c4 = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
+  let c4' = Graph.of_edges ~n:4 [ (0, 2); (2, 1); (1, 3); (3, 0) ] in
+  let emb_c4 = Embedded.make ~name:"c4-rot" c4 (Rotation.of_adjacency c4') in
+  (match Screen.check emb_c4 with
+  | Screen.Rejected (Screen.Rotation_inconsistent { vertex }) ->
+    Alcotest.(check int) "first inconsistent vertex" 0 vertex
+  | v -> Alcotest.failf "c4-rot: %s" (Screen.verdict_to_string v));
   (* Flagged: a planted chord is elected as a single-edge witness. *)
   match Screen.check (Instance.planar_plus_chords ~seed:3 ~n:49 ~k:1) with
   | Screen.Flagged w ->

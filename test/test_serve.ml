@@ -207,22 +207,42 @@ let test_concurrent_replay_matches_serial () =
       fd
     in
     let a = connect () and b = connect () in
+    let c = connect () and d = connect () in
     (* Pipeline both clients' full streams at once: the daemon's select
        loop interleaves them at line granularity. *)
     List.iter (fun r -> write_all a (req_line r ^ "\n")) mix_a;
     List.iter (fun r -> write_all b (req_line r ^ "\n")) mix_b;
+    (* The same streams framed differently: C sends A's whole mix in one
+       write, D sends B's first request in three writes, then the rest. *)
+    write_all c (String.concat "" (List.map (fun r -> req_line r ^ "\n") mix_a));
+    (match List.map (fun r -> req_line r ^ "\n") mix_b with
+    | first :: rest ->
+      let len = String.length first in
+      List.iter
+        (fun (off, k) ->
+          write_all d (String.sub first off k);
+          Unix.sleepf 0.05)
+        [ (0, len / 3); (len / 3, len / 3); (2 * (len / 3), len - (2 * (len / 3))) ];
+      write_all d (String.concat "" rest)
+    | [] -> ());
     let got_a = read_lines a 10 and got_b = read_lines b 10 in
+    let got_c = read_lines c 10 and got_d = read_lines d 10 in
     write_all a "{\"op\":\"shutdown\"}\n";
     ignore (read_lines a 1);
-    Unix.close a;
-    Unix.close b;
+    List.iter Unix.close [ a; b; c; d ];
     let _, status = Unix.waitpid [] pid in
     Alcotest.(check bool) "daemon exited cleanly" true
       (status = Unix.WEXITED 0);
     Alcotest.(check (list string))
       "client A responses byte-identical to serial replay" expect_a got_a;
     Alcotest.(check (list string))
-      "client B responses byte-identical to serial replay" expect_b got_b
+      "client B responses byte-identical to serial replay" expect_b got_b;
+    Alcotest.(check (list string))
+      "client C (one write) responses byte-identical to serial replay"
+      expect_a got_c;
+    Alcotest.(check (list string))
+      "client D (split request) responses byte-identical to serial replay"
+      expect_b got_d
   end
 
 let suites =
