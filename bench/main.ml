@@ -1618,8 +1618,9 @@ let e17 ~jobs ~short () =
 
 let e18 ~short () =
   section "E18  Hostile-input screen: clean overhead & detection";
-  pf "expected: screening adds <= 5%% wall overhead to a clean n ~ 10^5\n";
-  pf " decomposition, and every hostile family is rejected/flagged inside\n";
+  pf "expected: screening a clean n ~ 10^5 decomposition costs <= 4 PA\n";
+  pf " units (charged overhead < 1%%; EXPERIMENTS.md E18a measured a 3-11%%\n";
+  pf " wall share), and every hostile family is rejected/flagged inside\n";
   pf " the pinned O~(D) ceiling (<= 4 PA units) before any phase runs\n";
   (* Part 1: overhead on clean input.  The screen runs inside every entry
      point; its median wall and charged cost relative to the build it

@@ -92,16 +92,58 @@ let balanced cfg separator =
   List.iter (fun v -> removed.(v) <- true) separator;
   max_component_without g removed <= balance_limit n
 
-(* Same probe against a caller-owned scratch array (all-false on entry,
-   restored to all-false on exit): the candidate search probes many paths
-   per phase, and the shared scratch keeps that allocation-free. *)
-let balanced_with ~scratch cfg separator =
+(* The same verdict by BFS on caller-owned buffers: the candidate search
+   probes many paths per phase.  [scratch] marks removed and reached
+   vertices (all-false on entry and again on exit), [queue] holds every
+   vertex reached, so the restore walks the queue and the separator.  The
+   search stops at the first component above the limit, or once the
+   vertices not yet reached are too few to form one. *)
+let balanced_with ~scratch ~queue cfg separator =
   let g = Config.graph cfg in
   let n = Graph.n g in
-  List.iter (fun v -> scratch.(v) <- true) separator;
-  let ok = max_component_without g scratch <= balance_limit n in
+  let limit = balance_limit n in
+  let alive = ref n in
+  List.iter
+    (fun v ->
+      if not scratch.(v) then begin
+        scratch.(v) <- true;
+        decr alive
+      end)
+    separator;
+  (* [tail] vertices reached so far; the unreached number [alive - tail].
+     While undecided that is above the limit, so some vertex at or past
+     [s] is unreached. *)
+  let tail = ref 0 in
+  let verdict = ref (if !alive <= limit then Some true else None) in
+  let s = ref 0 in
+  while Option.is_none !verdict do
+    if not scratch.(!s) then begin
+      let start = !tail and head = ref !tail in
+      scratch.(!s) <- true;
+      queue.(!tail) <- !s;
+      incr tail;
+      while !head < !tail && !tail - start <= limit do
+        let x = queue.(!head) in
+        incr head;
+        for j = 0 to Graph.degree g x - 1 do
+          let y = Graph.nth_neighbor g x j in
+          if not scratch.(y) then begin
+            scratch.(y) <- true;
+            queue.(!tail) <- y;
+            incr tail
+          end
+        done
+      done;
+      if !tail - start > limit then verdict := Some false
+      else if !alive - !tail <= limit then verdict := Some true
+    end;
+    incr s
+  done;
+  for i = 0 to !tail - 1 do
+    scratch.(queue.(i)) <- false
+  done;
   List.iter (fun v -> scratch.(v) <- false) separator;
-  ok
+  Option.get !verdict
 
 (* A partition into connected parts is the precondition of Theorem 1's
    [find_partition] and Lemma 9's per-part spanning forests; the testkit

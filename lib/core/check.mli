@@ -29,10 +29,17 @@ val check_separator : Config.t -> int list -> verdict
 val balanced : Config.t -> int list -> bool
 (** Balance-only probe (the candidate-verification step). *)
 
-val balanced_with : scratch:bool array -> Config.t -> int list -> bool
-(** [balanced], but marking a caller-owned scratch array (all-false on
-    entry, restored on exit) instead of allocating one per probe — the
-    shared-handle path of the incremental candidate verification. *)
+val balanced_with :
+  scratch:bool array -> queue:int array -> Config.t -> int list -> bool
+(** [balanced_with ~scratch ~queue cfg s] = [balanced cfg s], decided by
+    BFS on caller-owned buffers of at least [Config.n cfg] entries — the
+    shared-handle path of the incremental candidate verification.
+    [scratch] must be all-false on entry and is all-false again on exit;
+    [queue]'s contents are ignored.  A vertex listed twice in [s] counts
+    once.  The search returns [false] at the first component of G - S
+    above [balance_limit n], and [true] once the vertices not yet reached
+    cannot form one, so a probe allocates nothing and often visits only
+    part of the graph. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

@@ -31,10 +31,12 @@
    running inside/outside weight aggregation on the shared tree handle,
    instead of a fresh mark-path + aggregation per candidate (the Lemma
    18/19 balance-check idiom; DESIGN.md deviation 2).  Host-side the
-   handle carries one scratch removal array reused by every probe.  The
-   phase and the number of candidates tried are reported so the
-   experiments can show the paper's first-choice candidate almost always
-   wins. *)
+   handle carries the probe's BFS marks and queue, allocated at the first
+   probe and reused by every later one; a probe stops at the first
+   component above 2n/3, or once too few vertices remain unreached to
+   form one.  The phase and the number of candidates tried are reported
+   so the experiments can show the paper's first-choice candidate almost
+   always wins. *)
 
 open Repro_graph
 open Repro_tree
@@ -62,12 +64,18 @@ let tracer rounds = Option.bind rounds Rounds.tracer
 let span rounds name f = Trace.within (tracer rounds) name f
 
 (* The shared verification handle of one [find]: the Phase-1 tree is held
-   by the config, the scratch removal array is reused by every probe, and
-   [batch] tracks which phase group's slot-batched balance aggregation has
-   already been charged. *)
-type verifier = { scratch : bool array; mutable batch : string option }
+   by the config, the BFS marks and queue of [Check.balanced_with] are
+   allocated at the first probe and reused by every later one (a [find]
+   answered in Phase 2 or 3 allocates neither), and [batch] tracks which
+   phase group's slot-batched balance aggregation has already been
+   charged. *)
+type verifier = {
+  mutable scratch : bool array;
+  mutable queue : int array;
+  mutable batch : string option;
+}
 
-let verifier_create n = { scratch = Array.make n false; batch = None }
+let verifier_create () = { scratch = [||]; queue = [||]; batch = None }
 
 (* The T-path between [a] and [b] as a candidate.  The first candidate of
    a phase group charges the group's single k-slot balance aggregation
@@ -93,7 +101,12 @@ let candidate ?rounds cfg ver tried ~batch ~phase ~closing (a, b) =
 (* A candidate whose balance no lemma certifies by count: probe it. *)
 let try_path ?rounds cfg ver tried ~batch ~phase ~closing ab =
   let r = candidate ?rounds cfg ver tried ~batch ~phase ~closing ab in
-  if Check.balanced_with ~scratch:ver.scratch cfg r.separator then Some r
+  if Array.length ver.scratch = 0 then begin
+    ver.scratch <- Array.make (Config.n cfg) false;
+    ver.queue <- Array.make (Config.n cfg) 0
+  end;
+  if Check.balanced_with ~scratch:ver.scratch ~queue:ver.queue cfg r.separator
+  then Some r
   else None
 
 let first_some candidates =
@@ -335,9 +348,9 @@ let find ?rounds cfg =
     }
   else begin
     (* Phase 1 precomputation charges; the tree, its orders and the
-       verification scratch live in one handle shared by every probe and
+       verification buffers live in one handle shared by every probe and
        election below — nothing below re-marks or re-walks it. *)
-    let ver = verifier_create n in
+    let ver = verifier_create () in
     span rounds "sep.phase1-precompute" (fun () ->
         charge_opt rounds (fun r ->
             Rounds.charge_spanning_forest r;
@@ -443,8 +456,8 @@ let find ?rounds cfg =
 (* Balanced-trim post-pass: drop vertices from both ends of the separator
    path while the balance holds.  Balance is monotone under set inclusion of
    tree paths (removing more vertices only shrinks components), so each end
-   has one threshold, and adding the path back one vertex at a time into a
-   single union-find finds it: one O(m α) pass per end.
+   has one threshold, and adding the path back one vertex at a time finds
+   it: one O(n + m) pass per end.
 
    - Pass 1 starts from G minus the whole path and adds arr.(0), arr.(1),
      ... back; the first add-back x that leaves a component above the
@@ -452,6 +465,11 @@ let find ?rounds cfg =
    - Pass 2 starts from G minus [i .. k-1] and adds arr.(k-1), arr.(k-2),
      ... back down to arr.(i+1); the first y that overflows unbalances
      [i .. y-1], so j = y (i when none does).
+
+   Each pass labels the components of its starting graph with one BFS
+   (both passes share the label array and the queue) and runs the
+   add-backs on a union-find over those component ids, each carrying its
+   vertex count, plus one id per removed path vertex.
 
    The modelled CONGEST algorithm finds the same thresholds by binary
    search, one running-aggregate update per probe, so the ledger replays
@@ -470,24 +488,57 @@ let shrink ?rounds cfg path =
     let g = Config.graph cfg in
     let n = Config.n cfg in
     let limit = Check.balance_limit n in
-    let removed = Array.make n false in
+    (* -2 at a removed path vertex, -1 while unlabelled, else a union-find
+       id: a component of the starting graph, or an added-back vertex. *)
+    let label = Array.make n (-1) and queue = Array.make n 0 in
     (* From G minus arr.(lo .. k-1), add arr.(from), arr.(from + step), ...
        back; the first whose add-back overflows, or [stop] (not added). *)
     let first_overflow ~lo ~from ~stop ~step =
-      Array.iteri (fun x v -> removed.(v) <- x >= lo) arr;
-      let uf = Repro_util.Union_find.create n in
-      let largest = ref 0 in
-      let link a b =
-        if (not removed.(b)) && Repro_util.Union_find.union uf a b then
-          largest := max !largest (Repro_util.Union_find.component_size uf a)
+      Array.fill label 0 n (-1);
+      for x = lo to k - 1 do
+        label.(arr.(x)) <- -2
+      done;
+      let comps = ref 0 and sizes = ref [] and largest = ref 0 in
+      for s = 0 to n - 1 do
+        if label.(s) = -1 then begin
+          let c = !comps in
+          label.(s) <- c;
+          queue.(0) <- s;
+          let head = ref 0 and tail = ref 1 in
+          while !head < !tail do
+            let x = queue.(!head) in
+            incr head;
+            for j = 0 to Graph.degree g x - 1 do
+              let y = Graph.nth_neighbor g x j in
+              if label.(y) = -1 then begin
+                label.(y) <- c;
+                queue.(!tail) <- y;
+                incr tail
+              end
+            done
+          done;
+          sizes := !tail :: !sizes;
+          largest := max !largest !tail;
+          incr comps
+        end
+      done;
+      let c = !comps in
+      let uf =
+        Repro_util.Union_find.of_sizes
+          (Array.append (Array.of_list (List.rev !sizes)) (Array.make (k - lo) 1))
       in
-      Graph.iter_edges g (fun a b -> if not removed.(a) then link a b);
       let rec go x =
         if x = stop then stop
         else begin
           let v = arr.(x) in
-          removed.(v) <- false;
-          Graph.iter_neighbors g v (link v);
+          let id = c + x - lo in
+          label.(v) <- id;
+          for j = 0 to Graph.degree g v - 1 do
+            let l = label.(Graph.nth_neighbor g v j) in
+            if l >= 0 && Repro_util.Union_find.union uf id l then
+              largest :=
+                max !largest (Repro_util.Union_find.component_size uf id)
+          done;
           if !largest > limit then x else go (x + step)
         end
       in

@@ -4,8 +4,9 @@
     Phases 2 and 3 return their candidate on the count (subtree sizes,
     Lemma 5); every Phase 4/5 candidate path is verified with a balance
     probe before being returned (see DESIGN.md, deviations 1 and 2).
-    Verification is amortized: one shared handle (scratch marks + the
-    phase-1 tree) serves every probe of a [find], and each phase group
+    Verification is amortized: one shared handle (BFS marks and queue,
+    allocated at the first probe, + the phase-1 tree) serves every probe
+    of a [find], and each phase group
     charges a single running balance aggregate — the Lemma 18/19 balance
     check maintained incrementally — however many candidates the group
     tries.  [find_partition] is
@@ -38,9 +39,11 @@ val find : ?rounds:Rounds.t -> Config.t -> result
 val shrink : ?rounds:Rounds.t -> Config.t -> int list -> int list
 (** Trim a separator path from both ends while it stays balanced.  Balance
     is monotone under path inclusion, so each end has one threshold; the
-    host finds it with one reverse union-find pass per end (O(m α) each),
-    and the ledger charges the O(log n) probes of the binary search the
-    modelled CONGEST algorithm runs.  A path with no balanced window comes
+    host finds it with one reverse pass per end (a BFS labelling of G
+    minus the path's tail, then a union-find over its components and the
+    path vertices added back: O(n + m) each), and the ledger charges the
+    O(log n) probes of the binary search the modelled CONGEST algorithm
+    runs.  A path with no balanced window comes
     back unchanged.  The result remains a balanced tree-path separator but
     may lose the cycle-closing property; use for applications that only
     need balance. *)

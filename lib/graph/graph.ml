@@ -238,6 +238,55 @@ let induced_sorted t ~new_of_old ~members ~k =
   done;
   ({ n = k; m = row.(k) / 2; row; col }, old_of_new)
 
+(* Sort distinct ids in [0, n) ascending, in place or into a fresh array
+   of the same length (the result is returned).  Short arrays take an
+   insertion sort; longer ones an LSD radix sort on 8-bit digits, one
+   stable counting pass per byte of n - 1, so O(k) per pass and no
+   polymorphic comparison. *)
+let insertion_cut = 32
+
+let sort_ids ~n a =
+  let k = Array.length a in
+  if k <= insertion_cut then begin
+    for i = 1 to k - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+    a
+  end
+  else begin
+    let count = Array.make 257 0 in
+    let src = ref a and dst = ref (Array.make k 0) in
+    let shift = ref 0 in
+    while (n - 1) lsr !shift > 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill count 0 257 0;
+      for i = 0 to k - 1 do
+        let b = ((s.(i) lsr sh) land 255) + 1 in
+        count.(b) <- count.(b) + 1
+      done;
+      (* count.(b) becomes the first output slot of digit b. *)
+      for b = 1 to 256 do
+        count.(b) <- count.(b) + count.(b - 1)
+      done;
+      for i = 0 to k - 1 do
+        let x = s.(i) in
+        let b = (x lsr sh) land 255 in
+        d.(count.(b)) <- x;
+        count.(b) <- count.(b) + 1
+      done;
+      src := d;
+      dst := s;
+      shift := sh + 8
+    done;
+    !src
+  end
+
 (* Subgraph induced by a member array (distinct vertices, any order).
    Returns the subgraph plus old->new (-1 when dropped) and new->old maps.
    New ids are assigned in increasing old id, so the numbering matches the
@@ -246,8 +295,7 @@ let induced_sorted t ~new_of_old ~members ~k =
    scratch buffer (ownership rule above). *)
 let induced_members ?scratch t members =
   let k = Array.length members in
-  let sorted = Array.copy members in
-  Array.sort compare sorted;
+  let sorted = sort_ids ~n:t.n (Array.copy members) in
   let new_of_old =
     match scratch with
     | None -> Array.make t.n (-1)

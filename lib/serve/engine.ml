@@ -57,6 +57,7 @@ type t = {
   tracer : Trace.t option;
   cache : entry Cache.t;
   cfg0 : Config.t; (* whole-graph configuration, built once at load *)
+  max_line : int;
   mutable q_dfs : int;
   mutable q_sep : int;
   mutable q_dec : int;
@@ -66,6 +67,15 @@ type t = {
   mutable response_hash : int; (* commutative sum of response hashes *)
   mutable shutdown : bool;
 }
+
+(* Room for a request naming every vertex id once, each with two bytes of
+   separators, plus a fixed allowance for the rest of the line. *)
+let line_cap n =
+  let rec bytes v acc =
+    if v >= n then acc
+    else bytes (v + 1) (acc + String.length (string_of_int v) + 2)
+  in
+  4096 + bytes 0 0
 
 let create ?tracer ?backend ?small_part_cutoff ?cache_capacity ~pool emb =
   Repro_baseline.Backends.ensure ();
@@ -93,6 +103,7 @@ let create ?tracer ?backend ?small_part_cutoff ?cache_capacity ~pool emb =
     tracer;
     cache = Cache.create ~capacity:cache_capacity ();
     cfg0;
+    max_line = line_cap (Graph.n g);
     q_dfs = 0;
     q_sep = 0;
     q_dec = 0;
@@ -104,6 +115,7 @@ let create ?tracer ?backend ?small_part_cutoff ?cache_capacity ~pool emb =
   }
 
 let shutdown_requested t = t.shutdown
+let max_line_bytes t = t.max_line
 
 let requests_served t =
   t.q_dfs + t.q_sep + t.q_dec + t.q_stats + t.q_errors
@@ -410,6 +422,17 @@ let handle t req =
           ("ok", Json.Bool false);
           ("error", Json.String ("internal error: " ^ Printexc.to_string e));
         ])
+
+let line_too_long t =
+  t.q_errors <- t.q_errors + 1;
+  Json.to_string
+    (Json.Obj
+       [
+         ("ok", Json.Bool false);
+         ( "error",
+           Json.String
+             (Printf.sprintf "request line exceeds %d bytes" t.max_line) );
+       ])
 
 let handle_line t line =
   let req =

@@ -50,6 +50,15 @@ val handle_line : t -> string -> string
 (** Parse one request line, [handle] it, print the response (no trailing
     newline).  Parse failures become error responses. *)
 
+val max_line_bytes : t -> int
+(** The longest request line the daemon accepts: room for every vertex id
+    of the loaded graph once, with two separator bytes each, plus a fixed
+    4,096-byte allowance for the rest of the request. *)
+
+val line_too_long : t -> string
+(** The error response to a line longer than {!max_line_bytes} (counted in
+    the [errors] counter like every other error response). *)
+
 val stats_json : t -> Json.t
 (** The deterministic serving document: instance shape, per-class request
     counters, {!Cache.stats_json}, summed charged rounds over cache

@@ -6,7 +6,13 @@
     parallelism lives below, in the engine's domain pool — so the protocol
     layer stays trivially deterministic: per-connection response streams
     depend only on that connection's request stream (responses are pure
-    functions of the request), never on how clients interleave. *)
+    functions of the request), never on how clients interleave.
+
+    A line longer than [Engine.max_line_bytes] is answered with
+    [Engine.line_too_long] and never parsed.  An unterminated line is
+    answered as soon as it passes that cap, and its remaining bytes are
+    dropped through the next newline, so a client's buffer stays within
+    the cap plus one read. *)
 
 val run :
   socket:string ->

@@ -931,7 +931,8 @@ let run_forest (inst : Instance.t) =
 
 (* ------------------------------------------------------------------ *)
 (* 9. "pool": jobs=1 and jobs=N produce bit-identical separators and    *)
-(*    charged ledgers over a fuzzed partition (Theorem 1 parallelism).  *)
+(*    charged ledgers over a fuzzed partition (Theorem 1 parallelism),  *)
+(*    and bit-identical, valid recursive decompositions.                *)
 (* ------------------------------------------------------------------ *)
 
 let run_pool (inst : Instance.t) =
@@ -952,11 +953,19 @@ let run_pool (inst : Instance.t) =
         results,
       Rounds.total ledger )
   in
+  (* Decomposition.build, the recursion over Theorem 1's level batches. *)
+  let piece_target = 20 in
+  let decompose pool =
+    let ledger = Rounds.create ~n ~d:(max 1 d) () in
+    let dec = Decomposition.build ~rounds:ledger ?pool ~piece_target inst.emb in
+    (dec, Rounds.total ledger)
+  in
   let seq_results, seq_total = run None in
+  let seq_dec, seq_dec_total = decompose None in
   (* seq_grain 0 forces the batch onto the domains even at fuzz sizes. *)
-  let par_results, par_total =
+  let (par_results, par_total), (par_dec, par_dec_total) =
     Repro_util.Pool.with_pool ~seq_grain:0 ~jobs:3 (fun pool ->
-        run (Some pool))
+        (run (Some pool), decompose (Some pool)))
   in
   ck ctx "separators bit-identical across pool sizes"
     (seq_results = par_results);
@@ -964,6 +973,16 @@ let run_pool (inst : Instance.t) =
     (Printf.sprintf "charged rounds identical (%.1f vs %.1f)" seq_total
        par_total)
     (seq_total = par_total);
+  ck ctx "decomposition pieces, separator marks and levels identical"
+    (seq_dec.Decomposition.pieces = par_dec.Decomposition.pieces
+    && seq_dec.Decomposition.separator = par_dec.Decomposition.separator
+    && seq_dec.Decomposition.levels = par_dec.Decomposition.levels);
+  ck ctx
+    (Printf.sprintf "decomposition charged rounds identical (%.1f vs %.1f)"
+       seq_dec_total par_dec_total)
+    (seq_dec_total = par_dec_total);
+  ck ctx "decomposition valid (Decomposition.check)"
+    (Decomposition.check inst.emb ~piece_target seq_dec);
   finish ~name:"pool" ctx
 
 (* ------------------------------------------------------------------ *)
@@ -1283,7 +1302,7 @@ let () =
       };
       {
         name = "pool";
-        guards = "Theorem 1 parallelism (pool determinism)";
+        guards = "Theorem 1 parallelism (pool determinism, decomposition)";
         run = run_pool;
       };
       {

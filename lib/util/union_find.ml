@@ -7,13 +7,16 @@ type t = {
   mutable components : int;
 }
 
-let create n =
+let of_sizes sizes =
+  let n = Array.length sizes in
   {
     parent = Array.init n (fun i -> i);
     rank = Array.make n 0;
-    size = Array.make n 1;
+    size = sizes;
     components = n;
   }
+
+let create n = of_sizes (Array.make n 1)
 
 let rec find t x =
   let p = t.parent.(x) in

@@ -78,6 +78,65 @@ let test_induced_members_scratch () =
   check [| 3; 1; 7; 12; 30; 21; 9 |];
   check [| 5; 7; 2; 21; 33; 14 |]
 
+(* [induced_members] orders its members by an insertion sort up to 32 of
+   them and by a radix sort on bytes beyond: on a graph of more than 2^16
+   vertices the ids need three radix passes.  Chords of span 1, 256 and
+   2^16 give every byte a part in the induced rows.  Each case draws
+   members around a random base (plus its 256- and 2^16-shifted copies, a
+   few ids anywhere and a few among the top ids), shuffled, with sizes on
+   both sides of the cut, on the large graph and on two smaller ones; all
+   calls go through one scratch, whose map must equal the keep-array
+   build exactly. *)
+let radix_graph =
+  let n = 70_000 in
+  let edges = ref [] in
+  for v = 0 to n - 2 do
+    edges := (v, v + 1) :: !edges;
+    if v mod 3 = 0 && v + 256 < n then edges := (v, v + 256) :: !edges;
+    if v + 65_536 < n then edges := (v, v + 65_536) :: !edges
+  done;
+  Graph.of_edges ~n !edges
+
+let induced_scratch = Graph.Scratch.create ()
+
+let prop_induced_members_keep =
+  let small = random_connected ~seed:7 ~n:200 ~extra:300 in
+  let medium = random_connected ~seed:8 ~n:3000 ~extra:3000 in
+  QCheck.Test.make ~name:"induced_members = keep-array induced" ~count:80
+    QCheck.(pair (int_bound 100_000) (int_range 1 400))
+    (fun (seed, size) ->
+      let rng = Rng.create seed in
+      let agrees g =
+        let n = Graph.n g in
+        let base = Rng.int rng n and width = 1 + Rng.int rng 64 in
+        let pool = Hashtbl.create 64 in
+        let add v = if v >= 0 && v < n then Hashtbl.replace pool v () in
+        for i = 0 to width - 1 do
+          List.iter (fun d -> add (base + i + d)) [ 0; 256; 65_536 ]
+        done;
+        for _ = 1 to 1 + Rng.int rng 8 do
+          add (Rng.int rng n);
+          add (n - 1 - Rng.int rng (min n 4_000))
+        done;
+        let members = Array.of_seq (Hashtbl.to_seq_keys pool) in
+        Rng.shuffle_in_place rng members;
+        let members = Array.sub members 0 (min size (Array.length members)) in
+        let keep = Array.make n false in
+        Array.iter (fun v -> keep.(v) <- true) members;
+        let sub_k, old2new_k, new2old_k = Graph.induced g keep in
+        let sub_m, old2new_m, new2old_m =
+          Graph.induced_members ~scratch:induced_scratch g members
+        in
+        new2old_k = new2old_m
+        && Array.for_all Fun.id (Array.init n (fun v -> old2new_k.(v) = old2new_m.(v)))
+        && Graph.n sub_k = Graph.n sub_m
+        && Graph.m sub_k = Graph.m sub_m
+        && List.for_all
+             (fun v -> Graph.neighbors sub_k v = Graph.neighbors sub_m v)
+             (List.init (Graph.n sub_k) Fun.id)
+      in
+      agrees radix_graph && agrees small && agrees medium)
+
 (* The pre-CSR edge index encoded a pair as u * 2^30 + v, so vertex ids
    past 2^30 silently collided: encode 1 5 = encode 0 (2^30 + 5).  The CSR
    core must either accept such graphs without collision or reject them
@@ -266,4 +325,5 @@ let suites =
         qtest prop_bfs_dist_triangle_ineq;
         qtest prop_component_sizes_sum;
         qtest prop_restricted_components;
+        qtest prop_induced_members_keep;
     ]

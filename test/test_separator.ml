@@ -216,6 +216,62 @@ let prop_shrink_matches_reference =
           s = s' && probes = probes')
         [ (Separator.find cfg).Separator.separator; other ])
 
+(* [Check.balanced_with]'s early-exit BFS against the union-find verdict,
+   every call back to back on one scratch and queue, which must be
+   all-false again after each call.  Removal sets: the found separator
+   (balanced), seeded tree paths, random subsets with repeats, the empty
+   set (one component over the limit) and every vertex; on the cycle
+   family also every split {0, a + 1}, whose two arcs a and n - 2 - a
+   take each size at and around the limit, in both BFS orders. *)
+let probe_scratch = Array.make 512 false
+let probe_queue = Array.make 512 0
+
+let prop_balanced_with_union_find =
+  QCheck.Test.make ~name:"balanced_with = union-find verdict" ~count:80
+    QCheck.(
+      triple (int_range 0 6) (pair (int_range 4 300) (int_bound 100000))
+        (int_range 0 2))
+    (fun (which, (n, seed), spi) ->
+      let family = List.nth Gen.family_names which in
+      let emb = Gen.by_family ~seed family ~n in
+      let spanning =
+        match spi with 0 -> Spanning.Bfs | 1 -> Spanning.Dfs | _ -> Spanning.Random seed
+      in
+      let cfg = Config.of_embedded ~spanning emb in
+      let g = Config.graph cfg and nn = Config.n cfg in
+      let rng = Repro_util.Rng.create seed in
+      let reference s =
+        let removed = Array.make nn false in
+        List.iter (fun v -> removed.(v) <- true) s;
+        Check.max_component_without g removed <= Check.balance_limit nn
+      in
+      let verdicts = ref [] in
+      let agrees s =
+        let v =
+          Check.balanced_with ~scratch:probe_scratch ~queue:probe_queue cfg s
+        in
+        verdicts := v :: !verdicts;
+        v = reference s && Array.for_all not probe_scratch
+      in
+      let tree = Config.tree cfg in
+      let paths =
+        List.init 4 (fun _ ->
+            Rooted.path tree (Repro_util.Rng.int rng nn) (Repro_util.Rng.int rng nn))
+      in
+      let subsets =
+        List.init 4 (fun _ ->
+            List.init (Repro_util.Rng.int rng (2 * nn)) (fun _ ->
+                Repro_util.Rng.int rng nn))
+      in
+      let splits =
+        if family = "cycle" then List.init (nn - 1) (fun a -> [ 0; a + 1 ]) else []
+      in
+      List.for_all agrees
+        (((Separator.find cfg).Separator.separator :: paths)
+        @ subsets @ splits
+        @ [ []; List.init nn Fun.id ])
+      && List.mem true !verdicts && List.mem false !verdicts)
+
 let prop_certified_closing_edges =
   (* Whenever a closing edge is reported, the full cycle-separator
      definition holds: the edge is real or planarly insertable. *)
@@ -298,6 +354,7 @@ let suites =
         qtest prop_certified_closing_edges;
         qtest prop_shrink_preserves_balance;
         qtest prop_shrink_matches_reference;
+        qtest prop_balanced_with_union_find;
         qtest prop_separator_always_valid;
         qtest prop_phase3_weight_in_range_never_fails;
     ]

@@ -171,11 +171,15 @@ let test_concurrent_replay_matches_serial () =
   else begin
     let mix_a = Workload.mix ~seed:3 ~n:100 ~count:10 in
     let mix_b = Workload.mix ~seed:4 ~n:100 ~count:10 in
-    (* Serial replay, in-process: one engine, A's stream then B's. *)
-    let serial =
+    (* Serial replay, in-process: one engine, A's stream then B's; then
+       the line cap and its error response. *)
+    let serial, cap, too_long =
       Repro_util.Pool.with_pool ~jobs:1 @@ fun pool ->
       let engine = small_engine pool in
-      List.map (fun r -> Engine.handle_line engine (req_line r)) (mix_a @ mix_b)
+      let serial =
+        List.map (fun r -> Engine.handle_line engine (req_line r)) (mix_a @ mix_b)
+      in
+      (serial, Engine.max_line_bytes engine, Engine.line_too_long engine)
     in
     let expect_a = List.filteri (fun i _ -> i < 10) serial in
     let expect_b = List.filteri (fun i _ -> i >= 10) serial in
@@ -227,9 +231,28 @@ let test_concurrent_replay_matches_serial () =
     | [] -> ());
     let got_a = read_lines a 10 and got_b = read_lines b 10 in
     let got_c = read_lines c 10 and got_d = read_lines d 10 in
+    (* E goes past the line cap: an unterminated line is answered with the
+       error as soon as it passes the cap and discarded through its
+       newline, and a terminated over-cap line gets the same answer; the
+       valid request after each is served as usual. *)
+    let e = connect () in
+    (* A daemon that buffers without bound never answers: fail, not hang. *)
+    Unix.setsockopt_float e Unix.SO_RCVTIMEO 10.0;
+    let first_a = req_line (List.nth mix_a 0) and second_a = req_line (List.nth mix_a 1) in
+    let got_e =
+      try
+        write_all e (String.make (cap + 1) 'x');
+        let got_e1 = read_lines e 1 in
+        write_all e ("more of the long line\n" ^ first_a ^ "\n");
+        let got_e2 = read_lines e 1 in
+        write_all e (String.make (2 * cap) 'y' ^ "\n" ^ second_a ^ "\n");
+        got_e1 @ got_e2 @ read_lines e 2
+      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        [ "no answer within 10 s" ]
+    in
     write_all a "{\"op\":\"shutdown\"}\n";
     ignore (read_lines a 1);
-    List.iter Unix.close [ a; b; c; d ];
+    List.iter Unix.close [ a; b; c; d; e ];
     let _, status = Unix.waitpid [] pid in
     Alcotest.(check bool) "daemon exited cleanly" true
       (status = Unix.WEXITED 0);
@@ -242,7 +265,11 @@ let test_concurrent_replay_matches_serial () =
       expect_a got_c;
     Alcotest.(check (list string))
       "client D (split request) responses byte-identical to serial replay"
-      expect_b got_d
+      expect_b got_d;
+    Alcotest.(check (list string))
+      "client E: over-cap lines answered with the error, valid requests served"
+      [ too_long; List.nth expect_a 0; too_long; List.nth expect_a 1 ]
+      got_e
   end
 
 let suites =
