@@ -1458,13 +1458,10 @@ let e16 ~short () =
 (* centralized wall, and the small-part fast path end to end.           *)
 (* ------------------------------------------------------------------ *)
 
-let e17_backends = [ "congest"; "lt-level"; "hn-cycle" ]
-
 let e17 ~jobs ~short () =
   section "E17  Backend crossover (quality / rounds / wall, fast-path speedup)";
-  Backends.ensure ();
   pf "expected: congest pays Õ(D) charged rounds for near-cycle separators;\n";
-  pf " centralized backends pay O(part) collect but win wall-clock on small\n";
+  pf " the centralized lt-level pays O(part) collect but wins wall-clock on small\n";
   pf " parts — the cutoff dispatch converts that into an end-to-end win\n";
   (* Part 1: per-backend separator quality.  All columns except wall are
      deterministic; the side-100 instances are recorded as an exact metrics
@@ -1491,8 +1488,8 @@ let e17 ~jobs ~short () =
           let cfg = Config.of_embedded emb in
           let rows =
             List.map
-              (fun bname ->
-                let b = Backend.lookup bname in
+              (fun b ->
+                let bname = b.Backend.name in
                 let ledger = Rounds.create ~n ~d:(max 1 d) () in
                 let t0 = Unix.gettimeofday () in
                 let r = b.Backend.find ~rounds:ledger cfg in
@@ -1523,7 +1520,7 @@ let e17 ~jobs ~short () =
                           (int_of_float (Rounds.total ledger)) );
                       ("phase", Repro_trace.Json.String r.Separator.phase);
                     ] ))
-              e17_backends
+              Backend.all
           in
           if side = 100 then
             quality_metrics :=

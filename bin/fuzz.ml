@@ -19,7 +19,7 @@ let usage () =
     \            [-v]\n\n\
      --list       print the registered oracles and generator families\n\
      --backend    separator backends the `backend' oracle checks\n\
-    \             (default: congest,lt-level,hn-cycle)\n\
+    \             (default: congest,lt-level)\n\
      --replay     re-run the oracles on one spec (family:n:seed:spanning)\n\
      --self-check injected-bug drill: prove a planted failure is caught,\n\
     \             shrunk to the minimal size and replayable";
@@ -122,12 +122,13 @@ let resolve_oracles names =
   match names with [] -> None | ns -> Some (List.map Oracle.find ns)
 
 (* Narrow the `backend' oracle to the requested separator backends (after
-   validating them against the registry). *)
+   validating their names). *)
 let apply_backends = function
   | [] -> ()
   | bs ->
-    Repro_baseline.Backends.ensure ();
-    let known = Repro_core.Backend.names () in
+    let known =
+      List.map (fun b -> b.Repro_core.Backend.name) Repro_core.Backend.all
+    in
     List.iter
       (fun b ->
         if not (List.mem b known) then begin

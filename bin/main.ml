@@ -58,27 +58,25 @@ let jobs_arg =
 
 let backend_arg =
   let doc =
-    "Separator backend: $(b,congest) (the distributed six-phase algorithm), \
-     $(b,lt-level) (centralized BFS level), $(b,hn-cycle) (centralized \
-     simple-cycle heuristic), or any client-registered name."
+    "Separator backend: $(b,congest) (the distributed six-phase algorithm) \
+     or $(b,lt-level) (centralized BFS level)."
   in
   Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
 
 let cutoff_arg =
   let doc =
     "Centralized fast path: recursion parts with at most $(docv) vertices are \
-     dispatched to the first registered centralized backend (lt-level) \
-     instead of $(b,--backend).  0 disables the fast path."
+     dispatched to $(b,lt-level) instead of $(b,--backend).  0 disables the \
+     fast path."
   in
   Arg.(value & opt int 0 & info [ "cutoff" ] ~docv:"N" ~doc)
 
 let resolve_backend name =
-  Backends.ensure ();
-  match Backend.lookup_opt name with
+  match Backend.lookup name with
   | Some b -> b
   | None ->
-    Printf.eprintf "unknown backend %s (registered: %s)\n" name
-      (String.concat ", " (Backend.names ()));
+    Printf.eprintf "unknown backend %s (known: %s)\n" name
+      (String.concat ", " (List.map (fun b -> b.Backend.name) Backend.all));
     exit 2
 
 let cutoff_of n = if n <= 0 then None else Some n
@@ -265,8 +263,7 @@ let sep_cmd =
         verdict.Check.size > 0
         && verdict.Check.max_component <= verdict.Check.limit
     in
-    Printf.printf "\nbackend            : %s (%s)\n" b.Backend.name
-      b.Backend.description;
+    Printf.printf "\nbackend            : %s\n" b.Backend.name;
     Printf.printf "separator phase    : %s (%d candidate(s))\n" r.Separator.phase
       r.Separator.candidates_tried;
     Printf.printf "separator size     : %d\n" verdict.Check.size;

@@ -10,7 +10,6 @@ open Cmdliner
 open Repro_graph
 open Repro_embedding
 open Repro_core
-open Repro_baseline
 open Repro_serve
 module Trace = Repro_trace.Trace
 
@@ -45,17 +44,9 @@ let seed_arg =
 let backend_arg =
   let doc =
     "Separator backend serving the separator/decompose/dfs queries \
-     ($(b,congest), $(b,lt-level), $(b,hn-cycle), or any client-registered \
-     name)."
+     ($(b,congest) or $(b,lt-level))."
   in
   Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
-
-let cutoff_arg =
-  let doc =
-    "Centralized fast path: recursion parts with at most $(docv) vertices \
-     dispatch to the first registered centralized backend.  0 disables."
-  in
-  Arg.(value & opt int 0 & info [ "cutoff" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   let doc =
@@ -92,12 +83,11 @@ let metrics_arg =
     & info [ "trace-metrics" ] ~docv:"FILE" ~doc)
 
 let resolve_backend name =
-  Backends.ensure ();
-  match Backend.lookup_opt name with
+  match Backend.lookup name with
   | Some b -> b
   | None ->
-    Printf.eprintf "unknown backend %s (registered: %s)\n" name
-      (String.concat ", " (Backend.names ()));
+    Printf.eprintf "unknown backend %s (known: %s)\n" name
+      (String.concat ", " (List.map (fun b -> b.Backend.name) Backend.all));
     exit 2
 
 let instance_of ~family ~n ~seed =
@@ -123,8 +113,7 @@ let write_text_file path contents =
   output_char oc '\n';
   close_out oc
 
-let main socket family n seed backend_name cutoff jobs cache metrics
-    max_requests =
+let main socket family n seed backend_name jobs cache metrics max_requests =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let backend = resolve_backend backend_name in
   let emb, g = instance_of ~family ~n ~seed in
@@ -133,11 +122,7 @@ let main socket family n seed backend_name cutoff jobs cache metrics
   in
   or_screen_reject @@ fun () ->
   Repro_util.Pool.with_pool ~jobs @@ fun pool ->
-  let engine =
-    Engine.create ?tracer ~backend
-      ?small_part_cutoff:(if cutoff <= 0 then None else Some cutoff)
-      ~cache_capacity:cache ~pool emb
-  in
+  let engine = Engine.create ?tracer ~backend ~cache_capacity:cache ~pool emb in
   Printf.printf "instance : %s\nn        : %d\nm        : %d\nbackend  : %s\n"
     (Embedded.name emb) (Graph.n g) (Graph.m g) backend.Backend.name;
   let served =
@@ -161,6 +146,6 @@ let cmd =
   Cmd.v info
     Term.(
       const main $ socket_arg $ family_arg $ n_arg $ seed_arg $ backend_arg
-      $ cutoff_arg $ jobs_arg $ cache_arg $ metrics_arg $ max_requests_arg)
+      $ jobs_arg $ cache_arg $ metrics_arg $ max_requests_arg)
 
 let () = exit (Cmd.eval cmd)

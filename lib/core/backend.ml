@@ -1,68 +1,89 @@
-(* The separator-backend registry.
+(* The two separator backends and the per-part choice between them. *)
 
-   Keeping the registry here (rather than in lib/baseline) matches the
-   library dependency direction: repro_core does not know about the
-   centralized baselines, but repro_baseline depends on repro_core, so
-   the Lipton–Tarjan and Har-Peled–Nayyeri backends register themselves
-   into this table from Repro_baseline.Backends.  OCaml only links
-   archive modules that are referenced, so registration side effects in
-   another library are not enough on their own — executables call
-   [Backends.ensure ()] to force the centralized registrations before
-   resolving names. *)
-
+open Repro_graph
+open Repro_tree
 open Repro_congest
 
 type kind = Distributed | Centralized
-type certificate = Cycle_certified | Balance_only
 
 type t = {
   name : string;
-  description : string;
   kind : kind;
-  certificate : certificate;
-  cost_model : string;
   find : ?rounds:Rounds.t -> Config.t -> Separator.result;
   trim : ?rounds:Rounds.t -> Config.t -> int list -> int list;
 }
 
-exception Duplicate_backend of string
-
-let registry : t list ref = ref []
-
-let register b =
-  if List.exists (fun b' -> b'.name = b.name) !registry then
-    raise (Duplicate_backend b.name);
-  registry := !registry @ [ b ]
-
-let all () = !registry
-let names () = List.map (fun b -> b.name) !registry
-let lookup_opt name = List.find_opt (fun b -> b.name = name) !registry
-
-let lookup name =
-  match lookup_opt name with
-  | Some b -> b
-  | None ->
-    failwith
-      (Printf.sprintf "unknown separator backend %s (known: %s)" name
-         (String.concat ", " (names ())))
-
-let centralized_default () =
-  List.find_opt (fun b -> b.kind = Centralized) !registry
-
-(* The six-phase algorithm of Theorem 1, behavior-preserving: [find] and
-   [trim] are the exact functions the stack called before the registry
-   existed, so dispatching through the default backend is bit-identical
-   to the pre-registry pipeline. *)
+(* The six-phase algorithm of Theorem 1: [find] and [trim] are the exact
+   functions the stack calls directly, so dispatching through this value
+   is bit-identical to calling them. *)
 let congest =
   {
     name = "congest";
-    description = "six-phase deterministic cycle separator (Theorem 1)";
     kind = Distributed;
-    certificate = Cycle_certified;
-    cost_model = "O~(D) charged rounds (one PA = c_pa*D*log^2 n)";
     find = Separator.find;
     trim = Separator.shrink;
   }
 
+(* Lipton–Tarjan's first step (1979): the first BFS level at which the
+   levels so far hold at least n/3 vertices.  Both strict sides then hold
+   at most 2n/3, so the level always balances; it may be large and is not
+   a cycle. *)
+let level_separator g ~root =
+  let n = Graph.n g in
+  let dist = Algo.bfs_dist g root in
+  let depth = Array.fold_left max 0 dist in
+  let count = Array.make (depth + 1) 0 in
+  Array.iter (fun d -> if d >= 0 then count.(d) <- count.(d) + 1) dist;
+  let rec pick level seen =
+    let seen = seen + count.(level) in
+    if 3 * seen >= n || level = depth then level else pick (level + 1) seen
+  in
+  let cut = pick 0 0 in
+  let members = ref [] in
+  Array.iteri (fun v d -> if d = cut then members := v :: !members) dist;
+  !members
+
+(* The ledger gets the CONGEST cost of using a host-side solver: collecting
+   the part's topology to one node over a pipelined BFS tree (and
+   broadcasting the answer back) costs O(part size) rounds. *)
+let lt_level_find ?rounds cfg =
+  let n = Config.n cfg in
+  let root = Rooted.root (Config.tree cfg) in
+  Repro_trace.Trace.within (Option.bind rounds Rounds.tracer) "backend.lt-level"
+  @@ fun () ->
+  Option.iter
+    (fun r -> Rounds.charge_exact r ~label:"backend-collect[lt-level]" n)
+    rounds;
+  if n <= 3 then
+    Separator.
+      {
+        separator = [ root ];
+        endpoints = None;
+        phase = "trivial";
+        candidates_tried = 0;
+      }
+  else
+    Separator.
+      {
+        separator = level_separator (Config.graph cfg) ~root;
+        endpoints = None;
+        phase = "lt-level";
+        candidates_tried = 1;
+      }
+
+let lt_level =
+  {
+    name = "lt-level";
+    kind = Centralized;
+    find = lt_level_find;
+    trim = Separator.shrink;
+  }
+
+let all = [ congest; lt_level ]
+let lookup name = List.find_opt (fun b -> b.name = name) all
 let default () = congest
-let () = register congest
+
+let for_part ?(backend = congest) ?small_part_cutoff members =
+  match small_part_cutoff with
+  | Some c when Array.length members <= c -> lt_level
+  | _ -> backend

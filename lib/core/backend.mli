@@ -1,20 +1,16 @@
-(** Pluggable separator backends.
+(** Separator backends.
 
     A backend is one way of producing a balanced separator for a planar
-    configuration, packaged behind a first-class record so the vertical
-    stack ({!Decomposition}, {!Dfs}, the CLIs and the bench harness) can
-    dispatch by name instead of hard-wiring the six-phase algorithm.
-    Capability metadata travels with the implementation: whether it runs
-    in the charged CONGEST model or centrally on the host, whether its
-    output carries a cycle-closing certificate, and the cost model its
-    charges follow — so callers (and the testkit's [backend] oracle) know
-    what each backend guarantees without inspecting its results.
+    configuration, packaged as a record so the vertical stack
+    ({!Decomposition}, {!Dfs}, the serving engine, the CLIs and the bench
+    harness) can take it as an argument.  There are two:
 
-    The registry is name-keyed and append-only.  The paper's six-phase
-    algorithm registers here as ["congest"] at module load and is the
-    default; centralized baselines register from [Repro_baseline.Backends]
-    (the library dependency points that way), which exposes an [ensure]
-    hook the executables call to force linkage. *)
+    - ["congest"]: the paper's six-phase algorithm (Theorem 1), charged in
+      the CONGEST model.  The default everywhere.
+    - ["lt-level"]: the Lipton–Tarjan BFS-level separator, computed on the
+      host in O(n + m).  It is always balanced, never cycle-shaped, and
+      carries no size guarantee.  It serves the small-part fast path
+      ({!for_part}) and E17's comparison with an O(n) baseline. *)
 
 open Repro_congest
 
@@ -25,52 +21,32 @@ type kind =
   | Centralized
       (** runs on the host against the full graph: cost is wall-clock;
           the ledger is charged the collect-and-solve round cost of
-          shipping the part to one node (O(part size) rounds) *)
-
-type certificate =
-  | Cycle_certified
-      (** may report [endpoints] closing the separator path into a simple
-          cycle (a real edge, or a virtual edge certified insertable) *)
-  | Balance_only
-      (** never reports [endpoints]: the separator is only guaranteed to
-          be balanced (max remaining component ≤ 2n/3) *)
+          shipping the part to one node (O(part size) rounds, label
+          ["backend-collect[<name>]"]), and the work runs under a
+          ["backend.<name>"] trace span *)
 
 type t = {
   name : string;
-  description : string;
   kind : kind;
-  certificate : certificate;
-  cost_model : string;
-      (** human-readable cost statement, e.g. ["O~(D) charged rounds"] or
-          ["O(n + m) centralized; ledger charged O(part) collect"] *)
+      (** only a [Distributed] backend reports [endpoints] (a cycle-closing
+          certificate); a [Centralized] one is judged on balance alone *)
   find : ?rounds:Rounds.t -> Config.t -> Separator.result;
   trim : ?rounds:Rounds.t -> Config.t -> int list -> int list;
-      (** balanced-trim post-pass applied by [Decomposition.build];
-          every built-in backend uses {!Separator.shrink}, which only
-          relies on balance monotonicity and so works on any separator
-          vertex list, path-shaped or not *)
+      (** balanced-trim post-pass applied by [Decomposition.build]; both
+          backends use {!Separator.shrink}, which only relies on balance
+          monotonicity and so works on any separator vertex list,
+          path-shaped or not *)
 }
 
-exception Duplicate_backend of string
+val all : t list
+(** [congest], then [lt-level]. *)
 
-val register : t -> unit
-(** Raises {!Duplicate_backend} if the name is taken. *)
-
-val lookup : string -> t
-(** Raises [Failure] listing the known names on an unknown backend. *)
-
-val lookup_opt : string -> t option
-
-val all : unit -> t list
-(** Registration order; ["congest"] is registered at module load. *)
-
-val names : unit -> string list
+val lookup : string -> t option
 
 val default : unit -> t
-(** The behavior-preserving default: ["congest"], the six-phase algorithm
-    of Theorem 1 ([find = Separator.find], [trim = Separator.shrink]). *)
+(** ["congest"]: [find = Separator.find], [trim = Separator.shrink]. *)
 
-val centralized_default : unit -> t option
-(** First registered [Centralized] backend (the small-part fast path used
-    when a cutoff is given without an explicit backend), if any centralized
-    backend has been registered. *)
+val for_part : ?backend:t -> ?small_part_cutoff:int -> int array -> t
+(** The backend for one part with these members: ["lt-level"] when the part
+    has at most [small_part_cutoff] members (the small-part fast path),
+    otherwise [backend] (default ["congest"]). *)

@@ -58,28 +58,11 @@ let absorb_heaviest rounds locals =
   | None -> ()
   | Some g -> Repro_congest.Rounds.absorb_heaviest g locals
 
-(* Backend selection for one part: parts at or below the cutoff dispatch
-   to the (typically centralized) small-part backend — the fast path that
-   dominates deep recursion levels — everything else to the main one. *)
-let pick_backend ~backend ~small_part_cutoff ~small_backend members =
-  match small_part_cutoff with
-  | Some c when Array.length members <= c -> small_backend
-  | _ -> backend
-
-(* The small-part backend is the first registered centralized backend
-   (lt-level once [Repro_baseline.Backends.ensure] has run), falling back
-   to the main backend when none is registered. *)
-let resolve_backends ?backend () =
-  let backend =
-    match backend with Some b -> b | None -> Backend.default ()
-  in
-  (backend, Option.value ~default:backend (Backend.centralized_default ()))
-
 (* Level-synchronous driver shared by the size- and diameter-bounded
    variants.  [stop] decides whether a part is already a piece (it runs
    inside the batch, in parallel); [guard] bounds the level count. *)
-let build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
-    ~stop ~guard emb =
+let build_frontier ?rounds ?pool ?backend ?small_part_cutoff ~stop ~guard
+    emb =
   let g = Embedded.graph emb in
   let n = Graph.n g in
   let removed = Array.make n false in
@@ -111,9 +94,7 @@ let build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
           else
             `Split
               (split_part ?rounds
-                 ~backend:
-                   (pick_backend ~backend ~small_part_cutoff ~small_backend
-                      members)
+                 ~backend:(Backend.for_part ?backend ?small_part_cutoff members)
                  emb members))
         batch
     in
@@ -147,8 +128,7 @@ let build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
 let build ?rounds ?pool ?(piece_target = 20) ?backend ?small_part_cutoff emb =
   if piece_target < 1 then invalid_arg "Decomposition.build: piece_target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.build" emb;
-  let backend, small_backend = resolve_backends ?backend () in
-  build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
+  build_frontier ?rounds ?pool ?backend ?small_part_cutoff
     ~stop:(fun members -> Array.length members <= piece_target)
     ~guard:(fun _ -> ())
     emb
@@ -281,8 +261,7 @@ let bounded_diameter ?rounds ?pool ?backend ?small_part_cutoff ~diameter_target
     invalid_arg "Decomposition.bounded_diameter: target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.bounded_diameter" emb;
   let g = Embedded.graph emb in
-  let backend, small_backend = resolve_backends ?backend () in
-  build_frontier ?rounds ?pool ~backend ~small_part_cutoff ~small_backend
+  build_frontier ?rounds ?pool ?backend ?small_part_cutoff
     ~stop:(fun members -> not (piece_diameter_exceeds g members diameter_target))
     ~guard:(fun level ->
       if level > 4 * Graph.n g then

@@ -21,16 +21,14 @@ val build :
   Embedded.t ->
   t
 (** Recursively split until every piece has at most [piece_target]
-    (default 20) vertices.  Splitting goes through [backend] (default:
-    the registry's ["congest"] six-phase algorithm — bit-identical to the
-    pre-registry pipeline), and the backend's balanced-trim post-pass
-    applies to every separator.  When [small_part_cutoff] is given, parts
-    at or below that size dispatch to the first registered centralized
-    backend instead (lt-level once [Repro_baseline.Backends.ensure] has
-    run; [backend] when none is registered)
-    — the centralized fast path for the small parts that dominate deep
-    recursion levels, charged its O(part) collect cost in the ledger and
-    visible as a distinct [backend.<name>] trace span.  The recursion
+    (default 20) vertices.  Each part is split by
+    [Backend.for_part ?backend ?small_part_cutoff]: [backend] (default
+    ["congest"], the six-phase algorithm), or ["lt-level"] for parts of at
+    most [small_part_cutoff] vertices — the centralized fast path for the
+    small parts that dominate deep recursion levels, charged its O(part)
+    collect cost in the ledger and visible as a [backend.lt-level] trace
+    span.  The chosen backend's balanced-trim post-pass applies to every
+    separator.  The recursion
     runs level-synchronously: each level's node-disjoint parts form one
     batch distributed over [pool] when given; the output and the charged
     rounds (max over each level's parts) are independent of the pool

@@ -44,19 +44,6 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
   let n = Graph.n g in
   Graph.check_vertex g root;
   Screen.require ?rounds ~entry:"Dfs.run" emb;
-  (* Per-component backend dispatch mirrors Decomposition: components at
-     or below the cutoff go to the centralized fast path. *)
-  let backend =
-    match backend with Some b -> b | None -> Backend.default ()
-  in
-  let small_backend =
-    Option.value ~default:backend (Backend.centralized_default ())
-  in
-  let pick members =
-    match small_part_cutoff with
-    | Some c when Array.length members <= c -> small_backend
-    | _ -> backend
-  in
   (match rounds with Some r -> Rounds.charge_embedding r | None -> ());
   let pmap ~label ~cost f arr =
     match pool with
@@ -102,7 +89,7 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
             in
             let cfg = Config.of_part ~spanning ~members ~root:part_root emb in
             let local = Option.map Rounds.like rounds in
-            let b = pick members in
+            let b = Backend.for_part ?backend ?small_part_cutoff members in
             let r = b.Backend.find ?rounds:local cfg in
             let separator_global =
               List.map (Config.to_global cfg) r.Separator.separator

@@ -29,12 +29,11 @@ val run :
     (per-part round ledgers are merged in part-index order, charging each
     batch its heaviest part).
 
-    Separators are computed by [backend] (default: the registry's
-    ["congest"] backend — bit-identical to the pre-registry pipeline).
-    When [small_part_cutoff] is given, components at or below that size
-    dispatch to the first registered centralized backend instead (or to
-    [backend] when none is registered), charged their O(part) collect
-    cost and visible as distinct [backend.<name>] trace spans. *)
+    Each component's separator comes from
+    [Backend.for_part ?backend ?small_part_cutoff]: [backend] (default
+    ["congest"]), or ["lt-level"] for components of at most
+    [small_part_cutoff] nodes, which are charged their O(part) collect
+    cost and run under a [backend.lt-level] trace span. *)
 
 val verify : Embedded.t -> root:int -> result -> bool
 (** DFS-tree check: spanning, rooted correctly, and every non-tree edge

@@ -47,7 +47,6 @@ type result = {
   endpoints : (int * int) option; (* fundamental edge closing the cycle *)
   phase : string;
   candidates_tried : int;
-  weights_computed : int;
 }
 
 exception No_separator_found of string
@@ -95,7 +94,6 @@ let candidate ?rounds cfg ver tried ~batch ~phase ~closing (a, b) =
     endpoints = closing;
     phase;
     candidates_tried = !tried;
-    weights_computed = 0;
   }
 
 (* A candidate whose balance no lemma certifies by count: probe it. *)
@@ -344,7 +342,6 @@ let find ?rounds cfg =
       endpoints = None;
       phase = "trivial";
       candidates_tried = 0;
-      weights_computed = 0;
     }
   else begin
     (* Phase 1 precomputation charges; the tree, its orders and the
@@ -360,8 +357,6 @@ let find ?rounds cfg =
     if weights = [] then
       span rounds "sep.phase2-tree" (fun () -> tree_phase ?rounds cfg ver tried)
     else begin
-      let wcount = List.length weights in
-      let finish r = { r with weights_computed = wcount } in
       (* Phase 3: a face with weight in range.  Its border path is
          balanced by count (Lemma 5): the weight bounds the nodes inside
          the cycle from above and, with the border, those outside it. *)
@@ -375,7 +370,7 @@ let find ?rounds cfg =
                      ~phase:"3-face" ~closing:(Some (u, v)) (u, v)))
       in
       match phase3_result with
-      | Some r -> finish r
+      | Some r -> r
       | None ->
         let heavy = List.filter (fun (_, w) -> 3 * w > 2 * n) weights in
         let result =
@@ -448,7 +443,7 @@ let find ?rounds cfg =
           end
         in
         match result with
-        | Some r -> finish r
+        | Some r -> r
         | None -> raise (No_separator_found "every phase candidate failed")
     end
   end

@@ -27,7 +27,6 @@ type result = {
           reported edge with the DMP tester). *)
   phase : string; (** which phase/candidate produced the separator *)
   candidates_tried : int;
-  weights_computed : int;
 }
 
 exception No_separator_found of string

@@ -53,7 +53,6 @@ type t = {
   d : int;
   pool : Repro_util.Pool.t;
   backend : Backend.t;
-  cutoff : int option;
   tracer : Trace.t option;
   cache : entry Cache.t;
   cfg0 : Config.t; (* whole-graph configuration, built once at load *)
@@ -77,8 +76,7 @@ let line_cap n =
   in
   4096 + bytes 0 0
 
-let create ?tracer ?backend ?small_part_cutoff ?cache_capacity ~pool emb =
-  Repro_baseline.Backends.ensure ();
+let create ?tracer ?backend ?cache_capacity ~pool emb =
   let backend =
     match backend with Some b -> b | None -> Backend.default ()
   in
@@ -99,7 +97,6 @@ let create ?tracer ?backend ?small_part_cutoff ?cache_capacity ~pool emb =
     d;
     pool;
     backend;
-    cutoff = small_part_cutoff;
     tracer;
     cache = Cache.create ~capacity:cache_capacity ();
     cfg0;
@@ -140,10 +137,7 @@ let dfs_entry t root =
   let key = "dfs:" ^ string_of_int root in
   Cache.find_or_add t.cache key (fun () ->
       with_ledger t @@ fun rounds ->
-      let r =
-        Dfs.run ~rounds ~pool:t.pool ~backend:t.backend
-          ?small_part_cutoff:t.cutoff t.emb ~root
-      in
+      let r = Dfs.run ~rounds ~pool:t.pool ~backend:t.backend t.emb ~root in
       let depth = Array.fold_left max 0 r.Dfs.depth in
       Dfs_entry { phases = r.Dfs.phases; depth; hash = hash_int_array r.Dfs.parent })
 
@@ -153,7 +147,7 @@ let decomp_entry t piece =
       with_ledger t @@ fun rounds ->
       let dec =
         Decomposition.build ~rounds ~pool:t.pool ~piece_target:piece
-          ~backend:t.backend ?small_part_cutoff:t.cutoff t.emb
+          ~backend:t.backend t.emb
       in
       let h =
         List.fold_left

@@ -28,15 +28,14 @@ type t
 val create :
   ?tracer:Repro_trace.Trace.t ->
   ?backend:Backend.t ->
-  ?small_part_cutoff:int ->
   ?cache_capacity:int ->
   pool:Repro_util.Pool.t ->
   Embedded.t ->
   t
 (** Load, screen and index one graph.  Raises [Screen.Rejected_input]
     (entry ["serve"]) on hostile input — the daemon refuses to start
-    rather than serving a corrupted instance.  [backend] defaults to the
-    registry default (["congest"]); [cache_capacity] defaults to
+    rather than serving a corrupted instance.  [backend] defaults to
+    ["congest"]; [cache_capacity] defaults to
     {!Workload.canonical_cache_capacity}. *)
 
 val handle : t -> Json.t -> Json.t

@@ -13,7 +13,6 @@ open Repro_embedding
 open Repro_tree
 open Repro_congest
 open Repro_core
-open Repro_baseline
 
 type report = {
   oracle : string;
@@ -107,6 +106,17 @@ let tree_depth tree =
   !d
 
 let take k xs = List.filteri (fun i _ -> i < k) xs
+
+(* Largest component of G minus [removed], counted by BFS over
+   [Algo.restricted_components]: the independent count that
+   [Check.max_component_without]'s union-find is cross-checked against. *)
+let max_component_bfs g removed =
+  let dead = Array.make (Graph.n g) false in
+  List.iter (fun v -> dead.(v) <- true) removed;
+  Algo.restricted_components g
+    ~members:(Array.init (Graph.n g) Fun.id)
+    ~skip:(Array.get dead)
+  |> List.fold_left (fun acc c -> max acc (Array.length c)) 0
 
 (* ------------------------------------------------------------------ *)
 (* 0. "graph": the flat CSR store = a retained reference adjacency-list *)
@@ -630,7 +640,7 @@ let run_pipeline (inst : Instance.t) =
 
 (* ------------------------------------------------------------------ *)
 (* 6. "separator": Theorem 1's six-phase algorithm, certified by the    *)
-(*    centralized Check/Lipton–Tarjan side.                             *)
+(*    centralized Check side and a BFS component count.                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The balanced trim as the modelled CONGEST algorithm runs it: a binary
@@ -717,11 +727,10 @@ let run_separator (inst : Instance.t) =
     (Format.asprintf "separator valid (%a) via phase %s" Check.pp_verdict
        verdict r.Separator.phase)
     verdict.Check.valid;
-  (* Cross-validate the component computation: Check and the Lipton–Tarjan
-     baseline implement it independently. *)
-  ck ctx "Check max-component = Lipton-Tarjan max-component"
-    (verdict.Check.max_component
-    = Lipton_tarjan.max_component_after g r.Separator.separator);
+  (* Cross-validate the component computation: Check counts with a
+     union-find, the reference with BFS. *)
+  ck ctx "Check max-component = BFS max-component"
+    (verdict.Check.max_component = max_component_bfs g r.Separator.separator);
   (match r.Separator.endpoints with
   | None -> ()
   | Some e ->
@@ -986,53 +995,26 @@ let run_pool (inst : Instance.t) =
   finish ~name:"pool" ctx
 
 (* ------------------------------------------------------------------ *)
-(* 10. "backend": separator-backend registry conformance — every        *)
-(*     selected backend balances (cross-checked by two independent      *)
-(*     component computations), certificates hold, the uniform trim     *)
-(*     post-pass behaves, and the charge discipline matches the kind.   *)
+(* 10. "backend": separator-backend conformance — every selected       *)
+(*     backend balances (cross-checked by two independent component     *)
+(*     computations), certificates hold, the uniform trim post-pass     *)
+(*     behaves, and the charge discipline matches the kind.             *)
 (* ------------------------------------------------------------------ *)
 
-(* Fuzz-selectable subset of the backend registry: defaults to the three
-   shipped backends so test-registered extras don't leak into fuzz runs;
-   [restrict_backends] (bin/fuzz --backend) narrows or widens it. *)
-let backend_filter = ref [ "congest"; "lt-level"; "hn-cycle" ]
+(* The backends checked, by name: all of them unless
+   [restrict_backends] (bin/fuzz --backend) narrows the set. *)
+let backend_filter = ref (List.map (fun b -> b.Backend.name) Backend.all)
 let restrict_backends names = backend_filter := names
 
 let run_backend (inst : Instance.t) =
   let ctx = ctx_create () in
-  Backends.ensure ();
-  (* Registry round-trip. *)
-  let bs = Backend.all () in
-  ck ctx "congest registered first and is the default"
-    (match bs with
-    | b :: _ ->
-      b.Backend.name = "congest"
-      && (Backend.default ()).Backend.name = "congest"
-    | [] -> false);
-  ck ctx "shipped backends present"
-    (List.for_all
-       (fun name -> List.exists (fun b -> b.Backend.name = name) bs)
-       [ "congest"; "lt-level"; "hn-cycle" ]);
-  ck ctx "lookup round-trips"
-    (List.for_all
-       (fun b -> (Backend.lookup b.Backend.name).Backend.name = b.Backend.name)
-       bs);
-  ck ctx "duplicate registration rejected"
-    (match Backend.register (Backend.default ()) with
-    | () -> false
-    | exception Backend.Duplicate_backend "congest" -> true
-    | exception _ -> false);
-  ck ctx "centralized default resolves"
-    (match Backend.centralized_default () with
-    | Some b -> b.Backend.kind = Backend.Centralized
-    | None -> false);
   let g = Config.graph inst.config in
   let n = Graph.n g in
   let d = Algo.diameter g in
   let lg = log2ceil n in
   let limit = Check.balance_limit n in
   let selected =
-    List.filter (fun b -> List.mem b.Backend.name !backend_filter) bs
+    List.filter (fun b -> List.mem b.Backend.name !backend_filter) Backend.all
   in
   ck ctx "backend filter selects at least one backend" (selected <> []);
   List.iter
@@ -1045,26 +1027,26 @@ let run_backend (inst : Instance.t) =
       ck ctx (lbl "separator nonempty") (sep <> []);
       ck ctx (lbl "separator vertices in range")
         (List.for_all (fun v -> v >= 0 && v < n) sep);
-      (* Balance, cross-validated: Check and the Lipton–Tarjan baseline
-         implement the component computation independently. *)
-      let mc = Lipton_tarjan.max_component_after g sep in
+      (* Balance, cross-validated: Check counts with a union-find, the
+         reference with BFS. *)
+      let mc = max_component_bfs g sep in
       ck ctx (Printf.sprintf "%s: max component %d <= %d" name mc limit)
         (mc <= limit);
       let removed = Array.make n false in
       List.iter (fun v -> removed.(v) <- true) sep;
-      ck ctx (lbl "Check = Lipton-Tarjan max-component")
+      ck ctx (lbl "Check = BFS max-component")
         (Check.max_component_without g removed = mc);
       (* Determinism: a second find is bit-identical. *)
       let r2 = b.Backend.find inst.config in
       ck ctx (lbl "find deterministic")
         (r2.Separator.separator = sep && r2.Separator.phase = r.Separator.phase);
-      (* Certificate discipline: endpoints only from cycle-certified
-         backends, and the closing edge must be DMP-certifiable. *)
+      (* Certificate discipline: endpoints only from the distributed
+         backend, and the closing edge must be DMP-certifiable. *)
       (match r.Separator.endpoints with
       | None -> ()
       | Some e ->
-        ck ctx (lbl "endpoints imply cycle-certified")
-          (b.Backend.certificate = Backend.Cycle_certified);
+        ck ctx (lbl "endpoints imply distributed")
+          (b.Backend.kind = Backend.Distributed);
         ck ctx (lbl "closing edge certifiable (DMP)")
           (Check.cycle_closable inst.config ~endpoints:e));
       (* The uniform trim post-pass matches its reference on this
@@ -1074,7 +1056,7 @@ let run_backend (inst : Instance.t) =
       ck ctx (lbl "trim never grows")
         (List.length trimmed <= List.length sep);
       ck ctx (lbl "trimmed separator still balanced")
-        (Lipton_tarjan.max_component_after g trimmed <= limit);
+        (max_component_bfs g trimmed <= limit);
       (* Size-vs-sqrt(n) tripwire: vacuous at fuzz sizes, catches only a
          catastrophic quality regression on the big suite instances. *)
       let sqrt_n = int_of_float (ceil (sqrt (float_of_int n))) in
@@ -1307,7 +1289,7 @@ let () =
       };
       {
         name = "backend";
-        guards = "backend registry conformance (congest / lt-level / hn-cycle)";
+        guards = "separator backend conformance (congest / lt-level)";
         run = run_backend;
       };
       {

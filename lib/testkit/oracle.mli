@@ -67,10 +67,9 @@ val register : t -> unit
 (** Raises {!Duplicate_oracle} if the name is taken. *)
 
 val restrict_backends : string list -> unit
-(** Narrow (or widen) the separator backends the ["backend"] oracle
-    conformance-checks; defaults to the three shipped backends
-    (["congest"], ["lt-level"], ["hn-cycle"]) so test-registered extras
-    don't leak into fuzz runs.  Used by [bin/fuzz --backend]. *)
+(** Narrow the separator backends the ["backend"] oracle
+    conformance-checks, by name; defaults to every entry of
+    {!Repro_core.Backend.all}.  Used by [bin/fuzz --backend]. *)
 
 val all : unit -> t list
 (** Registration order; the built-ins are registered at module load. *)

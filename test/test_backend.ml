@@ -1,13 +1,11 @@
-(* The separator-backend registry (tentpole of the pluggable-backend PR):
-   registration semantics, per-backend conformance on deterministic
-   families, default-path bit-identity, and cutoff-dispatch determinism
-   across pool sizes. *)
+(* The two separator backends: lookup by name, per-backend conformance on
+   deterministic families, default-path bit-identity, and cutoff-dispatch
+   determinism across pool sizes. *)
 
 open Repro_graph
 open Repro_embedding
 open Repro_tree
 open Repro_core
-open Repro_baseline
 
 let suite_families =
   [
@@ -19,185 +17,53 @@ let suite_families =
   ]
 
 let test_registry_roundtrip () =
-  Backends.ensure ();
-  let bs = Backend.all () in
-  Alcotest.(check bool) "congest registered first" true
-    (match bs with b :: _ -> b.Backend.name = "congest" | [] -> false);
+  Alcotest.(check (list string)) "all = congest, lt-level"
+    [ "congest"; "lt-level" ]
+    (List.map (fun b -> b.Backend.name) Backend.all);
   Alcotest.(check string) "default is congest" "congest"
     (Backend.default ()).Backend.name;
   List.iter
-    (fun name ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s registered" name)
-        true
-        (List.mem name (Backend.names ())))
-    [ "congest"; "lt-level"; "hn-cycle" ];
-  List.iter
     (fun b ->
-      Alcotest.(check string)
+      Alcotest.(check (option string))
         (Printf.sprintf "lookup %s round-trips" b.Backend.name)
-        b.Backend.name
-        (Backend.lookup b.Backend.name).Backend.name;
-      Alcotest.(check bool)
-        (Printf.sprintf "lookup_opt %s" b.Backend.name)
-        true
-        (Backend.lookup_opt b.Backend.name <> None))
-    bs;
-  Alcotest.(check string) "centralized default is lt-level" "lt-level"
-    (match Backend.centralized_default () with
-    | Some b -> b.Backend.name
-    | None -> "<none>");
-  Alcotest.(check bool) "unknown lookup raises Failure" true
-    (match Backend.lookup "no-such-backend" with
-    | _ -> false
-    | exception Failure _ -> true)
-
-let test_duplicate_rejected () =
-  Backends.ensure ();
-  Alcotest.(check bool) "re-registering congest raises" true
-    (match Backend.register (Backend.default ()) with
-    | () -> false
-    | exception Backend.Duplicate_backend "congest" -> true
-    | exception _ -> false)
-
-let test_dummy_registration () =
-  (* Registering a new backend is open to clients: an alias of congest
-     under a fresh name must round-trip without disturbing the default or
-     the oracle's shipped-backend filter. *)
-  Backends.ensure ();
-  (match Backend.lookup_opt "test-dummy" with
-  | Some _ -> () (* already registered by a previous in-process run *)
-  | None ->
-    let congest = Backend.default () in
-    Backend.register
-      { congest with Backend.name = "test-dummy"; description = "test alias" });
-  Alcotest.(check bool) "dummy listed" true
-    (List.mem "test-dummy" (Backend.names ()));
-  Alcotest.(check string) "default still congest" "congest"
-    (Backend.default ()).Backend.name;
-  Alcotest.(check string) "centralized default still lt-level" "lt-level"
-    (match Backend.centralized_default () with
-    | Some b -> b.Backend.name
-    | None -> "<none>")
+        (Some b.Backend.name)
+        (Option.map (fun b -> b.Backend.name) (Backend.lookup b.Backend.name)))
+    Backend.all;
+  Alcotest.(check bool) "unknown lookup is None" true
+    (Backend.lookup "no-such-backend" = None)
 
 let test_centralized_backends_balanced () =
-  Backends.ensure ();
   List.iter
     (fun emb ->
       let cfg = Config.of_embedded emb in
-      let g = Embedded.graph emb in
-      let n = Graph.n g in
-      let limit = Check.balance_limit n in
       List.iter
-        (fun bname ->
-          let b = Backend.lookup bname in
+        (fun b ->
+          let bname = b.Backend.name in
           let r = b.Backend.find cfg in
           let sep = r.Repro_core.Separator.separator in
           Alcotest.(check bool)
             (Printf.sprintf "%s balanced on %s" bname (Embedded.name emb))
             true
-            (sep <> [] && Lipton_tarjan.max_component_after g sep <= limit);
+            (sep <> [] && Check.balanced cfg sep);
           let trimmed = b.Backend.trim cfg sep in
           Alcotest.(check bool)
             (Printf.sprintf "%s trim keeps balance on %s" bname
                (Embedded.name emb))
             true
             (List.length trimmed <= List.length sep
-            && Lipton_tarjan.max_component_after g trimmed <= limit))
-        [ "lt-level"; "hn-cycle" ])
+            && Check.balanced cfg trimmed))
+        (List.filter (fun b -> b.Backend.kind = Backend.Centralized) Backend.all))
     suite_families
 
-let test_hn_cycle_closing_edge () =
-  Backends.ensure ();
-  let b = Backend.lookup "hn-cycle" in
-  Alcotest.(check bool) "hn-cycle is cycle-certified" true
-    (b.Backend.certificate = Backend.Cycle_certified);
-  let fired = ref 0 in
-  List.iter
-    (fun emb ->
-      let cfg = Config.of_embedded emb in
-      let g = Embedded.graph emb in
-      let r = b.Backend.find cfg in
-      match r.Repro_core.Separator.endpoints with
-      | None -> ()
-      | Some (a, bb) ->
-        incr fired;
-        Alcotest.(check bool)
-          (Printf.sprintf "closing edge (%d,%d) exists on %s" a bb
-             (Embedded.name emb))
-          true (Graph.mem_edge g a bb))
-    suite_families;
-  (* At least one family must exercise a real cycle certificate, or the
-     whole stage is dead code. *)
-  Alcotest.(check bool) "some family produced a cycle certificate" true
-    (!fired > 0)
-
-(* Naive reference for the optimized fundamental-cycle sweep: same BFS
-   tree, same edge order, same tie-break, but every candidate pays the
-   full max_component_after sweep. *)
-let naive_best_fundamental_cycle g ~root =
-  let parent = Spanning.bfs g ~root in
-  let depth = Algo.bfs_dist g root in
-  let path_between u v =
-    let rec go u v left right =
-      if u = v then List.rev_append left (u :: right)
-      else if depth.(u) >= depth.(v) then go parent.(u) v (u :: left) right
-      else go u parent.(v) left (v :: right)
-    in
-    go u v [] []
-  in
-  let best = ref None in
-  Graph.iter_edges g (fun u v ->
-      if parent.(u) <> v && parent.(v) <> u then begin
-        let cycle = path_between u v in
-        let mc = Lipton_tarjan.max_component_after g cycle in
-        let len = List.length cycle in
-        match !best with
-        | Some (_, bmc, bsize) when bmc < mc || (bmc = mc && bsize <= len) ->
-          ()
-        | _ -> best := Some (cycle, mc, len)
-      end);
-  Option.map (fun (cycle, mc, _) -> (cycle, mc)) !best
-
-let test_best_fundamental_cycle_matches_naive () =
-  List.iter
-    (fun emb ->
-      let g = Embedded.graph emb in
-      let opt = Lipton_tarjan.best_fundamental_cycle g ~root:0 in
-      let naive = naive_best_fundamental_cycle g ~root:0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "optimized = naive on %s" (Embedded.name emb))
-        true (opt = naive))
-    [
-      Gen.grid ~rows:7 ~cols:7;
-      Gen.grid_diag ~seed:2 ~rows:6 ~cols:6 ();
-      Gen.stacked_triangulation ~seed:9 ~n:90 ();
-      Gen.cycle 25;
-      Gen.path 15;
-    ]
-
-let test_stop_at_respects_goal () =
-  let g = Embedded.graph (Gen.grid_diag ~seed:4 ~rows:7 ~cols:7 ()) in
-  let n = Graph.n g in
-  let limit = Check.balance_limit n in
-  match Lipton_tarjan.best_fundamental_cycle ~stop_at:limit g ~root:0 with
-  | Some (cycle, mc) ->
-    Alcotest.(check bool) "early-stopped cycle meets the goal" true
-      (mc <= limit);
-    Alcotest.(check int) "mc honest" mc
-      (Lipton_tarjan.max_component_after g cycle)
-  | None -> Alcotest.fail "triangulated grid has fundamental cycles"
-
 let test_default_bit_identity () =
-  Backends.ensure ();
   let emb = Gen.stacked_triangulation ~seed:13 ~n:150 () in
   let cfg = Config.of_embedded emb in
   let direct = Separator.find cfg in
-  let via_registry = (Backend.default ()).Backend.find cfg in
+  let via_backend = (Backend.default ()).Backend.find cfg in
   Alcotest.(check bool) "Separator.find = default backend find" true
-    (direct = via_registry);
+    (direct = via_backend);
   let d0 = Decomposition.build emb in
-  let d1 = Decomposition.build ~backend:(Backend.lookup "congest") emb in
+  let d1 = Decomposition.build ~backend:(Backend.default ()) emb in
   Alcotest.(check bool) "Decomposition.build default = explicit congest" true
     (d0.Decomposition.pieces = d1.Decomposition.pieces
     && d0.Decomposition.separator = d1.Decomposition.separator
@@ -205,7 +71,6 @@ let test_default_bit_identity () =
     && d0.Decomposition.separator_count = d1.Decomposition.separator_count)
 
 let test_cutoff_dispatch_deterministic () =
-  Backends.ensure ();
   let emb = Gen.grid ~rows:20 ~cols:20 in
   let g = Embedded.graph emb in
   let n = Graph.n g in
@@ -234,7 +99,6 @@ let test_cutoff_dispatch_deterministic () =
     (Decomposition.check emb ~piece_target:20 t1)
 
 let test_dfs_with_cutoff () =
-  Backends.ensure ();
   let emb = Gen.grid_diag ~seed:7 ~rows:12 ~cols:12 () in
   let g = Embedded.graph emb in
   let root = Embedded.outer emb in
@@ -256,7 +120,6 @@ let test_dfs_with_cutoff () =
 let test_backend_oracle_large_grid () =
   (* One instance big enough that the oracle's size-vs-sqrt(n) tripwire is
      not vacuous (fuzz sizes never are). *)
-  Backends.ensure ();
   let inst =
     Repro_testkit.Instance.build
       {
@@ -276,17 +139,8 @@ let suites =
   Repro_testkit.Suite.make __MODULE__
     [
       Alcotest.test_case "registry round-trip" `Quick test_registry_roundtrip;
-      Alcotest.test_case "duplicate name rejected" `Quick
-        test_duplicate_rejected;
-      Alcotest.test_case "client registration" `Quick test_dummy_registration;
       Alcotest.test_case "centralized backends balanced" `Quick
         test_centralized_backends_balanced;
-      Alcotest.test_case "hn-cycle closing edge" `Quick
-        test_hn_cycle_closing_edge;
-      Alcotest.test_case "fundamental-cycle sweep = naive" `Quick
-        test_best_fundamental_cycle_matches_naive;
-      Alcotest.test_case "stop_at respects goal" `Quick
-        test_stop_at_respects_goal;
       Alcotest.test_case "default path bit-identical" `Quick
         test_default_bit_identity;
       Alcotest.test_case "cutoff dispatch deterministic" `Quick

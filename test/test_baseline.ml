@@ -41,31 +41,6 @@ let test_awerbuch_single_node () =
   let r = Awerbuch.run g ~root:0 in
   Alcotest.(check int) "parent" (-1) r.Awerbuch.parent.(0)
 
-let test_level_separator_balanced () =
-  List.iter
-    (fun emb ->
-      let g = Embedded.graph emb in
-      let sep = Lipton_tarjan.level_separator g ~root:0 in
-      let n = Graph.n g in
-      Alcotest.(check bool) (Embedded.name emb) true
-        (Lipton_tarjan.max_component_after g sep <= (2 * n / 3) + 1))
-    [
-      Gen.grid ~rows:9 ~cols:9;
-      Gen.stacked_triangulation ~seed:6 ~n:100 ();
-      Gen.path 30;
-    ]
-
-let test_best_fundamental_cycle () =
-  let g = Embedded.graph (Gen.grid_diag ~seed:3 ~rows:6 ~cols:6 ()) in
-  (match Lipton_tarjan.best_fundamental_cycle g ~root:0 with
-  | Some (cycle, mc) ->
-    Alcotest.(check int) "max comp recomputed" mc
-      (Lipton_tarjan.max_component_after g cycle)
-  | None -> Alcotest.fail "triangulated grid is not a tree");
-  let tree = Embedded.graph (Gen.path 10) in
-  Alcotest.(check bool) "tree has no fundamental cycle" true
-    (Lipton_tarjan.best_fundamental_cycle tree ~root:0 = None)
-
 let test_random_sep_estimator_converges () =
   let emb = Gen.grid ~rows:8 ~cols:8 in
   let cfg = Config.of_embedded emb in
@@ -123,9 +98,6 @@ let suites =
         Alcotest.test_case "awerbuch valid" `Quick test_awerbuch_valid;
         Alcotest.test_case "awerbuch linear rounds" `Quick test_awerbuch_linear_rounds;
         Alcotest.test_case "awerbuch single node" `Quick test_awerbuch_single_node;
-        Alcotest.test_case "level separator balanced" `Quick
-          test_level_separator_balanced;
-        Alcotest.test_case "best fundamental cycle" `Quick test_best_fundamental_cycle;
         Alcotest.test_case "random estimator converges" `Quick
           test_random_sep_estimator_converges;
         Alcotest.test_case "random reliable at high samples" `Quick

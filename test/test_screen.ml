@@ -214,16 +214,21 @@ let test_jobs_bit_identity () =
 
 (* --- CLI exit codes ---------------------------------------------------- *)
 
-(* Tests run from _build/default/test, next to the built CLI; the dune
-   test stanza depends on it.  Exit 3 is the screen-rejection code. *)
-let repro_exe = Filename.concat ".." (Filename.concat "bin" "main.exe")
+(* The CLI is built next to this test binary (the dune test stanza depends
+   on it), so its path does not depend on the working directory.  Exit 3
+   is the screen-rejection code. *)
+let repro_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ ".."; "bin"; "main.exe" ]
 
 let cli cmdline =
-  Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" repro_exe cmdline)
+  Sys.command
+    (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote repro_exe) cmdline)
 
 let test_cli_exit_codes () =
   if not (Sys.file_exists repro_exe) then
-    Alcotest.skip ()
+    Alcotest.failf "CLI binary %s not found" repro_exe
   else begin
     Alcotest.(check int) "sep rejects hostile input with exit 3" 3
       (cli "sep --family xrot -n 64 --seed 2");

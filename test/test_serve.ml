@@ -139,7 +139,12 @@ let test_request_scoped_metrics () =
 
 (* --- Socket: concurrent vs serial ------------------------------------- *)
 
-let serve_exe = Filename.concat ".." (Filename.concat "bin" "serve.exe")
+(* The daemon is built next to this test binary (test/dune depends on it),
+   so its path does not depend on the working directory. *)
+let serve_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ ".."; "bin"; "serve.exe" ]
 
 let write_all fd s =
   let len = String.length s in
@@ -167,7 +172,8 @@ let read_lines fd count =
   List.rev !lines
 
 let test_concurrent_replay_matches_serial () =
-  if not (Sys.file_exists serve_exe) then Alcotest.skip ()
+  if not (Sys.file_exists serve_exe) then
+    Alcotest.failf "daemon binary %s not found" serve_exe
   else begin
     let mix_a = Workload.mix ~seed:3 ~n:100 ~count:10 in
     let mix_b = Workload.mix ~seed:4 ~n:100 ~count:10 in

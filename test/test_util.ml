@@ -66,33 +66,6 @@ let test_uf_chain () =
   Alcotest.(check bool) "ends joined" true (Union_find.same uf 0 (n - 1))
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_pqueue_sorts () =
-  let q = Pqueue.create () in
-  let rng = Rng.create 5 in
-  let xs = Array.init 200 (fun _ -> Rng.int rng 1000) in
-  Array.iter (fun x -> Pqueue.push q x x) xs;
-  let out = ref [] in
-  let rec drain () =
-    match Pqueue.pop_min q with
-    | None -> ()
-    | Some (k, _) ->
-      out := k :: !out;
-      drain ()
-  in
-  drain ();
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  Alcotest.(check (list int)) "heap sort" (Array.to_list sorted) (List.rev !out)
-
-let test_pqueue_empty () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop_min q = None)
-
-(* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -163,8 +136,6 @@ let suites =
         Alcotest.test_case "rng split" `Quick test_rng_split_independent;
         Alcotest.test_case "union-find basic" `Quick test_uf_basic;
         Alcotest.test_case "union-find chain" `Quick test_uf_chain;
-        Alcotest.test_case "pqueue sorts" `Quick test_pqueue_sorts;
-        Alcotest.test_case "pqueue empty" `Quick test_pqueue_empty;
         Alcotest.test_case "stats mean/median" `Quick test_stats_mean_median;
         Alcotest.test_case "stats slope" `Quick test_stats_slope;
         Alcotest.test_case "stats loglog" `Quick test_stats_loglog;
