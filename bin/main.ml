@@ -38,11 +38,16 @@ let tree_arg =
   let doc = "Spanning tree kind: bfs, dfs or random." in
   Arg.(value & opt string "bfs" & info [ "tree"; "t" ] ~docv:"KIND" ~doc)
 
+(* A bad argument is reported before any work: one stderr line, exit 2. *)
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
 let spanning_of_string seed = function
   | "bfs" -> Spanning.Bfs
   | "dfs" -> Spanning.Dfs
   | "random" -> Spanning.Random seed
-  | other -> invalid_arg ("unknown tree kind: " ^ other)
+  | other -> usage_error ("unknown tree kind " ^ other ^ " (known: bfs, dfs, random)")
 
 let jobs_arg =
   let doc =
@@ -75,9 +80,9 @@ let resolve_backend name =
   match Backend.lookup name with
   | Some b -> b
   | None ->
-    Printf.eprintf "unknown backend %s (known: %s)\n" name
-      (String.concat ", " (List.map (fun b -> b.Backend.name) Backend.all));
-    exit 2
+    usage_error
+      (Printf.sprintf "unknown backend %s (known: %s)" name
+         (String.concat ", " (List.map (fun b -> b.Backend.name) Backend.all)))
 
 let cutoff_of n = if n <= 0 then None else Some n
 
@@ -144,23 +149,30 @@ let emit_trace ~trace ~chrome ~metrics tracer =
         Printf.printf "metrics json       : %s\n" path)
       metrics
 
+(* The edge list is outside input: a line that is not two distinct
+   non-negative ids is a bad argument. *)
 let load_edge_list path =
-  let ic = open_in path in
+  let ic = try open_in path with Sys_error msg -> usage_error msg in
   let edges = ref [] and max_v = ref (-1) in
   (try
      while true do
        let line = String.trim (input_line ic) in
        if line <> "" && line.[0] <> '#' then begin
-         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-         | [ a; b ] ->
-           let u = int_of_string a and v = int_of_string b in
+         match
+           String.split_on_char ' ' line
+           |> List.filter (( <> ) "")
+           |> List.map int_of_string_opt
+         with
+         | [ Some u; Some v ] when u >= 0 && v >= 0 && u <> v ->
            edges := (u, v) :: !edges;
            max_v := max !max_v (max u v)
-         | _ -> failwith ("bad edge line: " ^ line)
+         | _ -> usage_error (Printf.sprintf "%s: bad edge line: %s" path line)
        end
      done
    with End_of_file -> close_in ic);
-  Graph.of_edges ~n:(!max_v + 1) !edges
+  if !edges = [] then usage_error (path ^ ": no edges");
+  try Graph.of_edges ~n:(!max_v + 1) !edges
+  with Invalid_argument msg -> usage_error (path ^ ": " ^ msg)
 
 let instance_of ~family ~n ~seed ~edges =
   match edges with
@@ -171,7 +183,8 @@ let instance_of ~family ~n ~seed ~edges =
            embeddings on purpose — the screen layer is what rejects them. *)
         Repro_testkit.Instance.hostile_embedded
           { family; n; seed; spanning = Spanning.Bfs }
-      else Gen.by_family ~seed family ~n
+      else if List.mem family Gen.families then Gen.by_family ~seed family ~n
+      else usage_error ("unknown family " ^ family)
     in
     let g = Embedded.graph emb in
     (emb, g, Algo.diameter g)
@@ -179,8 +192,7 @@ let instance_of ~family ~n ~seed ~edges =
     let g = load_edge_list path in
     (match Planarity.embed g with
     | None ->
-      prerr_endline "input graph is not planar";
-      exit 2
+      usage_error (path ^ ": input graph is not planar")
     | Some rot ->
       let emb = Embedded.make ~name:(Filename.basename path) g rot in
       (emb, g, Algo.diameter g))
@@ -242,16 +254,17 @@ let svg_arg =
 let sep_cmd =
   let run family n seed edges tree backend shrink verbose svg trace chrome
       metrics =
+    let b = resolve_backend backend in
+    let spanning = spanning_of_string seed tree in
     let emb, g, d = instance_of ~family ~n ~seed ~edges in
     print_instance emb g d;
-    let b = resolve_backend backend in
     let tracer = tracer_of_flags ~trace ~chrome ~metrics in
     let rounds = Rounds.create ?trace:tracer ~n:(Graph.n g) ~d () in
     or_screen_reject @@ fun () ->
     (* Screen before Config.of_embedded: a corrupted rotation must die
        with a verdict, not crash the spanning-tree build. *)
     Screen.require ~rounds ~entry:"sep" emb;
-    let cfg = Config.of_embedded ~spanning:(spanning_of_string seed tree) emb in
+    let cfg = Config.of_embedded ~spanning emb in
     let r = b.Backend.find ~rounds cfg in
     let verdict = Check.check_separator cfg r.Separator.separator in
     (* The tree-path shape is part of the contract only for the distributed
@@ -314,10 +327,13 @@ let compare_arg =
 let dfs_cmd =
   let run family n seed edges root jobs backend cutoff compare_awerbuch trace
       chrome metrics =
-    let emb, g, d = instance_of ~family ~n ~seed ~edges in
-    print_instance emb g d;
     let b = resolve_backend backend in
+    let emb, g, d = instance_of ~family ~n ~seed ~edges in
     let root = match root with Some r -> r | None -> Embedded.outer emb in
+    if root < 0 || root >= Graph.n g then
+      usage_error
+        (Printf.sprintf "root %d is not a vertex (n = %d)" root (Graph.n g));
+    print_instance emb g d;
     let tracer = tracer_of_flags ~trace ~chrome ~metrics in
     let rounds = Rounds.create ?trace:tracer ~n:(Graph.n g) ~d () in
     or_screen_reject @@ fun () ->
@@ -371,9 +387,11 @@ let by_size_arg =
 let bdd_cmd =
   let run family n seed edges target piece by_size jobs backend cutoff trace
       chrome metrics =
+    let b = resolve_backend backend in
+    if by_size && piece < 1 then usage_error "--piece must be at least 1";
+    if (not by_size) && target < 1 then usage_error "--target must be at least 1";
     let emb, g, d = instance_of ~family ~n ~seed ~edges in
     print_instance emb g d;
-    let b = resolve_backend backend in
     let cutoff = cutoff_of cutoff in
     let tracer = tracer_of_flags ~trace ~chrome ~metrics in
     let rounds =

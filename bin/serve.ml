@@ -82,20 +82,26 @@ let metrics_arg =
     & opt (some string) None
     & info [ "trace-metrics" ] ~docv:"FILE" ~doc)
 
+(* A bad argument is reported before any work: one stderr line, exit 2. *)
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
 let resolve_backend name =
   match Backend.lookup name with
   | Some b -> b
   | None ->
-    Printf.eprintf "unknown backend %s (known: %s)\n" name
-      (String.concat ", " (List.map (fun b -> b.Backend.name) Backend.all));
-    exit 2
+    usage_error
+      (Printf.sprintf "unknown backend %s (known: %s)" name
+         (String.concat ", " (List.map (fun b -> b.Backend.name) Backend.all)))
 
 let instance_of ~family ~n ~seed =
   let emb =
     if Repro_testkit.Instance.is_hostile family then
       Repro_testkit.Instance.hostile_embedded
         { family; n; seed; spanning = Repro_tree.Spanning.Bfs }
-    else Gen.by_family ~seed family ~n
+    else if List.mem family Gen.families then Gen.by_family ~seed family ~n
+    else usage_error ("unknown family " ^ family)
   in
   (emb, Embedded.graph emb)
 

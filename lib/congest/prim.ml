@@ -77,15 +77,15 @@ end
 
 module Bfs_engine = Engine.Make (Bfs_program)
 
-let bfs_tree ?max_rounds ?bandwidth g ~root =
+let bfs_tree g ~root =
   let input = Array.init (Repro_graph.Graph.n g) (fun v -> v = root) in
-  let out, stats = Bfs_engine.run ?max_rounds ?bandwidth g ~input in
+  let out, stats = Bfs_engine.run g ~input in
   let parent = Array.map fst out and dist = Array.map snd out in
   ((parent, dist), stats)
 
 (* Multi-source flooding: a BFS forest (every root gets parent -1). *)
-let bfs_forest ?max_rounds ?bandwidth g ~roots =
-  let out, stats = Bfs_engine.run ?max_rounds ?bandwidth g ~input:roots in
+let bfs_forest g ~roots =
+  let out, stats = Bfs_engine.run g ~input:roots in
   let parent = Array.map fst out and dist = Array.map snd out in
   ((parent, dist), stats)
 
@@ -157,12 +157,12 @@ end
 
 module Subtree_engine = Engine.Make (Subtree_program)
 
-let subtree_agg ?max_rounds ?bandwidth g ~parent ~op ~values =
+let subtree_agg g ~parent ~op ~values =
   let input =
     Array.init (Repro_graph.Graph.n g) (fun v ->
         Subtree_program.{ parent = parent.(v); value = values.(v); op })
   in
-  Subtree_engine.run ?max_rounds ?bandwidth g ~input
+  Subtree_engine.run g ~input
 
 (* ------------------------------------------------------------------ *)
 (* Ancestor aggregation (downcast): every node learns the aggregate of *)
@@ -228,12 +228,12 @@ end
 
 module Ancestor_engine = Engine.Make (Ancestor_program)
 
-let ancestor_agg ?max_rounds ?bandwidth g ~parent ~op ~values =
+let ancestor_agg g ~parent ~op ~values =
   let input =
     Array.init (Repro_graph.Graph.n g) (fun v ->
         Ancestor_program.{ parent = parent.(v); value = values.(v); op })
   in
-  Ancestor_engine.run ?max_rounds ?bandwidth g ~input
+  Ancestor_engine.run g ~input
 
 (* ------------------------------------------------------------------ *)
 (* Broadcast of the root's value over the tree.                        *)
@@ -291,12 +291,12 @@ end
 
 module Broadcast_engine = Engine.Make (Broadcast_program)
 
-let broadcast ?max_rounds ?bandwidth g ~parent ~root ~value =
+let broadcast g ~parent ~root ~value =
   let input =
     Array.init (Repro_graph.Graph.n g) (fun v ->
         Broadcast_program.{ parent = parent.(v); value = (if v = root then Some value else None) })
   in
-  Broadcast_engine.run ?max_rounds ?bandwidth g ~input
+  Broadcast_engine.run g ~input
 
 (* ------------------------------------------------------------------ *)
 (* One-round neighbour exchange: each node sends one integer to chosen  *)
@@ -327,8 +327,8 @@ end
 
 module Exchange_engine = Engine.Make (Exchange_program)
 
-let exchange ?max_rounds ?bandwidth g ~sends =
-  Exchange_engine.run ?max_rounds ?bandwidth g ~input:sends
+let exchange g ~sends =
+  Exchange_engine.run g ~input:sends
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined part-wise aggregation over a global spanning tree.        *)
@@ -512,9 +512,9 @@ end
 
 module Partwise_engine = Engine.Make (Partwise_program)
 
-let partwise ?max_rounds ?bandwidth g ~parent ~op ~parts ~values =
+let partwise g ~parent ~op ~parts ~values =
   let input =
     Array.init (Repro_graph.Graph.n g) (fun v ->
         Partwise_program.{ parent = parent.(v); part = parts.(v); value = values.(v); op })
   in
-  Partwise_engine.run ?max_rounds ?bandwidth g ~input
+  Partwise_engine.run g ~input

@@ -56,8 +56,6 @@ module Partwise_program : sig
 end
 
 val bfs_tree :
-  ?max_rounds:int ->
-  ?bandwidth:int ->
   Graph.t ->
   root:int ->
   (int array * int array) * Engine.stats
@@ -65,8 +63,6 @@ val bfs_tree :
     connected. *)
 
 val bfs_forest :
-  ?max_rounds:int ->
-  ?bandwidth:int ->
   Graph.t ->
   roots:bool array ->
   (int array * int array) * Engine.stats
@@ -74,8 +70,6 @@ val bfs_forest :
     some root (each root gets parent [-1]). *)
 
 val subtree_agg :
-  ?max_rounds:int ->
-  ?bandwidth:int ->
   Graph.t ->
   parent:int array ->
   op:op ->
@@ -85,8 +79,6 @@ val subtree_agg :
     tree (DESCENDANT-SUM-PROBLEM). *)
 
 val ancestor_agg :
-  ?max_rounds:int ->
-  ?bandwidth:int ->
   Graph.t ->
   parent:int array ->
   op:op ->
@@ -96,8 +88,6 @@ val ancestor_agg :
     included) — the ANCESTOR-SUM-PROBLEM of Proposition 5, as a downcast. *)
 
 val broadcast :
-  ?max_rounds:int ->
-  ?bandwidth:int ->
   Graph.t ->
   parent:int array ->
   root:int ->
@@ -106,8 +96,6 @@ val broadcast :
 (** Every node learns the root's value (over tree edges). *)
 
 val exchange :
-  ?max_rounds:int ->
-  ?bandwidth:int ->
   Graph.t ->
   sends:(int * int) list array ->
   (int * int) list array * Engine.stats
@@ -115,8 +103,6 @@ val exchange :
     pairs and receives the pairs addressed to it. *)
 
 val partwise :
-  ?max_rounds:int ->
-  ?bandwidth:int ->
   Graph.t ->
   parent:int array ->
   op:op ->

@@ -145,21 +145,36 @@ let absorb t other =
       Hashtbl.replace t.breakdown label (prev_r +. r, prev_c + c))
     other.breakdown
 
-(* Charge a parallel batch: absorb only the heaviest per-part ledger
-   (concurrent parts cost the max, not the sum).  Ties resolve to the lowest
-   part index, so the result is independent of how the batch was
-   scheduled. *)
-let absorb_heaviest t locals =
-  let heaviest =
-    Array.fold_left
-      (fun acc l ->
-        match (l, acc) with
-        | None, _ -> acc
-        | Some _, None -> l
-        | Some l', Some best -> if total l' > total best then l else acc)
-      None locals
+(* Theorem 1's parallel-parts charge, stated once: every part runs on a
+   fresh ledger (over the pool when one is given, under a [label] span on
+   the calling domain's tracer), and the batch is charged its heaviest
+   part — concurrent parts cost the maximum, not the sum.  Ties resolve to
+   the lowest part index and results come back in part order, so neither
+   depends on how the pool scheduled the parts. *)
+let map_parts ?rounds ?pool ~label ~cost (f : ?rounds:t -> 'a -> 'b) parts =
+  let pmap task =
+    match pool with
+    | Some p ->
+      Repro_util.Pool.map
+        ?trace:(Option.bind rounds tracer)
+        ~label ~cost p task parts
+    | None -> Array.map task parts
   in
-  Option.iter (absorb t) heaviest
+  match rounds with
+  | None -> pmap (fun part -> f part)
+  | Some g ->
+    let results =
+      pmap (fun part ->
+          let local = like g in
+          (f ~rounds:local part, local))
+    in
+    let heaviest best (_, l) = if total l > total best then l else best in
+    if Array.length results > 0 then
+      absorb g (Array.fold_left heaviest (snd results.(0)) results);
+    Array.map fst results
+
+let span rounds name f =
+  Repro_trace.Trace.within (Option.bind rounds tracer) name f
 
 let breakdown t =
   Hashtbl.fold (fun label (r, c) acc -> (label, r, c) :: acc) t.breakdown []

@@ -64,10 +64,27 @@ val absorb : t -> t -> unit
 (** Merge the other accountant's charges into the first (e.g. the heaviest
     part of a batch executed in parallel). *)
 
-val absorb_heaviest : t -> t option array -> unit
-(** Absorb the heaviest of the per-part ledgers of a parallel batch (ties:
-    lowest index), i.e. charge the batch max-over-parts, deterministically
-    and independently of scheduling order. *)
+val map_parts :
+  ?rounds:t ->
+  ?pool:Repro_util.Pool.t ->
+  label:string ->
+  cost:int ->
+  (?rounds:t -> 'a -> 'b) ->
+  'a array ->
+  'b array
+(** [map_parts ?rounds ?pool ~label ~cost f parts] runs [f] on every part
+    of a partition — Theorem 1's parts run in parallel — and returns the
+    results in part order.  Each task gets a fresh ledger ({!like}) when
+    [rounds] is given, and the batch is charged its heaviest part (ties:
+    lowest part index), so the charge and the spliced trace do not depend
+    on scheduling.  With [pool], the tasks are distributed by
+    {!Repro_util.Pool.map} under a [label] span of estimated [cost];
+    without, they run in order and no pool span is opened. *)
+
+val span : t option -> string -> (unit -> 'a) -> 'a
+(** [span rounds name f] runs [f] under a span [name] on the ledger's
+    tracer; without a ledger or a tracer it is [f ()].  Spans ride the
+    ledger, so phase attribution needs no plumbing of its own. *)
 
 val breakdown : t -> (string * float * int) list
 (** [(label, rounds, invocations)], heaviest first. *)

@@ -49,8 +49,7 @@ let level_separator g ~root =
 let lt_level_find ?rounds cfg =
   let n = Config.n cfg in
   let root = Rooted.root (Config.tree cfg) in
-  Repro_trace.Trace.within (Option.bind rounds Rounds.tracer) "backend.lt-level"
-  @@ fun () ->
+  Rounds.span rounds "backend.lt-level" @@ fun () ->
   Option.iter
     (fun r -> Rounds.charge_exact r ~label:"backend-collect[lt-level]" n)
     rounds;

@@ -153,25 +153,10 @@ let connected_partition g parts =
   let seen = Array.make n false in
   let covered = ref 0 in
   let connected part =
-    match part with
-    | [] -> false
-    | seed :: _ ->
-      let in_part = Array.make n false in
-      List.iter (fun v -> in_part.(v) <- true) part;
-      let q = Queue.create () in
-      let reached = ref 0 in
-      let visit v =
-        if in_part.(v) then begin
-          in_part.(v) <- false;
-          incr reached;
-          Queue.add v q
-        end
-      in
-      visit seed;
-      while not (Queue.is_empty q) do
-        Graph.iter_neighbors g (Queue.pop q) visit
-      done;
-      !reached = List.length part
+    List.length
+      (Algo.restricted_components g ~members:(Array.of_list part)
+         ~skip:(fun _ -> false))
+    = 1
   in
   List.for_all
     (fun part ->

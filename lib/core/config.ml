@@ -108,8 +108,8 @@ let of_part ?(spanning = Spanning.Bfs) ~members ~root emb =
     to_global = Some old_of_new;
   }
 
-(* Build a configuration from pre-existing pieces (used by tests and by the
-   DFS driver, which re-roots trees). *)
+(* Build a configuration from pre-existing pieces: a graph paired with a
+   tree built elsewhere (the testkit's instances, tests, benchmarks). *)
 let of_parts ~graph ~rot ~tree ?root_first ?to_global () =
   { graph; rot; tree; root_first; to_global }
 

@@ -29,7 +29,8 @@ val of_parts :
   ?to_global:int array ->
   unit ->
   t
-(** Assemble a configuration from existing pieces (tests, DFS driver). *)
+(** Assemble a configuration from existing pieces: a graph paired with a
+    tree built elsewhere (the testkit's instances, tests, benchmarks). *)
 
 val graph : t -> Graph.t
 val rot : t -> Rotation.t

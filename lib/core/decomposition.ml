@@ -8,14 +8,12 @@
    application, an approximate maximum independent set, is provided.
 
    The recursion is executed level-synchronously: all parts of one recursion
-   level are node-disjoint, so each level is a batch that an optional domain
-   pool distributes over workers (exactly the partition parallelism of
-   Theorem 1).  A splitting task only reads the graph and its own members
-   and returns its separator plus child components; the shared [removed]
-   array and the round ledger are updated on the calling domain, in part
-   order, after the batch — results never depend on scheduling.  Each
-   level's charged rounds are the maximum over its parts, per the paper's
-   parallel-parts model. *)
+   level are node-disjoint, so each level is one [Rounds.map_parts] batch
+   (exactly the partition parallelism of Theorem 1; the parallel-parts
+   charge is stated there).  A splitting task only reads the graph and its
+   own members and returns its separator plus child components; the shared
+   [removed] array is updated on the calling domain, in part order, after
+   the batch — results never depend on scheduling. *)
 
 open Repro_graph
 open Repro_embedding
@@ -28,6 +26,11 @@ type t = {
   separator_count : int;
 }
 
+(* The separator set of [split_part], one per domain under the
+   [Graph.Marks] rule: its occupant is the separator, so the next split on
+   that domain clears it. *)
+let separator_marks_key = Domain.DLS.new_key Graph.Marks.create
+
 (* One split: separator of the part (via the selected backend), then the
    connected remainders.  Pure with respect to shared state — safe as a
    pool task.  The trim goes through the backend's own trim hook, so the
@@ -36,9 +39,8 @@ type t = {
 let split_part ?rounds ~backend emb members =
   let g = Embedded.graph emb in
   let cfg = Config.of_part ~members ~root:members.(0) emb in
-  let local = Option.map Repro_congest.Rounds.like rounds in
-  let r = backend.Backend.find ?rounds:local cfg in
-  let sep = backend.Backend.trim ?rounds:local cfg r.Separator.separator in
+  let r = backend.Backend.find ?rounds cfg in
+  let sep = backend.Backend.trim ?rounds cfg r.Separator.separator in
   let sep_global = List.map (Config.to_global cfg) sep in
   (* Guard against stalling when the separator comes back empty (tiny
      pieces): drop at least one vertex so the recursion always makes
@@ -46,17 +48,18 @@ let split_part ?rounds ~backend emb members =
   let sep_global =
     match sep_global with [] -> [ members.(0) ] | s -> s
   in
-  let in_sep = Hashtbl.create (2 * List.length sep_global) in
-  List.iter (fun v -> Hashtbl.replace in_sep v ()) sep_global;
-  let children =
-    Algo.restricted_components g ~members ~skip:(Hashtbl.mem in_sep)
+  let in_sep =
+    Graph.Marks.acquire
+      (Domain.DLS.get separator_marks_key)
+      (Graph.n g)
+      ~occupant:(Array.of_list sep_global)
   in
-  (sep_global, children, local)
-
-let absorb_heaviest rounds locals =
-  match rounds with
-  | None -> ()
-  | Some g -> Repro_congest.Rounds.absorb_heaviest g locals
+  List.iter (fun v -> Bytes.set in_sep v '\001') sep_global;
+  let children =
+    Algo.restricted_components g ~members ~skip:(fun v ->
+        Bytes.get in_sep v = '\001')
+  in
+  (sep_global, children)
 
 (* Level-synchronous driver shared by the size- and diameter-bounded
    variants.  [stop] decides whether a part is already a piece (it runs
@@ -68,12 +71,6 @@ let build_frontier ?rounds ?pool ?backend ?small_part_cutoff ~stop ~guard
   let removed = Array.make n false in
   let pieces = ref [] in
   let levels = ref 0 in
-  let tracer = Option.bind rounds Repro_congest.Rounds.tracer in
-  let pmap ~cost f arr =
-    match pool with
-    | Some p -> Repro_util.Pool.map ?trace:tracer ~label:"pool.splits" ~cost p f arr
-    | None -> Array.map f arr
-  in
   let frontier = ref [ Array.init n Fun.id ] in
   let level = ref 0 in
   while !frontier <> [] do
@@ -81,15 +78,15 @@ let build_frontier ?rounds ?pool ?backend ?small_part_cutoff ~stop ~guard
     guard !level;
     (* The level span wraps the batch and the absorb that follows it, so
        the heaviest part's spliced trace lands inside the level. *)
-    Repro_trace.Trace.within tracer (Printf.sprintf "decomp.level%d" !level)
+    Repro_congest.Rounds.span rounds (Printf.sprintf "decomp.level%d" !level)
     @@ fun () ->
     let batch = Array.of_list !frontier in
     (* Parts at a level are node-disjoint: the batch cost is their total
        node count. *)
     let cost = Array.fold_left (fun a m -> a + Array.length m) 0 batch in
     let results =
-      pmap ~cost
-        (fun members ->
+      Repro_congest.Rounds.map_parts ?rounds ?pool ~label:"pool.splits" ~cost
+        (fun ?rounds members ->
           if stop members then `Piece members
           else
             `Split
@@ -98,17 +95,11 @@ let build_frontier ?rounds ?pool ?backend ?small_part_cutoff ~stop ~guard
                  emb members))
         batch
     in
-    let locals =
-      Array.map
-        (function `Split (_, _, local) -> local | `Piece _ -> None)
-        results
-    in
-    absorb_heaviest rounds locals;
     let next = ref [] in
     Array.iter
       (function
         | `Piece members -> pieces := members :: !pieces
-        | `Split (sep_global, children, _) ->
+        | `Split (sep_global, children) ->
           List.iter (fun v -> removed.(v) <- true) sep_global;
           List.iter (fun c -> next := c :: !next) children)
       results;
@@ -133,16 +124,16 @@ let build ?rounds ?pool ?(piece_target = 20) ?backend ?small_part_cutoff emb =
     ~guard:(fun _ -> ())
     emb
 
-(* Structural validation: pieces and separator partition V, every piece is
-   within the size target, and no edge joins two distinct pieces. *)
-let check emb ~piece_target t =
+(* Structural validation: pieces and separator partition V, every piece
+   passes [piece_ok], and no edge joins two distinct pieces. *)
+let valid_partition emb t ~piece_ok =
   let g = Embedded.graph emb in
   let n = Graph.n g in
   let owner = Array.make n (-1) in
   let ok = ref true in
   List.iteri
     (fun i members ->
-      if List.length members > piece_target then ok := false;
+      if not (piece_ok members) then ok := false;
       List.iter
         (fun v ->
           if owner.(v) >= 0 || t.separator.(v) then ok := false;
@@ -155,6 +146,10 @@ let check emb ~piece_target t =
   Graph.iter_edges g (fun u v ->
       if owner.(u) >= 0 && owner.(v) >= 0 && owner.(u) <> owner.(v) then ok := false);
   !ok
+
+let check emb ~piece_target t =
+  valid_partition emb t ~piece_ok:(fun members ->
+      List.length members <= piece_target)
 
 (* Exact maximum independent set of a tiny graph: branch on a max-degree
    vertex.  Exponential in the worst case — callers bound the piece size. *)
@@ -218,42 +213,21 @@ let independent_set emb t =
 (* at most the target.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Hop diameter of the subgraph induced by the member set.  The double
-   sweep is only a lower bound, so it is used as a cheap split trigger; a
-   candidate stop is confirmed with the exact all-sources BFS. *)
-let piece_diameter_bfs g inside src =
-  let dist = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  Hashtbl.replace dist src 0;
-  Queue.add src queue;
-  let far = ref (src, 0) in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let du = Hashtbl.find dist u in
-    if du > snd !far then far := (u, du);
-    Graph.iter_neighbors g u (fun v ->
-        if Hashtbl.mem inside v && not (Hashtbl.mem dist v) then begin
-          Hashtbl.replace dist v (du + 1);
-          Queue.add v queue
-        end)
-  done;
-  !far
+(* The stop test builds each part on a per-domain scratch, so it touches
+   nothing proportional to the global n. *)
+let piece_scratch_key = Domain.DLS.new_key Graph.Scratch.create
 
-let piece_diameter_exceeds g members target =
-  if Array.length members = 0 then false
-  else begin
-    let first = members.(0) in
-    let inside = Hashtbl.create (2 * Array.length members) in
-    Array.iter (fun v -> Hashtbl.replace inside v ()) members;
-    let far1, _ = piece_diameter_bfs g inside first in
-    let _, sweep = piece_diameter_bfs g inside far1 in
-    if sweep > target then true
-    else
-      (* Confirm exactly. *)
-      Array.exists
-        (fun src -> snd (piece_diameter_bfs g inside src) > target)
-        members
-  end
+(* "Hop diameter of the induced piece > target", exactly: the double sweep
+   is a lower bound, so it only triggers a split; a stop is confirmed by
+   every member's eccentricity. *)
+let diameter_exceeds g members target =
+  let sub, _, _ =
+    Graph.induced_members ~scratch:(Domain.DLS.get piece_scratch_key) g members
+  in
+  Algo.diameter_two_sweep sub > target
+  || Seq.exists
+       (fun v -> Algo.eccentricity sub v > target)
+       (Seq.init (Graph.n sub) Fun.id)
 
 let bounded_diameter ?rounds ?pool ?backend ?small_part_cutoff ~diameter_target
     emb =
@@ -262,36 +236,19 @@ let bounded_diameter ?rounds ?pool ?backend ?small_part_cutoff ~diameter_target
   Screen.require ?rounds ~entry:"Decomposition.bounded_diameter" emb;
   let g = Embedded.graph emb in
   build_frontier ?rounds ?pool ?backend ?small_part_cutoff
-    ~stop:(fun members -> not (piece_diameter_exceeds g members diameter_target))
+    ~stop:(fun members -> not (diameter_exceeds g members diameter_target))
     ~guard:(fun level ->
       if level > 4 * Graph.n g then
         invalid_arg "Decomposition.bounded_diameter: no progress")
     emb
 
+(* The exact per-piece diameter, for validation. *)
 let check_bounded_diameter emb ~diameter_target t =
   let g = Embedded.graph emb in
-  let n = Graph.n g in
-  let owner = Array.make n (-1) in
-  let ok = ref true in
-  List.iteri
-    (fun i members ->
-      (* Exact per-piece diameter for validation. *)
-      let keep = Array.make n false in
-      List.iter (fun v -> keep.(v) <- true) members;
-      let sub, _, _ = Graph.induced g keep in
-      if Algo.diameter_exact sub > diameter_target then ok := false;
-      List.iter
-        (fun v ->
-          if owner.(v) >= 0 || t.separator.(v) then ok := false;
-          owner.(v) <- i)
-        members)
-    t.pieces;
-  for v = 0 to n - 1 do
-    if owner.(v) < 0 && not t.separator.(v) then ok := false
-  done;
-  Graph.iter_edges g (fun u v ->
-      if owner.(u) >= 0 && owner.(v) >= 0 && owner.(u) <> owner.(v) then ok := false);
-  !ok
+  let scratch = Graph.Scratch.create () in
+  valid_partition emb t ~piece_ok:(fun members ->
+      let sub, _, _ = Graph.induced_members ~scratch g (Array.of_list members) in
+      Algo.diameter_exact sub <= diameter_target)
 
 let is_independent g nodes =
   let chosen = Array.make (Graph.n g) false in

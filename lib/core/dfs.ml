@@ -6,13 +6,11 @@
    loses a separator, component sizes drop by a constant factor per phase,
    so there are O(log n) phases, each costing Õ(D) rounds.
 
-   The host-side execution mirrors the paper's part-parallelism: both
-   per-phase batches (separators, then joins) are distributed over an
-   optional domain pool.  Every task meters its rounds into a private
-   ledger; ledgers are merged on the calling domain in part-index order and
-   the batch is charged its heaviest part — so charged totals and the
-   resulting tree are independent of how the pool schedules the parts, and
-   running without a pool (or with jobs = 1) is bit-identical. *)
+   Both per-phase batches (separators, then joins) run their components
+   as the parts of one [Rounds.map_parts] batch: over an optional domain
+   pool, each charged as its heaviest part (the parallel-parts rule is
+   stated there), so charged totals and the resulting tree are independent
+   of how the pool schedules the parts. *)
 
 open Repro_graph
 open Repro_embedding
@@ -28,16 +26,6 @@ type result = {
   separator_phases : (string * int) list; (* separator phase histogram *)
 }
 
-let absorb_heaviest rounds locals =
-  match rounds with None -> () | Some g -> Rounds.absorb_heaviest g locals
-
-(* Per-phase and per-batch spans ride the tracer attached to the caller's
-   [Rounds.t] (see Separator): the phase span wraps the batch *and* its
-   absorb, so the heaviest part's spliced sub-tree lands inside it. *)
-let tracer rounds = Option.bind rounds Rounds.tracer
-
-let span rounds name f = Repro_trace.Trace.within (tracer rounds) name f
-
 let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
     ?small_part_cutoff emb ~root =
   let g = Embedded.graph emb in
@@ -45,11 +33,6 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
   Graph.check_vertex g root;
   Screen.require ?rounds ~entry:"Dfs.run" emb;
   (match rounds with Some r -> Rounds.charge_embedding r | None -> ());
-  let pmap ~label ~cost f arr =
-    match pool with
-    | Some p -> Repro_util.Pool.map ?trace:(tracer rounds) ~label ~cost p f arr
-    | None -> Array.map f arr
-  in
   let st = Join.create g ~root in
   let phases = ref 0 in
   let max_join = ref 0 in
@@ -63,24 +46,25 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
   while Join.unvisited st > 0 do
     incr phases;
     if !phases > n + 1 then invalid_arg "Dfs.run: too many phases";
-    span rounds (Printf.sprintf "dfs.phase%d" !phases) @@ fun () ->
+    (* The phase span wraps both batches and their absorbs, so the
+       heaviest parts' spliced sub-trees land inside it. *)
+    Rounds.span rounds (Printf.sprintf "dfs.phase%d" !phases) @@ fun () ->
     (match rounds with
     | Some r -> Rounds.charge_aggregate r "components[Phase]"
     | None -> ());
     let comps = Array.of_list (Join.unvisited_components st all_members) in
     let largest = Array.fold_left (fun a c -> max a (Array.length c)) 0 comps in
     (* Theorem 1 on the node-disjoint collection of components: compute all
-       separators; parts run in parallel, so the batch costs the rounds of
-       its heaviest part.  Components are node-disjoint, so the batch's
-       work estimate is simply the number of still-unvisited nodes. *)
+       separators.  Components are node-disjoint, so the batch's work
+       estimate is simply the number of still-unvisited nodes. *)
     let cost = Array.fold_left (fun a c -> a + Array.length c) 0 comps in
     let separators =
-      pmap ~label:"pool.separators" ~cost
-        (fun members ->
+      Rounds.map_parts ?rounds ?pool ~label:"pool.separators" ~cost
+        (fun ?rounds members ->
           if Array.length members <= 3 then
             (* Trivial components: every node is its own separator; skip the
                induced-configuration machinery. *)
-            (members, Array.to_list members, "trivial", None)
+            (members, Array.to_list members, "trivial")
           else begin
             let part_root =
               match Join.component_anchor st members with
@@ -88,30 +72,22 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
               | None -> members.(0)
             in
             let cfg = Config.of_part ~spanning ~members ~root:part_root emb in
-            let local = Option.map Rounds.like rounds in
             let b = Backend.for_part ?backend ?small_part_cutoff members in
-            let r = b.Backend.find ?rounds:local cfg in
-            let separator_global =
-              List.map (Config.to_global cfg) r.Separator.separator
-            in
-            (members, separator_global, r.Separator.phase, local)
+            let r = b.Backend.find ?rounds cfg in
+            (members, List.map (Config.to_global cfg) r.Separator.separator,
+             r.Separator.phase)
           end)
         comps
     in
-    Array.iter (fun (_, _, phase, _) -> bump phase) separators;
-    absorb_heaviest rounds (Array.map (fun (_, _, _, l) -> l) separators);
-    (* JOIN runs in parallel over components as well: charge the deepest
-       iteration count once. *)
+    Array.iter (fun (_, _, phase) -> bump phase) separators;
+    (* JOIN runs in parallel over components as well. *)
     let joins =
-      pmap ~label:"pool.joins" ~cost
-        (fun (members, separator, _, _) ->
-          let local = Option.map Rounds.like rounds in
-          let iters = Join.join ?rounds:local st ~members ~separator in
-          (iters, local))
+      Rounds.map_parts ?rounds ?pool ~label:"pool.joins" ~cost
+        (fun ?rounds (members, separator, _) ->
+          Join.join ?rounds st ~members ~separator)
         separators
     in
-    let phase_join = Array.fold_left (fun acc (it, _) -> max acc it) 0 joins in
-    absorb_heaviest rounds (Array.map snd joins);
+    let phase_join = Array.fold_left max 0 joins in
     max_join := max !max_join phase_join;
     phase_log := (Array.length comps, largest, phase_join) :: !phase_log
   done;

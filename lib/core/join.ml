@@ -90,88 +90,46 @@ let decode_anchor n code =
 let encode_target n ~depth ~rank = 1 + (depth * n) + (n - 1 - rank)
 let decode_target_rank n code = n - 1 - ((code - 1) mod n)
 
-(* JOIN's per-domain scratch.  [idx] is the vertex -> member-index map of
-   [preferring_tree]: -1 outside the component being indexed.  It grows to
-   the graph's n once and is then reused by every component of every
-   iteration of every join on that domain, so a join allocates nothing
-   proportional to the global n.  [occupant] holds the members currently
-   marked; a join un-marks them on entry (the [Graph.Scratch] discipline),
-   so a join that raised halfway through indexing leaves no stale marks
-   behind.  [remaining] marks the separator nodes not yet in the tree, with
-   the separator as its occupant under the same rule.  Domains never share
-   a scratch, so concurrent joins on the pool stay independent. *)
-type scratch = {
-  mutable idx : int array;
-  mutable occupant : int array;
-  remaining : Graph.Marks.t;
-}
+(* JOIN's per-domain scratch.  [index] is the vertex -> member-index map
+   of [preferring_tree] under the [Graph.Scratch] rule, with the component
+   being indexed as its occupant; [remaining] marks the separator nodes not
+   yet in the tree, with the separator as its occupant under the same rule.
+   Both grow to the graph's n once and are then reused by every component
+   of every iteration of every join on that domain, so a join allocates
+   nothing proportional to the global n.  Domains never share a scratch, so
+   concurrent joins on the pool stay independent. *)
+type scratch = { index : Graph.Scratch.t; remaining : Graph.Marks.t }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { idx = [||]; occupant = [||]; remaining = Graph.Marks.create () })
-
-let scratch_for n =
-  let s = Domain.DLS.get scratch_key in
-  if Array.length s.idx < n then
-    s.idx <- Array.make (max n (2 * Array.length s.idx)) (-1)
-  else Array.iter (fun v -> s.idx.(v) <- -1) s.occupant;
-  s.occupant <- [||];
-  s
+      { index = Graph.Scratch.create (); remaining = Graph.Marks.create () })
 
 (* Spanning tree of the member set rooted at [anchor], preferring edges
-   between still-marked nodes (Kruskal with 0/1 weights), then BFS over the
-   chosen edges for parents and depths, both in member-index space.  The
-   member index lives in the domain's [scratch]: filled on entry and
-   cleared before returning, so one flat array serves every component
-   without the per-call hash table the serial choreography allocates. *)
+   between still-marked nodes (Kruskal with 0/1 weights: those edges are
+   offered first), then BFS over the chosen edges for parents and depths,
+   both in member-index space. *)
 let preferring_tree st members ~anchor ~marked ~scratch =
-  let k = Array.length members in
-  let idx = scratch.idx in
-  scratch.occupant <- members;
-  Array.iteri (fun i v -> idx.(v) <- i) members;
-  let uf = Repro_util.Union_find.create k in
-  let adj = Array.make k [] in
-  let add_edge u v =
-    if Repro_util.Union_find.union uf idx.(u) idx.(v) then begin
-      adj.(idx.(u)) <- v :: adj.(idx.(u));
-      adj.(idx.(v)) <- u :: adj.(idx.(v))
-    end
+  let idx =
+    Graph.Scratch.acquire scratch.index (Graph.n st.g) ~occupant:members
   in
-  let consider pass =
+  Array.iteri (fun i v -> idx.(v) <- i) members;
+  let consider zero edge =
     Array.iter
       (fun v ->
         Graph.iter_neighbors st.g v (fun u ->
-            if idx.(u) >= 0 && v < u then begin
-              let zero = marked v && marked u in
-              if (pass = 0 && zero) || (pass = 1 && not zero) then add_edge v u
-            end))
+            if idx.(u) >= 0 && v < u && (marked v && marked u) = zero then
+              edge idx.(v) idx.(u)))
       members
   in
-  consider 0;
-  consider 1;
-  let parent = Array.make k (-2) in
-  let depth = Array.make k (-1) in
-  parent.(idx.(anchor)) <- -1;
-  depth.(idx.(anchor)) <- 0;
-  let queue = Array.make k idx.(anchor) in
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let jv = queue.(!head) in
-    incr head;
-    List.iter
-      (fun u ->
-        let ju = idx.(u) in
-        if parent.(ju) = -2 then begin
-          parent.(ju) <- jv;
-          depth.(ju) <- depth.(jv) + 1;
-          queue.(!tail) <- ju;
-          incr tail
-        end)
-      adj.(jv)
-  done;
+  let tree =
+    Repro_tree.Spanning.kruskal_bfs (Array.length members) ~root:idx.(anchor)
+      (fun edge ->
+        consider true edge;
+        consider false edge)
+  in
   Array.iter (fun v -> idx.(v) <- -1) members;
-  scratch.occupant <- [||];
-  (parent, depth)
+  Graph.Scratch.release scratch.index;
+  tree
 
 (* Attach the tree path anchor -> target (given by its member rank) to the
    partial DFS tree. *)
@@ -212,7 +170,7 @@ let exec_create ?(serial = false) st ~root =
    tree.  Returns the number of halving iterations used. *)
 let join_inner ?rounds ?exec st ~members ~separator =
   let n = Graph.n st.g in
-  let scratch = scratch_for n in
+  let scratch = Domain.DLS.get scratch_key in
   let remaining =
     Graph.Marks.acquire scratch.remaining n ~occupant:(Array.of_list separator)
   in
@@ -370,9 +328,8 @@ let join_inner ?rounds ?exec st ~members ~separator =
   !iterations
 
 let join ?rounds ?exec st ~members ~separator =
-  Repro_trace.Trace.within
-    (Option.bind rounds Rounds.tracer)
-    "join" (fun () -> join_inner ?rounds ?exec st ~members ~separator)
+  Rounds.span rounds "join" (fun () ->
+      join_inner ?rounds ?exec st ~members ~separator)
 
 (* ------------------------------------------------------------------ *)
 (* The pre-batching choreography, verbatim: one anchor aggregation, a   *)
@@ -505,7 +462,5 @@ module Reference = struct
     !iterations
 
   let join ?rounds st ~members ~separator =
-    Repro_trace.Trace.within
-      (Option.bind rounds Rounds.tracer)
-      "join" (fun () -> join_inner ?rounds st ~members ~separator)
+    Rounds.span rounds "join" (fun () -> join_inner ?rounds st ~members ~separator)
 end

@@ -29,8 +29,6 @@ exception
   Rejected_input of { entry : string; verdict : verdict; spec : string }
 
 let charge_opt rounds f = match rounds with Some r -> f r | None -> ()
-let tracer rounds = Option.bind rounds Rounds.tracer
-let span rounds name f = Repro_trace.Trace.within (tracer rounds) name f
 
 (* ---- tier 1: structure ------------------------------------------------ *)
 
@@ -173,11 +171,11 @@ let bridge_darts g =
 (* ---- verdict ----------------------------------------------------------- *)
 
 let check ?rounds emb =
-  span rounds "screen" @@ fun () ->
+  Rounds.span rounds "screen" @@ fun () ->
   let g = Embedded.graph emb in
   let rot = Embedded.rot emb in
   let structural =
-    span rounds "screen.structure" @@ fun () ->
+    Rounds.span rounds "screen.structure" @@ fun () ->
     (* Degree sum, rotation-closure flag and BFS reach ride the slots
        of one aggregation over the communication tree: O(D). *)
     charge_opt rounds (fun r -> Rounds.charge_aggregate r "screen-structure");
@@ -186,7 +184,7 @@ let check ?rounds emb =
   match structural with
   | Some reason -> Rejected reason
   | None ->
-    span rounds "screen.planarity" @@ fun () ->
+    Rounds.span rounds "screen.planarity" @@ fun () ->
     (* Face tallies need the rotation known along the walks — priced as
        one embedding broadcast — and the count / witness election is
        one more aggregation: Õ(D) total. *)

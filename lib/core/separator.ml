@@ -53,15 +53,6 @@ exception No_separator_found of string
 
 let charge_opt rounds f = match rounds with Some r -> f r | None -> ()
 
-(* The tracer rides the charged-round ledger: spans open on whatever
-   tracer the caller attached to its [Rounds.t], so phase attribution
-   needs no extra plumbing through the call stack. *)
-module Trace = Repro_trace.Trace
-
-let tracer rounds = Option.bind rounds Rounds.tracer
-
-let span rounds name f = Trace.within (tracer rounds) name f
-
 (* The shared verification handle of one [find]: the Phase-1 tree is held
    by the config, the BFS marks and queue of [Check.balanced_with] are
    allocated at the first probe and reused by every later one (a [find]
@@ -86,7 +77,7 @@ let candidate ?rounds cfg ver tried ~batch ~phase ~closing (a, b) =
   incr tried;
   if ver.batch <> Some batch then begin
     ver.batch <- Some batch;
-    span rounds "sep.verify" (fun () ->
+    Rounds.span rounds "sep.verify" (fun () ->
         charge_opt rounds (fun r -> Rounds.charge_aggregate r "verify-balance"))
   end;
   {
@@ -155,16 +146,21 @@ let tree_phase ?rounds cfg ver tried =
      root-anchored path (Phase 5 / Lemma 8's virtual face from the root). *)
 let region_leaves_with_counter cfg ~pi ~counter region =
   let tree = Config.tree cfg in
-  let arr = Array.of_list region in
-  Array.sort (fun a b -> compare (pi a) (pi b)) arr;
-  let acc = ref [] in
+  (* [pi] is a permutation of 0..n-1: placing each region node at its
+     position orders the region in one scan, without a comparison sort. *)
+  let at = Array.make (Config.n cfg) (-1) in
+  List.iter (fun z -> at.(pi z) <- z) region;
+  let acc = ref [] and i = ref 0 in
   Array.iteri
-    (fun i z ->
-      if Rooted.is_leaf tree z then begin
-        let c = match counter with `Prefix -> i + 1 | `Global -> pi z + 1 in
-        acc := (z, c) :: !acc
+    (fun p z ->
+      if z >= 0 then begin
+        incr i;
+        if Rooted.is_leaf tree z then begin
+          let c = match counter with `Prefix -> !i | `Global -> p + 1 in
+          acc := (z, c) :: !acc
+        end
       end)
-    arr;
+    at;
   List.rev !acc
 
 (* Candidate leaves, in probe order: the one at which the counter first
@@ -348,20 +344,20 @@ let find ?rounds cfg =
        verification buffers live in one handle shared by every probe and
        election below — nothing below re-marks or re-walks it. *)
     let ver = verifier_create () in
-    span rounds "sep.phase1-precompute" (fun () ->
+    Rounds.span rounds "sep.phase1-precompute" (fun () ->
         charge_opt rounds (fun r ->
             Rounds.charge_spanning_forest r;
             Rounds.charge_dfs_order r;
             Rounds.charge_weights r));
     let weights = Weights.all_weights cfg in
     if weights = [] then
-      span rounds "sep.phase2-tree" (fun () -> tree_phase ?rounds cfg ver tried)
+      Rounds.span rounds "sep.phase2-tree" (fun () -> tree_phase ?rounds cfg ver tried)
     else begin
       (* Phase 3: a face with weight in range.  Its border path is
          balanced by count (Lemma 5): the weight bounds the nodes inside
          the cycle from above and, with the border, those outside it. *)
       let phase3_result =
-        span rounds "sep.phase3-face" (fun () ->
+        Rounds.span rounds "sep.phase3-face" (fun () ->
             charge_opt rounds (fun r ->
                 Rounds.charge_aggregate r "range-weights[Phase3]");
             List.find_opt (fun (_, w) -> 3 * w >= n && 3 * w <= 2 * n) weights
@@ -375,7 +371,7 @@ let find ?rounds cfg =
         let heavy = List.filter (fun (_, w) -> 3 * w > 2 * n) weights in
         let result =
           if heavy <> [] then
-            span rounds "sep.phase4-heavy" @@ fun () ->
+            Rounds.span rounds "sep.phase4-heavy" @@ fun () ->
             begin
             (* Phase 4: a minimal heavy face — one that does not contain any
                other heavy face (NOT-CONTAINS, Lemma 18).  Containment can
@@ -395,13 +391,13 @@ let find ?rounds cfg =
                  anchored at the root.  Fall through to the other heavy
                  faces in increasing weight, uncapped (DESIGN.md
                  deviation 2). *)
-              span rounds "sep.phase4-next-face" @@ fun () ->
+              Rounds.span rounds "sep.phase4-next-face" @@ fun () ->
               List.stable_sort (fun (_, w1) (_, w2) -> compare w1 w2) heavy
               |> List.filter_map (fun (f, _) -> if f = e then None else Some (face f))
               |> first_some
           end
           else
-            span rounds "sep.phase5-light" @@ fun () ->
+            Rounds.span rounds "sep.phase5-light" @@ fun () ->
             begin
             (* Phase 5: every face lighter than n/3.  Take an edge not
                contained in any other face (NOT-CONTAINED, Lemma 17); only
@@ -545,7 +541,7 @@ let shrink ?rounds cfg path =
        [i .. mid] iff mid >= j. *)
     let rec replay lo hi below =
       if hi - lo > 1 then begin
-        span rounds "sep.shrink-probe" (fun () ->
+        Rounds.span rounds "sep.shrink-probe" (fun () ->
             charge_opt rounds (fun r -> Rounds.charge_aggregate r "shrink-balance"));
         let mid = (lo + hi) / 2 in
         if below mid then replay mid hi below else replay lo mid below
@@ -556,11 +552,9 @@ let shrink ?rounds cfg path =
     Array.to_list (Array.sub arr i (j - i + 1))
   end
 
-(* Theorem 1: separators for every part of a partition.  Parts run
-   concurrently under the shortcut framework — and, host-side, over the
-   domain pool when one is given — so the batch is charged the rounds of
-   its most expensive part, not the sum.  Per-part ledgers are merged in
-   part order; the output is independent of pool scheduling. *)
+(* Theorem 1: separators for every part of a partition, as one
+   [Rounds.map_parts] batch — charged its most expensive part, with the
+   output independent of pool scheduling. *)
 let find_partition ?rounds ?pool emb ~parts =
   Screen.require ?rounds ~entry:"Separator.find_partition" emb;
   let tasks = Array.of_list (List.map Array.of_list parts) in
@@ -568,29 +562,14 @@ let find_partition ?rounds ?pool emb ~parts =
   (* The batch span covers both the (possibly parallel) per-part runs and
      the deterministic merge, so the heaviest part's spliced trace lands
      inside it. *)
-  span rounds "sep.partition" @@ fun () ->
-  let pmap ~cost f arr =
-    match pool with
-    | Some p ->
-      Repro_util.Pool.map ?trace:(tracer rounds) ~label:"pool.separators"
-        ~cost p f arr
-    | None -> Array.map f arr
-  in
-  let results =
-    pmap ~cost
-      (fun members ->
-        if Array.length members = 0 then
-          invalid_arg "Separator.find_partition: empty part"
-        else begin
-          let cfg = Config.of_part ~members ~root:members.(0) emb in
-          let local = Option.map Rounds.like rounds in
-          let r = find ?rounds:local cfg in
-          (cfg, r, local)
-        end)
-      tasks
-  in
-  (match rounds with
-  | Some global ->
-    Rounds.absorb_heaviest global (Array.map (fun (_, _, l) -> l) results)
-  | None -> ());
-  Array.to_list (Array.map (fun (cfg, r, _) -> (cfg, r)) results)
+  Rounds.span rounds "sep.partition" @@ fun () ->
+  Rounds.map_parts ?rounds ?pool ~label:"pool.separators" ~cost
+    (fun ?rounds members ->
+      if Array.length members = 0 then
+        invalid_arg "Separator.find_partition: empty part"
+      else begin
+        let cfg = Config.of_part ~members ~root:members.(0) emb in
+        (cfg, find ?rounds cfg)
+      end)
+    tasks
+  |> Array.to_list

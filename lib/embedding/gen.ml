@@ -216,6 +216,8 @@ let caterpillar ~spine ~legs =
 (* The standard families the benchmarks sweep over, at a target size. *)
 let family_names = [ "grid"; "tgrid"; "stacked"; "thinned"; "cycle"; "fan"; "rtree" ]
 
+let families = family_names @ [ "path"; "star"; "wheel" ]
+
 let by_family ?(seed = 1) name ~n =
   let side = max 2 (int_of_float (sqrt (float_of_int n))) in
   match name with

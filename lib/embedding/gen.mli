@@ -33,5 +33,9 @@ val caterpillar : spine:int -> legs:int -> Embedded.t
 val family_names : string list
 (** Families used by the benchmark sweeps. *)
 
+val families : string list
+(** Every family {!by_family} builds: {!family_names} plus path, star and
+    wheel. *)
+
 val by_family : ?seed:int -> string -> n:int -> Embedded.t
 (** Instantiate a named family at (approximately) [n] vertices. *)

@@ -160,27 +160,36 @@ let iter_edges t f =
 (* Induced subgraphs.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Reusable build buffer for the part-parallel hot path: one scratch per
-   worker domain amortizes every per-part O(n) allocation away.  Ownership
-   rule (see DESIGN.md): the old->new map returned by a scratch-backed
-   [induced_members] call IS the scratch's buffer — valid until the next
-   call on the same scratch, and the caller must not mutate it.  Each call
-   un-marks the previous call's members, so only O(part) entries are ever
-   touched. *)
+(* Reusable vertex-index buffer for the part-parallel hot path: one
+   scratch per worker domain amortizes every per-part O(n) allocation away.
+   [acquire] grows the buffer by doubling or un-marks the previous
+   occupant, so only O(part) entries are ever touched and a caller that
+   raised halfway leaves nothing stale; [release] records that the caller
+   restored its own entries to -1.  Ownership rule (see DESIGN.md): the
+   old->new map returned by a scratch-backed [induced_members] call IS the
+   scratch's buffer — valid until the next call on the same scratch, and
+   the caller must not mutate it. *)
 module Scratch = struct
   type nonrec t = {
-    mutable new_of_old : int array; (* -1 outside the current part *)
-    mutable prev : int array; (* members currently marked *)
+    mutable index : int array; (* -1 outside the current occupant *)
+    mutable occupant : int array;
   }
 
-  let create () = { new_of_old = [||]; prev = [||] }
+  let create () = { index = [||]; occupant = [||] }
+
+  let acquire s n ~occupant =
+    let len = Array.length s.index in
+    if len < n then s.index <- Array.make (max n (2 * len)) (-1)
+    else Array.iter (fun v -> s.index.(v) <- -1) s.occupant;
+    s.occupant <- occupant;
+    s.index
+
+  let release s = s.occupant <- [||]
 end
 
-(* Reusable per-vertex byte marks under the same rule: [acquire] grows the
-   buffer by doubling or un-marks the previous occupant, so a caller that
-   raised halfway leaves nothing stale, and [release] records that the
-   caller cleared its own marks.  Out-of-range occupants are skipped: a
-   caller that failed on one never set its byte. *)
+(* Reusable per-vertex byte marks under the same rule.  Out-of-range
+   occupants are skipped: a caller that failed on one never set its
+   byte. *)
 module Marks = struct
   type t = { mutable bytes : Bytes.t; mutable occupant : int array }
 
@@ -299,15 +308,7 @@ let induced_members ?scratch t members =
   let new_of_old =
     match scratch with
     | None -> Array.make t.n (-1)
-    | Some s ->
-      if Array.length s.Scratch.new_of_old < t.n then
-        s.Scratch.new_of_old <-
-          Array.make (max t.n (2 * Array.length s.Scratch.new_of_old)) (-1)
-      else
-        (* Un-mark the previous occupant to restore the all-(-1) state. *)
-        Array.iter (fun v -> s.Scratch.new_of_old.(v) <- -1) s.Scratch.prev;
-      s.Scratch.prev <- sorted;
-      s.Scratch.new_of_old
+    | Some s -> Scratch.acquire s t.n ~occupant:sorted
   in
   let g_sub, old_of_new = induced_sorted t ~new_of_old ~members:sorted ~k in
   (g_sub, new_of_old, old_of_new)

@@ -62,21 +62,24 @@ val edges : t -> (int * int) list
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 
-(** Reusable buffers for {!induced_members}.  One scratch per worker
-    domain amortizes the per-part O(n) map allocation across a whole
-    batch.  A scratch must never be shared between concurrent callers. *)
+(** Reusable per-vertex index buffers, e.g. for {!induced_members}.  One
+    scratch per worker domain amortizes the per-part O(n) map allocation
+    across a whole batch.  [acquire s n ~occupant] returns a buffer of at
+    least [n] entries, all [-1]: it grows by doubling, or resets the
+    entries of the previous occupant.  The caller may set entries only at
+    vertices of [occupant]; [release s] says it has reset every entry it
+    set.  A scratch must never be shared between concurrent callers. *)
 module Scratch : sig
   type t
 
   val create : unit -> t
+  val acquire : t -> int -> occupant:int array -> int array
+  val release : t -> unit
 end
 
-(** Reusable per-vertex byte marks under the {!Scratch} rule.
-    [acquire m n ~occupant] returns a buffer of at least [n] bytes, all
-    zero: it grows by doubling, or clears the bytes of the previous
-    occupant.  The caller may set bytes only at vertices of [occupant];
-    [release m] says it has cleared every byte it set.  Like a scratch, a
-    marks buffer must never be shared between concurrent callers. *)
+(** Reusable per-vertex byte marks under the {!Scratch} rule, all zero on
+    [acquire m n ~occupant]; [release m] says the caller cleared every
+    byte it set. *)
 module Marks : sig
   type t
 

@@ -666,8 +666,7 @@ let shrink_reference ?rounds cfg path =
     hi := j
   in
   let balanced_sub i j =
-    Repro_trace.Trace.within (Option.bind rounds Rounds.tracer)
-      "sep.shrink-probe" (fun () ->
+    Rounds.span rounds "sep.shrink-probe" (fun () ->
         Option.iter (fun r -> Rounds.charge_aggregate r "shrink-balance") rounds);
     set_window i j;
     Check.max_component_without (Config.graph cfg) removed

@@ -7,7 +7,7 @@
     innermost open span.  Everything is driven by *virtual* time (charged
     and executed rounds), never by the wall clock, so a trace is a pure
     function of the run: jobs=N produces a bit-identical trace to jobs=1
-    under the per-part ledger discipline of [Rounds.absorb_heaviest].
+    under the per-part ledger discipline of [Rounds.map_parts].
 
     The whole subsystem is optional-by-construction: every integration
     point holds a [t option], and the [None] path does no work and

@@ -17,6 +17,8 @@ let all_families_small =
     Gen.random_tree ~seed:2 ~n:25 ();
     Gen.caterpillar ~spine:5 ~legs:3;
   ]
+  (* Every name the CLIs accept builds. *)
+  @ List.map (fun family -> Gen.by_family ~seed:2 family ~n:20) Gen.families
 
 let test_generators_valid () =
   List.iter

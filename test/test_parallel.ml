@@ -89,6 +89,41 @@ let test_bounded_diameter_deterministic () =
   in
   check_all "bounded_diameter" ( = ) (with_modes run)
 
+(* Theorem 1's parallel-parts charge: a batch costs its heaviest part, not
+   the sum; on a tie the lowest-index part's breakdown and trace are the
+   ones absorbed; results come back in part order.  A pool adds only its
+   own batch span. *)
+let test_map_parts_charge () =
+  let run pool =
+    let trace = Repro_trace.Trace.create () in
+    let rounds = Rounds.create ~trace ~n:16 ~d:2 () in
+    let results =
+      Rounds.map_parts ~rounds ?pool ~label:"pool.parts" ~cost:0
+        (fun ?rounds (name, charge) ->
+          Rounds.span rounds name (fun () ->
+              Rounds.charge_exact (Option.get rounds) ~label:name charge);
+          name)
+        [| ("a", 3); ("b", 5); ("c", 1); ("d", 5) |]
+    in
+    let root = Repro_trace.Trace.root trace in
+    ( (results, Rounds.total rounds, Rounds.breakdown rounds),
+      List.map (fun s -> s.Repro_trace.Trace.name) root.children,
+      Repro_trace.Trace.to_metrics_string trace )
+  in
+  let ledger, spans, _ = run None in
+  Alcotest.(check bool) "part order; the tie's first part, charged once" true
+    (ledger = ([| "a"; "b"; "c"; "d" |], 5.0, [ ("b", 5.0, 1) ]));
+  Alcotest.(check (list string)) "no pool: the absorbed part's span only"
+    [ "b" ] spans;
+  let _, _, seq_metrics = Pool.with_pool ~jobs:1 (fun p -> run (Some p)) in
+  let par_ledger, par_spans, par_metrics =
+    Pool.with_pool ~seq_grain:0 ~jobs:3 (fun p -> run (Some p))
+  in
+  Alcotest.(check bool) "jobs=3 ledger = no pool" true (par_ledger = ledger);
+  Alcotest.(check (list string)) "jobs=3: the pool span, then the absorb"
+    [ "b"; "pool.parts" ] par_spans;
+  Alcotest.(check string) "jobs=3 metrics = jobs=1" seq_metrics par_metrics
+
 let suites =
   Repro_testkit.Suite.make __MODULE__
     [
@@ -99,4 +134,6 @@ let suites =
           test_find_partition_deterministic;
         Alcotest.test_case "bounded_diameter sequential-equivalent" `Quick
           test_bounded_diameter_deterministic;
+        Alcotest.test_case "map_parts charges the heaviest part" `Quick
+          test_map_parts_charge;
     ]

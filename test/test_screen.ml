@@ -226,6 +226,30 @@ let cli cmdline =
   Sys.command
     (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote repro_exe) cmdline)
 
+(* Exit code and the non-empty stdout and stderr line counts of one run. *)
+let cli_lines cmdline =
+  let out = Filename.temp_file "repro-cli" ".out" in
+  let err = Filename.temp_file "repro-cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote repro_exe) cmdline
+         (Filename.quote out) (Filename.quote err))
+  in
+  let lines path =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.length
+  in
+  let counts = (code, lines out, lines err) in
+  List.iter Sys.remove [ out; err ];
+  counts
+
+let edge_file contents =
+  let path = Filename.temp_file "repro-edges" ".txt" in
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  path
+
 let test_cli_exit_codes () =
   if not (Sys.file_exists repro_exe) then
     Alcotest.failf "CLI binary %s not found" repro_exe
@@ -237,7 +261,33 @@ let test_cli_exit_codes () =
     Alcotest.(check int) "bdd rejects hostile input with exit 3" 3
       (cli "bdd --family xchords1 -n 64 --seed 2 --by-size --jobs 1");
     Alcotest.(check int) "sep accepts clean input" 0
-      (cli "sep --family grid -n 64 --seed 2")
+      (cli "sep --family grid -n 64 --seed 2");
+    (* Bad arguments: exit 2 with one stderr line, before any output. *)
+    let token = edge_file "0 1\n1 x\n" in
+    let loop = edge_file "0 1\n2 2\n" in
+    let negative = edge_file "0 1\n-1 2\n" in
+    let disconnected = edge_file "0 1\n2 3\n" in
+    let missing = Filename.concat (Filename.get_temp_dir_name ()) "repro-no-such-file" in
+    List.iter
+      (fun cmdline ->
+        Alcotest.(check (triple int int int))
+          (cmdline ^ ": exit 2, one stderr line, no stdout")
+          (2, 0, 1) (cli_lines cmdline))
+      [
+        "sep --backend nope --family grid -n 64";
+        "sep --family nosuch";
+        "bdd --family nosuch --jobs 1";
+        "sep --tree bogus -n 64";
+        "dfs --root 9999 -n 64 --jobs 1";
+        "bdd --target 0 -n 64 --jobs 1";
+        "sep --edges " ^ Filename.quote missing;
+        "sep --edges " ^ Filename.quote token;
+        "dfs --edges " ^ Filename.quote loop ^ " --jobs 1";
+        "bdd --edges " ^ Filename.quote negative ^ " --jobs 1";
+      ];
+    Alcotest.(check int) "a disconnected edge list is a screen rejection" 3
+      (cli ("sep --edges " ^ Filename.quote disconnected));
+    List.iter Sys.remove [ token; loop; negative; disconnected ]
   end
 
 let suites =

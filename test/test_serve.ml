@@ -278,6 +278,30 @@ let test_concurrent_replay_matches_serial () =
       got_e
   end
 
+(* A bad argument exits 2 with one stderr line, before the daemon builds
+   its instance or opens its socket. *)
+let test_bad_family_exits_2 () =
+  if not (Sys.file_exists serve_exe) then
+    Alcotest.failf "daemon binary %s not found" serve_exe
+  else begin
+    let socket =
+      Printf.sprintf "/tmp/repro-serve-bad-%d.sock" (Unix.getpid ())
+    in
+    let err = Filename.temp_file "repro-serve" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s --family nosuch --socket %s </dev/null >/dev/null 2>%s"
+           (Filename.quote serve_exe) (Filename.quote socket)
+           (Filename.quote err))
+    in
+    let stderr = In_channel.with_open_text err In_channel.input_all in
+    Sys.remove err;
+    Alcotest.(check int) "exit code" 2 code;
+    Alcotest.(check (list string)) "one stderr line" [ "unknown family nosuch" ]
+      (List.filter (( <> ) "") (String.split_on_char '\n' stderr));
+    Alcotest.(check bool) "no socket" false (Sys.file_exists socket)
+  end
+
 let suites =
   Suite.make __MODULE__
     [
@@ -295,4 +319,6 @@ let suites =
         test_request_scoped_metrics;
       Alcotest.test_case "socket: concurrent 2-client replay = serial replay"
         `Quick test_concurrent_replay_matches_serial;
+      Alcotest.test_case "cli: unknown family exits 2 before serving" `Quick
+        test_bad_family_exits_2;
     ]
