@@ -70,53 +70,35 @@ let metrics_recorded : (string * (string * Repro_trace.Json.t)) list ref =
 let record_metrics key j =
   metrics_recorded := (!current_exp, (key, j)) :: !metrics_recorded
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-let json_list items = "[" ^ String.concat "," items ^ "]"
-
 let write_json ~path ~jobs ~timings =
+  let open Repro_trace.Json in
+  let strings xs = List (List.map (fun x -> String x) xs) in
   let table_json t =
-    Printf.sprintf "{\"title\":%s,\"headers\":%s,\"rows\":%s}"
-      (json_str (Table.title t))
-      (json_list (List.map json_str (Table.headers t)))
-      (json_list
-         (List.map (fun r -> json_list (List.map json_str r)) (Table.rows t)))
+    Obj
+      [
+        ("title", String (Table.title t));
+        ("headers", strings (Table.headers t));
+        ("rows", List (List.map strings (Table.rows t)));
+      ]
+  in
+  let of_exp name recorded =
+    List.rev recorded |> List.filter (fun (e, _) -> e = name) |> List.map snd
   in
   let exp_json (name, wall, rss_kb) =
-    let tables =
-      List.rev !recorded
-      |> List.filter (fun (e, _) -> e = name)
-      |> List.map (fun (_, t) -> table_json t)
-    in
-    let metrics =
-      List.rev !metrics_recorded
-      |> List.filter (fun (e, _) -> e = name)
-      |> List.map (fun (_, (k, j)) ->
-             json_str k ^ ":" ^ Repro_trace.Json.to_string j)
-    in
-    Printf.sprintf
-      "{\"name\":%s,\"wall_seconds\":%.3f,\"peak_rss_kb\":%d,\"metrics\":{%s},\"tables\":%s}"
-      (json_str name) wall rss_kb
-      (String.concat "," metrics)
-      (json_list tables)
+    Obj
+      [
+        ("name", String name);
+        ("wall_seconds", Float (Float.round (wall *. 1000.0) /. 1000.0));
+        ("peak_rss_kb", Int rss_kb);
+        ("metrics", Obj (of_exp name !metrics_recorded));
+        ("tables", List (List.map table_json (of_exp name !recorded)));
+      ]
   in
   let oc = open_out path in
-  Printf.fprintf oc "{\"jobs\":%d,\"experiments\":%s}\n" jobs
-    (json_list (List.map exp_json timings));
+  output_string oc
+    (to_string
+       (Obj [ ("jobs", Int jobs); ("experiments", List (List.map exp_json timings)) ]));
+  output_char oc '\n';
   close_out oc;
   pf "\nwrote %s\n" path
 
@@ -1134,7 +1116,7 @@ let f3 ~short () =
           pf "  !! %s FAILED: %s\n" o.Repro_testkit.Oracle.name
             (Repro_testkit.Runner.repro_line f))
         outcome.Repro_testkit.Runner.failures)
-    (Repro_testkit.Oracle.all ());
+    Repro_testkit.Oracle.all;
   output t
 
 (* ------------------------------------------------------------------ *)

@@ -1,143 +1,37 @@
-(* Deterministic fuzz runner over the testkit's oracle registry.
+(* Deterministic fuzz runner over the testkit's oracles.
 
-   Usage:
-     fuzz [--seed N] [--count N] [--max-size N] [--oracle NAME[,NAME..]]
-          [--families F[,F..]] [--backend NAME[,NAME..]] [--max-failures N]
-          [--artifact-dir DIR] [--replay SPEC] [--list] [--self-check] [-v]
+     fuzz --count 200 --seed 0
+     fuzz --oracle faces,separator --families wheel,fan,star --max-size 1000
+     fuzz --replay stacked:40:7:rand2 --oracle engine
 
    Exit codes: 0 all oracles passed, 1 some oracle failed (crash artifacts
-   written), 2 usage error.  Every failure prints one replay line; the
-   same line is embedded in the JSON artifact CI uploads. *)
+   written), 2 bad argument (see [Cli]).  Every failure prints one replay
+   line; the same line is embedded in the JSON artifact CI uploads. *)
 
+open Cmdliner
 open Repro_testkit
 
-let usage () =
-  prerr_endline
-    "usage: fuzz [--seed N] [--count N] [--max-size N] [--oracle NAMES]\n\
-    \            [--families NAMES] [--backend NAMES] [--max-failures N]\n\
-    \            [--artifact-dir DIR] [--replay SPEC] [--list] [--self-check]\n\
-    \            [-v]\n\n\
-     --list       print the registered oracles and generator families\n\
-     --backend    separator backends the `backend' oracle checks\n\
-    \             (default: congest,lt-level)\n\
-     --replay     re-run the oracles on one spec (family:n:seed:spanning)\n\
-     --self-check injected-bug drill: prove a planted failure is caught,\n\
-    \             shrunk to the minimal size and replayable";
-  exit 2
+(* A bad argument to this runner: "fuzz: " and the message, exit 2. *)
+let bad_argument fmt =
+  Printf.ksprintf (fun msg -> Cli.usage_error ("fuzz: " ^ msg)) fmt
 
-let split_commas s = String.split_on_char ',' s |> List.filter (( <> ) "")
+let print_list () =
+  Printf.printf "oracles:\n";
+  List.iter
+    (fun (oc : Oracle.t) ->
+      Printf.printf "  %-12s %s\n" oc.Oracle.name oc.Oracle.guards)
+    Oracle.all;
+  Printf.printf "families: %s\n" (String.concat ", " Instance.families);
+  Printf.printf "hostile families (screen oracle only): %s\n"
+    (String.concat ", " Instance.hostile_families)
 
-type opts = {
-  mutable seed : int;
-  mutable count : int;
-  mutable max_size : int;
-  mutable oracles : string list;
-  mutable families : string list;
-  mutable backends : string list;
-  mutable max_failures : int;
-  mutable artifact_dir : string;
-  mutable replay : string option;
-  mutable self_check : bool;
-  mutable verbose : bool;
-}
-
-let parse_args () =
-  let o =
-    {
-      seed = 0;
-      count = 200;
-      max_size = 64;
-      oracles = [];
-      families = [];
-      backends = [];
-      max_failures = 1;
-      artifact_dir = "_fuzz";
-      replay = None;
-      self_check = false;
-      verbose = false;
-    }
-  in
-  let args = Array.to_list Sys.argv |> List.tl in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None ->
-      Printf.eprintf "fuzz: %s expects an integer, got %s\n" name v;
-      exit 2
-  in
-  let rec go = function
-    | [] -> ()
-    | "--seed" :: v :: rest ->
-      o.seed <- int_arg "--seed" v;
-      go rest
-    | "--count" :: v :: rest ->
-      o.count <- int_arg "--count" v;
-      go rest
-    | "--max-size" :: v :: rest ->
-      o.max_size <- int_arg "--max-size" v;
-      go rest
-    | "--max-failures" :: v :: rest ->
-      o.max_failures <- int_arg "--max-failures" v;
-      go rest
-    | "--oracle" :: v :: rest ->
-      o.oracles <- o.oracles @ split_commas v;
-      go rest
-    | "--families" :: v :: rest ->
-      o.families <- o.families @ split_commas v;
-      go rest
-    | "--backend" :: v :: rest ->
-      o.backends <- o.backends @ split_commas v;
-      go rest
-    | "--artifact-dir" :: v :: rest ->
-      o.artifact_dir <- v;
-      go rest
-    | "--replay" :: v :: rest ->
-      o.replay <- Some v;
-      go rest
-    | "--list" :: _ ->
-      Printf.printf "oracles:\n";
-      List.iter
-        (fun (oc : Oracle.t) ->
-          Printf.printf "  %-12s %s\n" oc.Oracle.name oc.Oracle.guards)
-        (Oracle.all ());
-      Printf.printf "families: %s\n" (String.concat ", " Instance.families);
-      Printf.printf "hostile families (screen oracle only): %s\n"
-        (String.concat ", " Instance.hostile_families);
-      exit 0
-    | "--self-check" :: rest ->
-      o.self_check <- true;
-      go rest
-    | "-v" :: rest | "--verbose" :: rest ->
-      o.verbose <- true;
-      go rest
-    | ("--help" | "-h") :: _ -> usage ()
-    | a :: _ ->
-      Printf.eprintf "fuzz: unknown argument %s\n" a;
-      usage ()
-  in
-  go args;
-  o
-
-let resolve_oracles names =
-  match names with [] -> None | ns -> Some (List.map Oracle.find ns)
-
-(* Narrow the `backend' oracle to the requested separator backends (after
-   validating their names). *)
-let apply_backends = function
-  | [] -> ()
-  | bs ->
-    let known =
-      List.map (fun b -> b.Repro_core.Backend.name) Repro_core.Backend.all
-    in
-    List.iter
-      (fun b ->
-        if not (List.mem b known) then begin
-          Printf.eprintf "fuzz: unknown backend %s (known: %s)\n" b
-            (String.concat ", " known);
-          exit 2
-        end)
-      bs;
-    Oracle.restrict_backends bs
+let resolve_oracles = function
+  | [] -> Oracle.all
+  | names ->
+    List.map
+      (fun name ->
+        try Oracle.find name with Failure msg -> bad_argument "%s" msg)
+      names
 
 let resolve_families = function
   | [] -> None
@@ -145,13 +39,18 @@ let resolve_families = function
     let known = Instance.families @ Instance.hostile_families in
     List.iter
       (fun f ->
-        if not (List.mem f known) then begin
-          Printf.eprintf "fuzz: unknown family %s (known: %s)\n" f
-            (String.concat ", " known);
-          exit 2
-        end)
+        if not (List.mem f known) then
+          bad_argument "unknown family %s (known: %s)" f
+            (String.concat ", " known))
       fs;
     Some fs
+
+(* Narrow the `backend' oracle to the requested separator backends. *)
+let apply_backends = function
+  | [] -> ()
+  | bs ->
+    List.iter (fun b -> ignore (Cli.backend_of_name b)) bs;
+    Oracle.restrict_backends bs
 
 (* Hostile families are only defined for the screen oracle (spanning trees
    and configurations don't exist on corrupted input), so a hostile run is
@@ -161,20 +60,15 @@ let restrict_for_hostile ~requested_oracles ~families oracles =
   match families with
   | Some fs when List.exists Instance.is_hostile fs ->
     let non_screen = List.filter (( <> ) "screen") requested_oracles in
-    if non_screen <> [] then begin
-      Printf.eprintf
-        "fuzz: oracle %s is not defined on hostile families (only `screen' \
-         is)\n"
+    if non_screen <> [] then
+      bad_argument
+        "oracle %s is not defined on hostile families (only `screen' is)"
         (String.concat "," non_screen);
-      exit 2
-    end;
     (match List.filter (fun f -> not (Instance.is_hostile f)) fs with
     | [] -> ()
     | clean ->
-      Printf.eprintf
-        "fuzz: cannot mix hostile and clean families in one run (%s)\n"
-        (String.concat "," clean);
-      exit 2);
+      bad_argument "cannot mix hostile and clean families in one run (%s)"
+        (String.concat "," clean));
     List.filter (fun (o : Oracle.t) -> o.Oracle.name = "screen") oracles
   | _ -> oracles
 
@@ -184,10 +78,7 @@ let write_artifacts dir ~seed failures =
   List.iteri
     (fun i f ->
       let path = Filename.concat dir (Printf.sprintf "crash-%d.json" i) in
-      let oc = open_out path in
-      output_string oc (Runner.artifact_json ~seed f);
-      output_char oc '\n';
-      close_out oc;
+      Cli.write_text_file path (Runner.artifact_json ~seed f);
       Printf.printf "artifact: %s\n" path)
     failures
 
@@ -202,23 +93,7 @@ let print_failure (f : Runner.failure) =
     f.Runner.reports;
   Printf.printf "  replay: %s\n" (Runner.repro_line f)
 
-let replay opts spec_string =
-  let spec =
-    try Instance.of_string spec_string
-    with Failure msg ->
-      prerr_endline ("fuzz: " ^ msg);
-      exit 2
-  in
-  let oracles =
-    match resolve_oracles opts.oracles with
-    | Some os -> os
-    | None -> Oracle.all ()
-  in
-  let oracles =
-    restrict_for_hostile ~requested_oracles:opts.oracles
-      ~families:(Some [ spec.Instance.family ])
-      oracles
-  in
+let run_replay ~oracles spec_string spec =
   let reports = Runner.run_spec ~oracles spec in
   List.iter (fun r -> Format.printf "%a@." Runner.pp_report r) reports;
   if List.for_all (fun r -> r.Oracle.ok) reports then begin
@@ -234,12 +109,12 @@ let replay opts spec_string =
    deliberately broken oracle must be caught by the fuzz loop, shrunk to
    the smallest instance the generator can express above the planted
    threshold, and its repro line must replay to the same failure. *)
-let self_check opts =
+let self_check ~seed ~count ~max_size =
   let threshold = 24 in
   let oracles = [ Oracle.sabotage ~threshold ] in
   let outcome =
-    Runner.fuzz ~oracles ~max_size:(max opts.max_size 48) ~max_failures:1
-      ~seed:opts.seed ~count:opts.count ()
+    Runner.fuzz ~oracles ~max_size:(max max_size 48) ~max_failures:1 ~seed
+      ~count ()
   in
   match outcome.Runner.failures with
   | [] ->
@@ -264,36 +139,101 @@ let self_check opts =
     end
     else exit 1
 
-let () =
-  let opts = parse_args () in
-  apply_backends opts.backends;
-  if opts.self_check then self_check opts;
-  match opts.replay with
-  | Some spec -> replay opts spec
+(* Every argument is checked before any case runs. *)
+let main seed count max_size oracle_names families backends max_failures
+    artifact_dir replay list self_check_drill verbose =
+  if list then begin
+    print_list ();
+    exit 0
+  end;
+  apply_backends backends;
+  let requested = resolve_oracles oracle_names in
+  let families = resolve_families families in
+  let replay =
+    Option.map
+      (fun text ->
+        ( text,
+          try Instance.of_string text with Failure msg -> bad_argument "%s" msg ))
+      replay
+  in
+  let oracles =
+    restrict_for_hostile ~requested_oracles:oracle_names
+      ~families:
+        (match replay with
+        | Some (_, spec) -> Some [ spec.Instance.family ]
+        | None -> families)
+      requested
+  in
+  if self_check_drill then self_check ~seed ~count ~max_size;
+  match replay with
+  | Some (text, spec) -> run_replay ~oracles text spec
   | None ->
-    let oracles =
-      match resolve_oracles opts.oracles with
-      | Some os -> os
-      | None -> Oracle.all ()
-    in
-    let families = resolve_families opts.families in
-    let oracles =
-      restrict_for_hostile ~requested_oracles:opts.oracles ~families oracles
-    in
-    let log line = if opts.verbose then print_endline line in
+    let log line = if verbose then print_endline line in
     let outcome =
-      Runner.fuzz ~oracles ?families ~max_size:opts.max_size
-        ~max_failures:opts.max_failures ~log ~seed:opts.seed
-        ~count:opts.count ()
+      Runner.fuzz ~oracles ?families ~max_size ~max_failures ~log ~seed ~count
+        ()
     in
     Printf.printf "fuzz: %d cases, %d checks, %d failures (seed %d, oracles: %s)\n"
       outcome.Runner.cases outcome.Runner.checks
       (List.length outcome.Runner.failures)
-      opts.seed
+      seed
       (String.concat "," (List.map (fun (o : Oracle.t) -> o.Oracle.name) oracles));
     if outcome.Runner.failures = [] then exit 0
     else begin
       List.iter print_failure outcome.Runner.failures;
-      write_artifacts opts.artifact_dir ~seed:opts.seed outcome.Runner.failures;
+      write_artifacts artifact_dir ~seed outcome.Runner.failures;
       exit 1
     end
+
+(* ------------------------------------------------------------------ *)
+(* Arguments                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let int_opt name default ~doc =
+  Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+
+(* Comma lists; a repeated flag adds to the list. *)
+let names_opt name ~doc =
+  let split s = String.split_on_char ',' s |> List.filter (( <> ) "") in
+  let names = Arg.(value & opt_all string [] & info [ name ] ~docv:"NAMES" ~doc) in
+  Term.(const (List.concat_map split) $ names)
+
+let flag names ~doc = Arg.(value & flag & info names ~doc)
+
+let cmd =
+  let term =
+    Term.(
+      const main
+      $ int_opt "seed" 0 ~doc:"Seed of the case stream."
+      $ int_opt "count" 200 ~doc:"Number of cases."
+      $ int_opt "max-size" 64
+          ~doc:"Size of the last case; sizes ramp up from 4."
+      $ names_opt "oracle" ~doc:"Oracles to run (default: all)."
+      $ names_opt "families" ~doc:"Generator families to draw from."
+      $ names_opt "backend"
+          ~doc:
+            "Separator backends the `backend' oracle checks (default: \
+             congest,lt-level)."
+      $ int_opt "max-failures" 1 ~doc:"Stop after this many failures."
+      $ Arg.(
+          value & opt string "_fuzz"
+          & info [ "artifact-dir" ] ~docv:"DIR"
+              ~doc:"Directory for the JSON crash artifacts.")
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "replay" ] ~docv:"SPEC"
+              ~doc:"Re-run the oracles on one spec (family:n:seed:spanning).")
+      $ flag [ "list" ] ~doc:"Print the oracles and generator families."
+      $ flag [ "self-check" ]
+          ~doc:
+            "Injected-bug drill: prove a planted failure is caught, shrunk \
+             to the minimal size and replayable."
+      $ flag [ "v"; "verbose" ] ~doc:"Log progress and failures as they come.")
+  in
+  Cmd.v
+    (Cmd.info "fuzz" ~exits:Cli.exits
+       ~doc:"deterministic fuzz runner over the testkit's oracles")
+    term
+
+let () = Cli.eval cmd

@@ -1,10 +1,11 @@
 (* Command-line driver.
 
-     repro gen  --family tgrid --n 400 --seed 1
-     repro sep  --family stacked --n 1000 --tree dfs --shrink
-     repro dfs  --family tgrid --n 900 --root 17 --compare-awerbuch
+     repro gen  --family tgrid -n 400 --seed 1
+     repro sep  --family stacked -n 1000 --tree dfs --shrink
+     repro dfs  --family tgrid -n 900 --root 17 --compare-awerbuch
 
-   Families: grid tgrid stacked thinned cycle fan rtree path star wheel. *)
+   Families: grid tgrid stacked thinned cycle fan rtree path star wheel.
+   Exit codes and the arguments shared with serve and fuzz: see [Cli]. *)
 
 open Cmdliner
 open Repro_graph
@@ -15,58 +16,23 @@ open Repro_core
 open Repro_baseline
 
 (* ------------------------------------------------------------------ *)
-(* Shared arguments                                                     *)
+(* Shared arguments (the common terms are in [Cli])                     *)
 (* ------------------------------------------------------------------ *)
 
-let family_arg =
-  let doc =
-    "Graph family (grid, tgrid, stacked, thinned, cycle, fan, rtree, path, \
-     star, wheel; hostile testkit families xchords1/xchords4/xchords16, \
-     xrot, xunion build corrupted embeddings the screen layer rejects)."
-  in
-  Arg.(value & opt string "tgrid" & info [ "family"; "f" ] ~docv:"FAMILY" ~doc)
-
-let n_arg =
-  let doc = "Approximate number of vertices." in
-  Arg.(value & opt int 400 & info [ "n" ] ~docv:"N" ~doc)
-
-let seed_arg =
-  let doc = "Generator seed." in
-  Arg.(value & opt int 1 & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
+let family_arg = Cli.family ~default:"tgrid"
+let n_arg = Cli.n ~default:400
+let seed_arg = Cli.seed ~default:1
 
 let tree_arg =
   let doc = "Spanning tree kind: bfs, dfs or random." in
   Arg.(value & opt string "bfs" & info [ "tree"; "t" ] ~docv:"KIND" ~doc)
 
-(* A bad argument is reported before any work: one stderr line, exit 2. *)
-let usage_error msg =
-  prerr_endline msg;
-  exit 2
-
 let spanning_of_string seed = function
   | "bfs" -> Spanning.Bfs
   | "dfs" -> Spanning.Dfs
   | "random" -> Spanning.Random seed
-  | other -> usage_error ("unknown tree kind " ^ other ^ " (known: bfs, dfs, random)")
-
-let jobs_arg =
-  let doc =
-    "Worker domains for part-parallel batches.  Defaults to \
-     Domain.recommended_domain_count (), i.e. one per hardware thread; the \
-     flat graph store is shared read-only across domains.  Output is \
-     bit-identical for every value; 1 runs fully sequentially."
-  in
-  Arg.(
-    value
-    & opt int (Repro_util.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let backend_arg =
-  let doc =
-    "Separator backend: $(b,congest) (the distributed six-phase algorithm) \
-     or $(b,lt-level) (centralized BFS level)."
-  in
-  Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
+  | other ->
+    Cli.usage_error ("unknown tree kind " ^ other ^ " (known: bfs, dfs, random)")
 
 let cutoff_arg =
   let doc =
@@ -75,14 +41,6 @@ let cutoff_arg =
      fast path."
   in
   Arg.(value & opt int 0 & info [ "cutoff" ] ~docv:"N" ~doc)
-
-let resolve_backend name =
-  match Backend.lookup name with
-  | Some b -> b
-  | None ->
-    usage_error
-      (Printf.sprintf "unknown backend %s (known: %s)" name
-         (String.concat ", " (List.map (fun b -> b.Backend.name) Backend.all)))
 
 let cutoff_of n = if n <= 0 then None else Some n
 
@@ -113,25 +71,12 @@ let trace_chrome_arg =
     & opt (some string) None
     & info [ "trace-chrome" ] ~docv:"FILE" ~doc)
 
-let trace_metrics_arg =
-  let doc = "Write the run's aggregated per-span metrics JSON to $(docv)." in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-metrics" ] ~docv:"FILE" ~doc)
-
 (* A tracer is allocated only when some trace output was requested, so the
    default path stays the zero-cost [None] pipeline end to end. *)
 let tracer_of_flags ~trace ~chrome ~metrics =
   if trace || chrome <> None || metrics <> None then
     Some (Repro_trace.Trace.create ())
   else None
-
-let write_text_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
 
 let emit_trace ~trace ~chrome ~metrics tracer =
   match tracer with
@@ -140,19 +85,19 @@ let emit_trace ~trace ~chrome ~metrics tracer =
     if trace then Format.printf "@.%a@." Repro_trace.Trace.pp tr;
     Option.iter
       (fun path ->
-        write_text_file path (Repro_trace.Trace.to_chrome_string tr);
+        Cli.write_text_file path (Repro_trace.Trace.to_chrome_string tr);
         Printf.printf "chrome trace       : %s\n" path)
       chrome;
     Option.iter
       (fun path ->
-        write_text_file path (Repro_trace.Trace.to_metrics_string tr);
+        Cli.write_text_file path (Repro_trace.Trace.to_metrics_string tr);
         Printf.printf "metrics json       : %s\n" path)
       metrics
 
 (* The edge list is outside input: a line that is not two distinct
    non-negative ids is a bad argument. *)
 let load_edge_list path =
-  let ic = try open_in path with Sys_error msg -> usage_error msg in
+  let ic = try open_in path with Sys_error msg -> Cli.usage_error msg in
   let edges = ref [] and max_v = ref (-1) in
   (try
      while true do
@@ -166,47 +111,27 @@ let load_edge_list path =
          | [ Some u; Some v ] when u >= 0 && v >= 0 && u <> v ->
            edges := (u, v) :: !edges;
            max_v := max !max_v (max u v)
-         | _ -> usage_error (Printf.sprintf "%s: bad edge line: %s" path line)
+         | _ -> Cli.usage_error (Printf.sprintf "%s: bad edge line: %s" path line)
        end
      done
    with End_of_file -> close_in ic);
-  if !edges = [] then usage_error (path ^ ": no edges");
+  if !edges = [] then Cli.usage_error (path ^ ": no edges");
   try Graph.of_edges ~n:(!max_v + 1) !edges
-  with Invalid_argument msg -> usage_error (path ^ ": " ^ msg)
+  with Invalid_argument msg -> Cli.usage_error (path ^ ": " ^ msg)
 
+(* The instance and its hop diameter, the D of the charged-round ledger. *)
 let instance_of ~family ~n ~seed ~edges =
-  match edges with
-  | None ->
-    let emb =
-      if Repro_testkit.Instance.is_hostile family then
-        (* Hostile testkit families (xchords*/xrot/xunion) build corrupted
-           embeddings on purpose — the screen layer is what rejects them. *)
-        Repro_testkit.Instance.hostile_embedded
-          { family; n; seed; spanning = Spanning.Bfs }
-      else if List.mem family Gen.families then Gen.by_family ~seed family ~n
-      else usage_error ("unknown family " ^ family)
-    in
-    let g = Embedded.graph emb in
-    (emb, g, Algo.diameter g)
-  | Some path ->
-    let g = load_edge_list path in
-    (match Planarity.embed g with
-    | None ->
-      usage_error (path ^ ": input graph is not planar")
-    | Some rot ->
-      let emb = Embedded.make ~name:(Filename.basename path) g rot in
-      (emb, g, Algo.diameter g))
-
-(* Screen rejections exit 3 with the verdict and a replay spec on stderr —
-   the hostile-input contract: a typed front-door error, never a deep-phase
-   crash. *)
-let or_screen_reject f =
-  try f ()
-  with Screen.Rejected_input { entry; verdict; spec } ->
-    Printf.eprintf "screen rejected at %s: %s\n  replay: %s\n" entry
-      (Screen.verdict_to_string verdict)
-      spec;
-    exit 3
+  let emb =
+    match edges with
+    | None -> Cli.generated ~family ~n ~seed
+    | Some path -> (
+      let g = load_edge_list path in
+      match Planarity.embed g with
+      | None -> Cli.usage_error (path ^ ": input graph is not planar")
+      | Some rot -> Embedded.make ~name:(Filename.basename path) g rot)
+  in
+  let g = Embedded.graph emb in
+  (emb, g, Algo.diameter g)
 
 let print_instance emb g d =
   Printf.printf "instance : %s\n" (Embedded.name emb);
@@ -233,7 +158,10 @@ let gen_cmd =
     Printf.printf "outer-face vertex      : %d\n" (Embedded.outer emb)
   in
   let term = Term.(const run $ family_arg $ n_arg $ seed_arg $ edges_arg) in
-  Cmd.v (Cmd.info "gen" ~doc:"Generate or load a planar instance and validate it") term
+  Cmd.v
+    (Cmd.info "gen" ~exits:Cli.exits
+       ~doc:"Generate or load a planar instance and validate it")
+    term
 
 (* ------------------------------------------------------------------ *)
 (* sep                                                                  *)
@@ -254,13 +182,13 @@ let svg_arg =
 let sep_cmd =
   let run family n seed edges tree backend shrink verbose svg trace chrome
       metrics =
-    let b = resolve_backend backend in
+    let b = Cli.backend_of_name backend in
     let spanning = spanning_of_string seed tree in
     let emb, g, d = instance_of ~family ~n ~seed ~edges in
     print_instance emb g d;
     let tracer = tracer_of_flags ~trace ~chrome ~metrics in
     let rounds = Rounds.create ?trace:tracer ~n:(Graph.n g) ~d () in
-    or_screen_reject @@ fun () ->
+    Cli.or_screen_reject @@ fun () ->
     (* Screen before Config.of_embedded: a corrupted rotation must die
        with a verdict, not crash the spanning-tree build. *)
     Screen.require ~rounds ~entry:"sep" emb;
@@ -305,11 +233,12 @@ let sep_cmd =
   let term =
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ edges_arg $ tree_arg
-      $ backend_arg $ shrink_arg $ verbose_arg $ svg_arg $ trace_arg
-      $ trace_chrome_arg $ trace_metrics_arg)
+      $ Cli.backend $ shrink_arg $ verbose_arg $ svg_arg $ trace_arg
+      $ trace_chrome_arg $ Cli.trace_metrics)
   in
   Cmd.v
-    (Cmd.info "sep" ~doc:"Compute and verify a deterministic cycle separator")
+    (Cmd.info "sep" ~exits:Cli.exits
+       ~doc:"Compute and verify a deterministic cycle separator")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -327,16 +256,16 @@ let compare_arg =
 let dfs_cmd =
   let run family n seed edges root jobs backend cutoff compare_awerbuch trace
       chrome metrics =
-    let b = resolve_backend backend in
+    let b = Cli.backend_of_name backend in
     let emb, g, d = instance_of ~family ~n ~seed ~edges in
     let root = match root with Some r -> r | None -> Embedded.outer emb in
     if root < 0 || root >= Graph.n g then
-      usage_error
+      Cli.usage_error
         (Printf.sprintf "root %d is not a vertex (n = %d)" root (Graph.n g));
     print_instance emb g d;
     let tracer = tracer_of_flags ~trace ~chrome ~metrics in
     let rounds = Rounds.create ?trace:tracer ~n:(Graph.n g) ~d () in
-    or_screen_reject @@ fun () ->
+    Cli.or_screen_reject @@ fun () ->
     let r =
       Repro_util.Pool.with_pool ~jobs (fun pool ->
           Dfs.run ~rounds ~pool ~backend:b
@@ -361,11 +290,12 @@ let dfs_cmd =
   let term =
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ edges_arg $ root_arg
-      $ jobs_arg $ backend_arg $ cutoff_arg $ compare_arg $ trace_arg
-      $ trace_chrome_arg $ trace_metrics_arg)
+      $ Cli.jobs $ Cli.backend $ cutoff_arg $ compare_arg $ trace_arg
+      $ trace_chrome_arg $ Cli.trace_metrics)
   in
   Cmd.v
-    (Cmd.info "dfs" ~doc:"Compute a DFS tree with the deterministic Õ(D) algorithm")
+    (Cmd.info "dfs" ~exits:Cli.exits
+       ~doc:"Compute a DFS tree with the deterministic Õ(D) algorithm")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -387,9 +317,9 @@ let by_size_arg =
 let bdd_cmd =
   let run family n seed edges target piece by_size jobs backend cutoff trace
       chrome metrics =
-    let b = resolve_backend backend in
-    if by_size && piece < 1 then usage_error "--piece must be at least 1";
-    if (not by_size) && target < 1 then usage_error "--target must be at least 1";
+    let b = Cli.backend_of_name backend in
+    if by_size && piece < 1 then Cli.usage_error "--piece must be at least 1";
+    if (not by_size) && target < 1 then Cli.usage_error "--target must be at least 1";
     let emb, g, d = instance_of ~family ~n ~seed ~edges in
     print_instance emb g d;
     let cutoff = cutoff_of cutoff in
@@ -399,7 +329,7 @@ let bdd_cmd =
         (fun tr -> Rounds.create ~trace:tr ~n:(Graph.n g) ~d ())
         tracer
     in
-    or_screen_reject @@ fun () ->
+    Cli.or_screen_reject @@ fun () ->
     let t, ok =
       Repro_util.Pool.with_pool ~jobs (fun pool ->
           if by_size then begin
@@ -434,11 +364,11 @@ let bdd_cmd =
   let term =
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ edges_arg $ target_arg
-      $ piece_arg $ by_size_arg $ jobs_arg $ backend_arg $ cutoff_arg
-      $ trace_arg $ trace_chrome_arg $ trace_metrics_arg)
+      $ piece_arg $ by_size_arg $ Cli.jobs $ Cli.backend $ cutoff_arg
+      $ trace_arg $ trace_chrome_arg $ Cli.trace_metrics)
   in
   Cmd.v
-    (Cmd.info "bdd"
+    (Cmd.info "bdd" ~exits:Cli.exits
        ~doc:
          "Recursive separator decomposition: bounded-diameter pieces (default) \
           or bounded-size pieces (--by-size)")
@@ -448,9 +378,9 @@ let bdd_cmd =
 
 let () =
   let info =
-    Cmd.info "repro" ~version:"1.0.0"
+    Cmd.info "repro" ~version:"1.0.0" ~exits:Cli.exits
       ~doc:
         "Deterministic distributed DFS via cycle separators in planar graphs \
          (PODC 2025 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group info [ gen_cmd; sep_cmd; dfs_cmd; bdd_cmd ]))
+  Cli.eval (Cmd.group info [ gen_cmd; sep_cmd; dfs_cmd; bdd_cmd ])

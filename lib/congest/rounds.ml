@@ -86,7 +86,6 @@ let charge_weights t = charge_pa t ~label:"weights[Lem12]" ~units:1
 let charge_mark_path t =
   let lg = int_of_float (log2n t) in
   charge_pa t ~label:"mark-path[Lem13]" ~units:(lg * lg)
-let charge_lca t = charge_pa t ~label:"lca[Lem14]" ~units:1
 let charge_detect_face t = charge_pa t ~label:"detect-face[Lem15]" ~units:1
 let charge_hidden t = charge_pa t ~label:"hidden[Lem16]" ~units:1
 let charge_not_contained t = charge_pa t ~label:"not-contained[Lem17]" ~units:1

@@ -36,7 +36,6 @@ val charge_spanning_forest : t -> unit
 val charge_dfs_order : t -> unit
 val charge_weights : t -> unit
 val charge_mark_path : t -> unit
-val charge_lca : t -> unit
 val charge_detect_face : t -> unit
 val charge_hidden : t -> unit
 val charge_not_contained : t -> unit

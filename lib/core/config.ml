@@ -110,8 +110,8 @@ let of_part ?(spanning = Spanning.Bfs) ~members ~root emb =
 
 (* Build a configuration from pre-existing pieces: a graph paired with a
    tree built elsewhere (the testkit's instances, tests, benchmarks). *)
-let of_parts ~graph ~rot ~tree ?root_first ?to_global () =
-  { graph; rot; tree; root_first; to_global }
+let of_parts ~graph ~rot ~tree ?root_first () =
+  { graph; rot; tree; root_first; to_global = None }
 
 (* Real fundamental edges of T: the non-tree edges of G, normalized so that
    pi_left(u) < pi_left(v). *)
@@ -126,5 +126,3 @@ let fundamental_edges t =
         acc := (u, v) :: !acc
       end);
   !acc
-
-let is_tree t = fundamental_edges t = []

@@ -26,7 +26,6 @@ val of_parts :
   rot:Rotation.t ->
   tree:Rooted.t ->
   ?root_first:int ->
-  ?to_global:int array ->
   unit ->
   t
 (** Assemble a configuration from existing pieces: a graph paired with a
@@ -48,5 +47,3 @@ val outer_root_first : Embedded.t -> int -> int option
 val fundamental_edges : t -> (int * int) list
 (** Real fundamental edges (non-tree edges), normalized so that
     [pi_left u < pi_left v]. *)
-
-val is_tree : t -> bool

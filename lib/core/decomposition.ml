@@ -191,16 +191,17 @@ let rec exact_mis g alive =
     if List.length with_v >= List.length without then with_v else without
 
 (* Lipton–Tarjan application: exact MIS inside every piece; the union is
-   independent in G because pieces are pairwise non-adjacent. *)
+   independent in G because pieces are pairwise non-adjacent.  Each piece
+   is built on one scratch, so the work is linear in the pieces. *)
 let independent_set emb t =
   let g = Embedded.graph emb in
-  let n = Graph.n g in
+  let scratch = Graph.Scratch.create () in
   let solution = ref [] in
   List.iter
     (fun members ->
-      let keep = Array.make n false in
-      List.iter (fun v -> keep.(v) <- true) members;
-      let sub, _, old_of_new = Graph.induced g keep in
+      let sub, _, old_of_new =
+        Graph.induced_members ~scratch g (Array.of_list members)
+      in
       let mis = exact_mis sub (Array.make (Graph.n sub) true) in
       List.iter (fun v -> solution := old_of_new.(v) :: !solution) mis)
     t.pieces;

@@ -230,12 +230,10 @@ let verdict_to_string = function
       "flagged: edge %d-%d is not a bridge yet both darts share one face walk (length %d)"
       u v face_len
 
-let require ?rounds ?spec ~entry emb =
+let require ?rounds ~entry emb =
   match check ?rounds emb with
   | Accepted -> ()
-  | verdict ->
-    let spec = match spec with Some s -> s | None -> Embedded.name emb in
-    raise (Rejected_input { entry; verdict; spec })
+  | verdict -> raise (Rejected_input { entry; verdict; spec = Embedded.name emb })
 
 (* ---- independent witness validation ------------------------------------ *)
 

@@ -61,9 +61,9 @@ val check : ?rounds:Rounds.t -> Embedded.t -> verdict
 (** Run both screening tiers.  Deterministic: the same embedding always
     yields the same verdict (witnesses are elected by minimal dart id). *)
 
-val require : ?rounds:Rounds.t -> ?spec:string -> entry:string -> Embedded.t -> unit
-(** [check] and raise {!Rejected_input} on anything but [Accepted].
-    [spec] defaults to the embedding's name. *)
+val require : ?rounds:Rounds.t -> entry:string -> Embedded.t -> unit
+(** [check] and raise {!Rejected_input} on anything but [Accepted], with
+    the embedding's name as [spec]. *)
 
 val accepted : verdict -> bool
 

@@ -97,10 +97,6 @@ let next_clockwise t v u =
   let d = degree t v in
   t.ord.(Graph.adj_offset t.g v + ((position t v u + 1) mod d))
 
-let prev_clockwise t v u =
-  let d = degree t v in
-  t.ord.(Graph.adj_offset t.g v + ((position t v u - 1 + d) mod d))
-
 (* Circular order around [v] starting at [first] (callers usually want the
    parent edge first). *)
 let order_from t v ~first =

@@ -49,8 +49,6 @@ val position_of_rank : t -> int -> int -> int
 val next_clockwise : t -> int -> int -> int
 (** Neighbour following [u] clockwise around [v]. *)
 
-val prev_clockwise : t -> int -> int -> int
-
 val order_from : t -> int -> first:int -> int array
 (** Rotation of [v] as a linear order starting at neighbour [first]. *)
 

@@ -94,7 +94,8 @@ let default_style =
 (* Render to an SVG document string.  [highlight] marks a vertex set (e.g. a
    separator); [closing] draws an extra dashed edge (the cycle-closing
    fundamental edge). *)
-let render ?(style = default_style) ?(highlight = []) ?closing emb =
+let render ?(highlight = []) ?closing emb =
+  let style = default_style in
   let g = Embedded.graph emb in
   let n = Graph.n g in
   let coords = layout emb in
@@ -169,8 +170,8 @@ let render ?(style = default_style) ?(highlight = []) ?closing emb =
     Buffer.contents buf
   end
 
-let write_file ?style ?highlight ?closing emb ~path =
-  let doc = render ?style ?highlight ?closing emb in
+let write_file ?highlight ?closing emb ~path =
+  let doc = render ?highlight ?closing emb in
   let oc = open_out path in
   output_string oc doc;
   close_out oc

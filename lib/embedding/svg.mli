@@ -24,13 +24,11 @@ val tutte_layout :
 val layout : Embedded.t -> Geometry.point array
 (** The embedding's own coordinates, or a barycentric layout. *)
 
-val render :
-  ?style:style -> ?highlight:int list -> ?closing:int * int -> Embedded.t -> string
-(** SVG document; [highlight] marks a vertex set (e.g. a separator),
-    [closing] draws the cycle-closing edge dashed. *)
+val render : ?highlight:int list -> ?closing:int * int -> Embedded.t -> string
+(** SVG document in {!default_style}; [highlight] marks a vertex set (e.g.
+    a separator), [closing] draws the cycle-closing edge dashed. *)
 
 val write_file :
-  ?style:style ->
   ?highlight:int list ->
   ?closing:int * int ->
   Embedded.t ->

@@ -135,8 +135,8 @@ let diameter_two_sweep g =
     eccentricity g !far
   end
 
-let diameter ?(exact_limit = 3000) g =
-  if Graph.n g <= exact_limit then diameter_exact g else diameter_two_sweep g
+let diameter g =
+  if Graph.n g <= 3000 then diameter_exact g else diameter_two_sweep g
 
 (* Iterative centralized DFS honouring adjacency order; reference
    implementation against which distributed DFS trees are validated. *)

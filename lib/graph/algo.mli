@@ -29,8 +29,8 @@ val diameter_exact : Graph.t -> int
 val diameter_two_sweep : Graph.t -> int
 (** Double-sweep BFS lower bound (exact on trees). *)
 
-val diameter : ?exact_limit:int -> Graph.t -> int
-(** Exact when [n <= exact_limit] (default 3000), double-sweep otherwise. *)
+val diameter : Graph.t -> int
+(** Exact when [n <= 3000], double-sweep otherwise. *)
 
 val dfs_parents : Graph.t -> int -> int array
 (** Centralized DFS tree in adjacency order; source [-1], unreachable [-2]. *)

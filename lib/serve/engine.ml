@@ -114,9 +114,6 @@ let create ?tracer ?backend ?cache_capacity ~pool emb =
 let shutdown_requested t = t.shutdown
 let max_line_bytes t = t.max_line
 
-let requests_served t =
-  t.q_dfs + t.q_sep + t.q_dec + t.q_stats + t.q_errors
-
 (* Every miss computes under a fresh ledger sharing the engine tracer;
    only misses charge (a hit re-serves state already at the server), so
    the accumulated total is a sum over distinct cache keys — independent

@@ -65,8 +65,6 @@ val stats_json : t -> Json.t
     metrics document BENCH_8's E19 entry commits and serve-smoke gates. *)
 
 val shutdown_requested : t -> bool
-val requests_served : t -> int
-(** Total requests handled, every class and errors included. *)
 
 val hash_ints : int list -> int
 (** The engine's FNV-1a fold over a vertex list (62-bit, version-stable);

@@ -17,7 +17,6 @@ let pair a b rng =
 
 let int_range lo hi rng = Rng.int_in_range rng ~lo ~hi
 let oneof xs rng = Rng.pick rng (Array.of_list xs)
-let oneof_gen gs rng = (Rng.pick rng (Array.of_list gs)) rng
 
 let frequency weighted rng =
   let total = List.fold_left (fun a (w, _) -> a + w) 0 weighted in
@@ -58,18 +57,6 @@ let hostile_families = Instance.hostile_families
 let planar_plus_chords = Instance.planar_plus_chords
 let corrupted_rotation = Instance.corrupted_rotation
 let disconnected_union = Instance.disconnected_union
-
-let hostile_spec ?(families = Instance.hostile_families) ~size rng =
-  let family = oneof families rng in
-  let lo = Instance.min_size family in
-  let jitter = max 1 (size / 4) in
-  let n = max lo (size + Rng.int rng (2 * jitter) - jitter) in
-  {
-    Instance.family;
-    n;
-    seed = Rng.int rng 100_000;
-    spanning = spanning_kind rng;
-  }
 
 let connected_parts g ~parts rng =
   let n = Graph.n g in

@@ -20,7 +20,6 @@ val int_range : int -> int -> int t
 val oneof : 'a list -> 'a t
 (** Uniform element of a non-empty list. *)
 
-val oneof_gen : 'a t list -> 'a t
 val frequency : (int * 'a) list -> 'a t
 (** Weighted choice; weights must be positive. *)
 
@@ -33,10 +32,6 @@ val spec : ?families:string list -> size:int -> Instance.spec t
 
 val hostile_families : string list
 (** The near-planar adversarial families ([Instance.hostile_families]). *)
-
-val hostile_spec : ?families:string list -> size:int -> Instance.spec t
-(** Like {!spec} but drawn from the hostile pool: chorded, corrupted-
-    rotation and disconnected instances the Screen layer must reject. *)
 
 val planar_plus_chords : seed:int -> n:int -> k:int -> Repro_embedding.Embedded.t
 (** Planar grid plus [k] chords spliced into the rotations at random

@@ -1,4 +1,4 @@
-(* The differential-oracle registry: every oracle checks one slice of the
+(* The differential oracles: every oracle checks one slice of the
    paper's correctness story on an arbitrary fuzzed instance, by comparing
    an executed computation against an independent reference AND asserting a
    pinned Õ(depth) round budget.  The budgets are deliberately generous
@@ -24,8 +24,6 @@ type report = {
 }
 
 type t = { name : string; guards : string; run : Instance.t -> report }
-
-exception Duplicate_oracle of string
 
 (* ------------------------------------------------------------------ *)
 (* Check accumulation.                                                 *)
@@ -1182,28 +1180,6 @@ let run_screen (inst : Instance.t) =
   end;
   finish ~name:"screen" ctx
 
-(* ------------------------------------------------------------------ *)
-(* Registry.                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let registry : t list ref = ref []
-
-let register o =
-  if List.exists (fun o' -> o'.name = o.name) !registry then
-    raise (Duplicate_oracle o.name);
-  registry := !registry @ [ o ]
-
-let all () = !registry
-let names () = List.map (fun o -> o.name) !registry
-
-let find name =
-  match List.find_opt (fun o -> o.name = name) !registry with
-  | Some o -> o
-  | None ->
-    failwith
-      (Printf.sprintf "unknown oracle %s (known: %s)" name
-         (String.concat ", " (names ())))
-
 let run_protected o inst =
   try o.run inst
   with e ->
@@ -1236,64 +1212,75 @@ let sabotage ~threshold =
         });
   }
 
-let () =
-  List.iter register
-    [
-      {
-        name = "graph";
-        guards = "flat CSR store (vs reference adjacency-list build)";
-        run = run_graph;
-      };
-      {
-        name = "engine";
-        guards = "engine equivalence (event-driven = dense scheduler)";
-        run = run_engine;
-      };
-      { name = "orders"; guards = "Lemma 11 (DFS-ORDER)"; run = run_orders };
-      {
-        name = "collective";
-        guards = "Lemmas 12/13/14/19 (WEIGHTS, MARK-PATH, LCA, RE-ROOT)";
-        run = run_collective;
-      };
-      {
-        name = "faces";
-        guards = "Lemmas 15/16 (DETECT-FACE, HIDDEN)";
-        run = run_faces;
-      };
-      {
-        name = "pipeline";
-        guards = "Lemmas 5/9 + Phase 1 (election pipeline, forests)";
-        run = run_pipeline;
-      };
-      {
-        name = "separator";
-        guards = "Theorem 1 (cycle separator, all phases)";
-        run = run_separator;
-      };
-      {
-        name = "join";
-        guards = "Lemma 2 (batched JOIN = serial choreography)";
-        run = run_join;
-      };
-      { name = "dfs"; guards = "Theorem 2 (distributed DFS)"; run = run_dfs };
-      {
-        name = "forest";
-        guards = "Lemma 9 (per-part spanning forests)";
-        run = run_forest;
-      };
-      {
-        name = "pool";
-        guards = "Theorem 1 parallelism (pool determinism, decomposition)";
-        run = run_pool;
-      };
-      {
-        name = "backend";
-        guards = "separator backend conformance (congest / lt-level)";
-        run = run_backend;
-      };
-      {
-        name = "screen";
-        guards = "hostile-input screening (verdicts, witnesses, entry guards)";
-        run = run_screen;
-      };
-    ]
+(* ------------------------------------------------------------------ *)
+(* The oracles, in the order every runner reports them.               *)
+(* ------------------------------------------------------------------ *)
+
+let all =
+  [
+    {
+      name = "graph";
+      guards = "flat CSR store (vs reference adjacency-list build)";
+      run = run_graph;
+    };
+    {
+      name = "engine";
+      guards = "engine equivalence (event-driven = dense scheduler)";
+      run = run_engine;
+    };
+    { name = "orders"; guards = "Lemma 11 (DFS-ORDER)"; run = run_orders };
+    {
+      name = "collective";
+      guards = "Lemmas 12/13/14/19 (WEIGHTS, MARK-PATH, LCA, RE-ROOT)";
+      run = run_collective;
+    };
+    {
+      name = "faces";
+      guards = "Lemmas 15/16 (DETECT-FACE, HIDDEN)";
+      run = run_faces;
+    };
+    {
+      name = "pipeline";
+      guards = "Lemmas 5/9 + Phase 1 (election pipeline, forests)";
+      run = run_pipeline;
+    };
+    {
+      name = "separator";
+      guards = "Theorem 1 (cycle separator, all phases)";
+      run = run_separator;
+    };
+    {
+      name = "join";
+      guards = "Lemma 2 (batched JOIN = serial choreography)";
+      run = run_join;
+    };
+    { name = "dfs"; guards = "Theorem 2 (distributed DFS)"; run = run_dfs };
+    {
+      name = "forest";
+      guards = "Lemma 9 (per-part spanning forests)";
+      run = run_forest;
+    };
+    {
+      name = "pool";
+      guards = "Theorem 1 parallelism (pool determinism, decomposition)";
+      run = run_pool;
+    };
+    {
+      name = "backend";
+      guards = "separator backend conformance (congest / lt-level)";
+      run = run_backend;
+    };
+    {
+      name = "screen";
+      guards = "hostile-input screening (verdicts, witnesses, entry guards)";
+      run = run_screen;
+    };
+  ]
+
+let find name =
+  match List.find_opt (fun o -> o.name = name) all with
+  | Some o -> o
+  | None ->
+    failwith
+      (Printf.sprintf "unknown oracle %s (known: %s)" name
+         (String.concat ", " (List.map (fun o -> o.name) all)))

@@ -1,4 +1,4 @@
-(** The differential-oracle registry.
+(** The differential oracles.
 
     One oracle = one invariant family of the paper, checked on an arbitrary
     fuzzed instance by comparing an executed (distributed) computation
@@ -7,7 +7,7 @@
     pinned round budget (rounds = Õ(depth)) so an asymptotic regression
     fails the check even when outputs still agree.
 
-    The registry unifies what used to be three hand-rolled differential
+    The list unifies what used to be three hand-rolled differential
     suites (engine_equiv, test_collective, test_composed): those suites are
     now thin property declarations over these oracles, and [bin/fuzz] runs
     the same oracles over a seed-driven instance stream. *)
@@ -26,8 +26,6 @@ type t = {
   guards : string;  (** the lemma/theorem this oracle guards *)
   run : Instance.t -> report;
 }
-
-exception Duplicate_oracle of string
 
 (** Engine differential driver: one program through both schedulers.
     Exposed so the engine-equiv suite can keep its deterministic tiny-graph
@@ -63,18 +61,13 @@ val shrink_reference :
     ["separator"] and ["backend"] oracles and the separator tests check
     against it. *)
 
-val register : t -> unit
-(** Raises {!Duplicate_oracle} if the name is taken. *)
-
 val restrict_backends : string list -> unit
 (** Narrow the separator backends the ["backend"] oracle
     conformance-checks, by name; defaults to every entry of
     {!Repro_core.Backend.all}.  Used by [bin/fuzz --backend]. *)
 
-val all : unit -> t list
-(** Registration order; the built-ins are registered at module load. *)
-
-val names : unit -> string list
+val all : t list
+(** Every oracle, names distinct, in the order runners report them. *)
 
 val find : string -> t
 (** Raises [Failure] with the known names on an unknown oracle. *)
@@ -86,4 +79,4 @@ val sabotage : threshold:int -> t
 (** Deliberately broken oracle (fails on any instance with at least
     [threshold] vertices): the injected-bug drill used by
     [bin/fuzz --self-check] and the testkit's own suite to prove that the
-    fuzzer catches, shrinks and replays a failure.  Never registered. *)
+    fuzzer catches, shrinks and replays a failure.  Not in {!all}. *)

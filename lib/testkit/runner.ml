@@ -59,7 +59,7 @@ let shrink_candidates (spec : Instance.spec) =
   in
   sizes @ spannings
 
-let shrink ~oracles ?(budget = 60) spec =
+let shrink ~oracles spec =
   let target_oracles reports =
     List.map (fun r -> r.Oracle.oracle) reports |> List.sort_uniq compare
   in
@@ -68,7 +68,7 @@ let shrink ~oracles ?(budget = 60) spec =
     let now = target_oracles (failing ~oracles candidate) in
     now <> [] && List.for_all (fun o -> List.mem o targets) now
   in
-  let steps = ref 0 and fuel = ref budget in
+  let steps = ref 0 and fuel = ref 60 in
   let rec descend spec =
     if !fuel <= 0 then spec
     else
@@ -106,43 +106,34 @@ let repro_line f =
   in
   Printf.sprintf "bin/fuzz --replay %s%s" (Instance.to_string f.spec) oracle
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let artifact_json ~seed f =
+  let open Repro_trace.Json in
   let report_json (r : Oracle.report) =
-    Printf.sprintf
-      "{\"oracle\":\"%s\",\"ok\":false,\"detail\":\"%s\",\"rounds\":%d,\"budget\":%s,\"checks\":%d}"
-      (json_escape r.Oracle.oracle)
-      (json_escape r.Oracle.detail)
-      r.Oracle.rounds
-      (if r.Oracle.budget = max_int then "null"
-       else string_of_int r.Oracle.budget)
-      r.Oracle.checks
+    Obj
+      [
+        ("oracle", String r.Oracle.oracle);
+        ("ok", Bool r.Oracle.ok);
+        ("detail", String r.Oracle.detail);
+        ("rounds", Int r.Oracle.rounds);
+        ("budget", if r.Oracle.budget = max_int then Null else Int r.Oracle.budget);
+        ("checks", Int r.Oracle.checks);
+      ]
   in
-  Printf.sprintf
-    "{\"fuzz_seed\":%d,\"case\":%d,\"original\":\"%s\",\"shrunk\":\"%s\",\"shrink_steps\":%d,\"replay\":\"%s\",\"reports\":[%s]}"
-    seed f.case
-    (json_escape (Instance.to_string f.original))
-    (json_escape (Instance.to_string f.spec))
-    f.shrink_steps
-    (json_escape (repro_line f))
-    (String.concat "," (List.map report_json f.reports))
+  to_string
+    (Obj
+       [
+         ("fuzz_seed", Int seed);
+         ("case", Int f.case);
+         ("original", String (Instance.to_string f.original));
+         ("shrunk", String (Instance.to_string f.spec));
+         ("shrink_steps", Int f.shrink_steps);
+         ("replay", String (repro_line f));
+         ("reports", List (List.map report_json f.reports));
+       ])
 
 let fuzz ?oracles ?families ?(max_size = 64) ?(max_failures = 1)
     ?(log = fun _ -> ()) ~seed ~count () =
-  let oracles = match oracles with Some os -> os | None -> Oracle.all () in
+  let oracles = match oracles with Some os -> os | None -> Oracle.all in
   let rng = Rng.create seed in
   let cases = ref 0 and checks = ref 0 in
   let failures = ref [] in

@@ -30,11 +30,10 @@ val run_spec : oracles:Oracle.t list -> Instance.spec -> Oracle.report list
 val failing : oracles:Oracle.t list -> Instance.spec -> Oracle.report list
 (** Just the failing reports. *)
 
-val shrink :
-  oracles:Oracle.t list -> ?budget:int -> Instance.spec -> Instance.spec * int
+val shrink : oracles:Oracle.t list -> Instance.spec -> Instance.spec * int
 (** Greedy spec-space descent: repeatedly try smaller [n] and simpler
     spanning kinds, keeping any candidate on which some given oracle still
-    fails, until no candidate fails or the step [budget] (default 60) is
+    fails, until no candidate fails or a budget of 60 candidates is
     spent.  Returns the minimal failing spec and the number of accepted
     steps.  The input spec must be failing. *)
 
@@ -49,7 +48,7 @@ val fuzz :
   unit ->
   outcome
 (** [count] cases with sizes ramping up to [max_size] (default 64), each
-    checked by all [oracles] (default: the whole registry); failures are
+    checked by all [oracles] (default: {!Oracle.all}); failures are
     shrunk immediately.  The run stops early after [max_failures]
     (default 1) failures. *)
 

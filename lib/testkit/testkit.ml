@@ -6,7 +6,7 @@ type report = {
 }
 
 let check_all ?oracles (inst : Instance.t) =
-  let oracles = match oracles with Some os -> os | None -> Oracle.all () in
+  let oracles = match oracles with Some os -> os | None -> Oracle.all in
   let results = List.map (fun o -> Oracle.run_protected o inst) oracles in
   {
     spec = inst.Instance.spec;

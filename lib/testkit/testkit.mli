@@ -1,4 +1,4 @@
-(** The one-call entry point: every registered oracle on one instance.
+(** The one-call entry point: every oracle on one instance.
 
     [check_all] is what [bin/fuzz] runs per case and what external callers
     use to validate an instance end to end; the submodules ({!Instance},
@@ -7,13 +7,13 @@
 
 type report = {
   spec : Instance.spec;
-  results : Oracle.report list;  (** registry order *)
+  results : Oracle.report list;  (** {!Oracle.all} order *)
   ok : bool;  (** all results ok *)
   checks : int;  (** total comparisons *)
 }
 
 val check_all : ?oracles:Oracle.t list -> Instance.t -> report
-(** Run the oracles (default: the whole registry) with exception capture. *)
+(** Run the oracles (default: {!Oracle.all}) with exception capture. *)
 
 val check_spec : ?oracles:Oracle.t list -> Instance.spec -> report
 (** [check_all] on the instance the spec builds. *)

@@ -5,15 +5,6 @@ let mean a =
   if n = 0 then invalid_arg "Stats.mean: empty";
   Array.fold_left ( +. ) 0.0 a /. float_of_int n
 
-let stddev a =
-  let n = Array.length a in
-  if n < 2 then 0.0
-  else begin
-    let m = mean a in
-    let s = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a in
-    sqrt (s /. float_of_int (n - 1))
-  end
-
 let percentile a p =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.percentile: empty";

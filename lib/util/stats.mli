@@ -1,7 +1,6 @@
 (** Descriptive statistics for the benchmark harness. *)
 
 val mean : float array -> float
-val stddev : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0, 100\]], linear interpolation. *)

@@ -59,6 +59,36 @@ let test_independent_set_application () =
     true
     (List.length mis >= 25)
 
+(* Each piece is built on one scratch, so the MIS costs words linear in
+   the pieces, not one n-sized pass per piece (~890 words per vertex on
+   this instance when it was), and matches the keep-array build. *)
+let test_independent_set_linear () =
+  let emb = Gen.by_family ~seed:1 "tgrid" ~n:5000 in
+  let g = Embedded.graph emb in
+  let d = Decomposition.build ~piece_target:20 emb in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let mis = Decomposition.independent_set emb d in
+  let per_vertex = (words () -. before) /. float_of_int (Graph.n g) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per vertex < 400" per_vertex)
+    true (per_vertex < 400.0);
+  let reference =
+    List.concat_map
+      (fun members ->
+        let keep = Array.make (Graph.n g) false in
+        List.iter (fun v -> keep.(v) <- true) members;
+        let sub, _, old_of_new = Graph.induced g keep in
+        Decomposition.exact_mis sub (Array.make (Graph.n sub) true)
+        |> List.map (fun v -> old_of_new.(v)))
+      d.Decomposition.pieces
+  in
+  Alcotest.(check (list int)) "same MIS as the keep-array build"
+    (List.sort compare reference) (List.sort compare mis)
+
 let test_bounded_diameter_grid () =
   let emb = Gen.grid_diag ~seed:4 ~rows:12 ~cols:12 () in
   let t = Decomposition.bounded_diameter ~diameter_target:6 emb in
@@ -121,6 +151,8 @@ let suites =
         Alcotest.test_case "levels logarithmic" `Quick test_levels_logarithmic;
         Alcotest.test_case "exact MIS" `Quick test_exact_mis_small;
         Alcotest.test_case "MIS application" `Quick test_independent_set_application;
+        Alcotest.test_case "MIS linear in the pieces" `Quick
+          test_independent_set_linear;
         Alcotest.test_case "BDD grid" `Quick test_bounded_diameter_grid;
         Alcotest.test_case "BDD path" `Quick test_bounded_diameter_path;
         Alcotest.test_case "BDD already small" `Quick

@@ -214,25 +214,28 @@ let test_jobs_bit_identity () =
 
 (* --- CLI exit codes ---------------------------------------------------- *)
 
-(* The CLI is built next to this test binary (the dune test stanza depends
-   on it), so its path does not depend on the working directory.  Exit 3
-   is the screen-rejection code. *)
-let repro_exe =
+(* The executables are built next to this test binary (the dune test
+   stanza depends on them), so their paths do not depend on the working
+   directory.  Exit 3 is the screen-rejection code. *)
+let exe name =
   List.fold_left Filename.concat
     (Filename.dirname Sys.executable_name)
-    [ ".."; "bin"; "main.exe" ]
+    [ ".."; "bin"; name ]
+
+let repro_exe = exe "main.exe"
+let fuzz_exe = exe "fuzz.exe"
 
 let cli cmdline =
   Sys.command
     (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote repro_exe) cmdline)
 
 (* Exit code and the non-empty stdout and stderr line counts of one run. *)
-let cli_lines cmdline =
+let run_lines exe cmdline =
   let out = Filename.temp_file "repro-cli" ".out" in
   let err = Filename.temp_file "repro-cli" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote repro_exe) cmdline
+      (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote exe) cmdline
          (Filename.quote out) (Filename.quote err))
   in
   let lines path =
@@ -272,7 +275,7 @@ let test_cli_exit_codes () =
       (fun cmdline ->
         Alcotest.(check (triple int int int))
           (cmdline ^ ": exit 2, one stderr line, no stdout")
-          (2, 0, 1) (cli_lines cmdline))
+          (2, 0, 1) (run_lines repro_exe cmdline))
       [
         "sep --backend nope --family grid -n 64";
         "sep --family nosuch";
@@ -284,11 +287,26 @@ let test_cli_exit_codes () =
         "sep --edges " ^ Filename.quote token;
         "dfs --edges " ^ Filename.quote loop ^ " --jobs 1";
         "bdd --edges " ^ Filename.quote negative ^ " --jobs 1";
+        "sep -n abc";
+        "dfs --jobs x";
+        "bdd --bogus";
       ];
     Alcotest.(check int) "a disconnected edge list is a screen rejection" 3
       (cli ("sep --edges " ^ Filename.quote disconnected));
     List.iter Sys.remove [ token; loop; negative; disconnected ]
   end
+
+(* The fuzz runner keeps the same contract. *)
+let test_fuzz_bad_arguments () =
+  if not (Sys.file_exists fuzz_exe) then
+    Alcotest.failf "fuzz binary %s not found" fuzz_exe
+  else
+    List.iter
+      (fun cmdline ->
+        Alcotest.(check (triple int int int))
+          ("fuzz " ^ cmdline ^ ": exit 2, one stderr line, no stdout")
+          (2, 0, 1) (run_lines fuzz_exe cmdline))
+      [ "--bogus"; "--backend nope" ]
 
 let suites =
   Suite.make __MODULE__
@@ -307,4 +325,6 @@ let suites =
         `Quick test_jobs_bit_identity;
       Alcotest.test_case "CLI exit codes (sep/dfs/bdd reject with 3)" `Quick
         test_cli_exit_codes;
+      Alcotest.test_case "fuzz bad arguments exit 2 with one line" `Quick
+        test_fuzz_bad_arguments;
     ]

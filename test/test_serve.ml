@@ -278,29 +278,44 @@ let test_concurrent_replay_matches_serial () =
       got_e
   end
 
-(* A bad argument exits 2 with one stderr line, before the daemon builds
-   its instance or opens its socket. *)
-let test_bad_family_exits_2 () =
+(* A bad argument exits 2 with one stderr line and no stdout, before the
+   daemon builds its instance or opens its socket. *)
+let check_bad_arguments args ~stderr:expect =
   if not (Sys.file_exists serve_exe) then
     Alcotest.failf "daemon binary %s not found" serve_exe
   else begin
     let socket =
       Printf.sprintf "/tmp/repro-serve-bad-%d.sock" (Unix.getpid ())
     in
+    let out = Filename.temp_file "repro-serve" ".out" in
     let err = Filename.temp_file "repro-serve" ".err" in
     let code =
       Sys.command
-        (Printf.sprintf "%s --family nosuch --socket %s </dev/null >/dev/null 2>%s"
-           (Filename.quote serve_exe) (Filename.quote socket)
-           (Filename.quote err))
+        (Printf.sprintf "%s %s --socket %s </dev/null >%s 2>%s"
+           (Filename.quote serve_exe) args (Filename.quote socket)
+           (Filename.quote out) (Filename.quote err))
     in
-    let stderr = In_channel.with_open_text err In_channel.input_all in
-    Sys.remove err;
+    let lines path =
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (( <> ) "")
+    in
+    let stdout = lines out and stderr = lines err in
+    List.iter Sys.remove [ out; err ];
     Alcotest.(check int) "exit code" 2 code;
-    Alcotest.(check (list string)) "one stderr line" [ "unknown family nosuch" ]
-      (List.filter (( <> ) "") (String.split_on_char '\n' stderr));
+    Alcotest.(check (list string)) "no stdout" [] stdout;
+    Alcotest.(check int) "one stderr line" 1 (List.length stderr);
+    Option.iter
+      (fun line -> Alcotest.(check (list string)) "stderr" [ line ] stderr)
+      expect;
     Alcotest.(check bool) "no socket" false (Sys.file_exists socket)
   end
+
+let test_bad_family_exits_2 () =
+  check_bad_arguments "--family nosuch" ~stderr:(Some "unknown family nosuch")
+
+let test_malformed_cache_exits_2 () =
+  check_bad_arguments "--cache x" ~stderr:None
 
 let suites =
   Suite.make __MODULE__
@@ -321,4 +336,6 @@ let suites =
         `Quick test_concurrent_replay_matches_serial;
       Alcotest.test_case "cli: unknown family exits 2 before serving" `Quick
         test_bad_family_exits_2;
+      Alcotest.test_case "cli: malformed --cache exits 2 before serving" `Quick
+        test_malformed_cache_exits_2;
     ]

@@ -67,27 +67,29 @@ let test_instance_deterministic () =
 (* Registry and suite-registration discipline (satellite c).           *)
 (* ------------------------------------------------------------------ *)
 
+let oracle_names = List.map (fun o -> o.Oracle.name) Oracle.all
+
 let test_registry_names () =
   Alcotest.(check (list string))
-    "built-ins in registration order"
+    "oracles in run order"
     [
       "graph"; "engine"; "orders"; "collective"; "faces"; "pipeline";
       "separator"; "join"; "dfs"; "forest"; "pool"; "backend"; "screen";
     ]
-    (Oracle.names ());
+    oracle_names;
   List.iter
     (fun o ->
       Alcotest.(check bool)
         (o.Oracle.name ^ " names its lemma/theorem")
         true
         (String.length o.Oracle.guards > 0))
-    (Oracle.all ())
+    Oracle.all
 
-let test_registry_duplicate_rejected () =
-  Alcotest.check_raises "re-registering engine" (Oracle.Duplicate_oracle "engine")
-    (fun () ->
-      Oracle.register
-        { Oracle.name = "engine"; guards = ""; run = (fun _ -> assert false) })
+(* [Oracle.find] and the fuzz runner's [--oracle] select by name. *)
+let test_oracle_names_distinct () =
+  Alcotest.(check int) "no name twice"
+    (List.length oracle_names)
+    (List.length (List.sort_uniq compare oracle_names))
 
 let test_registry_unknown_oracle () =
   match Oracle.find "no-such-oracle" with
@@ -280,7 +282,7 @@ let test_check_all_aggregates_registry () =
   let report = Testkit.check_spec spec in
   Alcotest.(check bool) "all oracles pass" true report.Testkit.ok;
   Alcotest.(check int) "one report per registered oracle"
-    (List.length (Oracle.all ()))
+    (List.length Oracle.all)
     (List.length report.Testkit.results);
   Alcotest.(check bool) "checks counted" true (report.Testkit.checks > 50)
 
@@ -349,8 +351,8 @@ let suites =
       Alcotest.test_case "instance build deterministic" `Quick
         test_instance_deterministic;
       Alcotest.test_case "registry names + guards" `Quick test_registry_names;
-      Alcotest.test_case "duplicate oracle rejected" `Quick
-        test_registry_duplicate_rejected;
+      Alcotest.test_case "oracle names distinct" `Quick
+        test_oracle_names_distinct;
       Alcotest.test_case "unknown oracle lists names" `Quick
         test_registry_unknown_oracle;
       Alcotest.test_case "suite names derived" `Quick test_suite_derivation;
