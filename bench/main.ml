@@ -21,7 +21,7 @@ let section title = pf "\n######## %s ########\n" title
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable recording: every table printed by an experiment is  *)
-(* also captured, and the whole run is dumped to BENCH_8.json.          *)
+(* also captured, and [--out PATH] writes the whole run to PATH.        *)
 (* ------------------------------------------------------------------ *)
 
 (* Peak resident set size of this process, from the kernel's high-water
@@ -638,7 +638,7 @@ let e10 () =
         let sep = ref [] in
         Array.iteri (fun x m -> if m then sep := x :: !sep) marked;
         let cfg =
-          Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree ()
+          Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree
         in
         let verdict = Check.check_separator cfg !sep in
         Table.add_row t
@@ -682,7 +682,7 @@ let e10 () =
   let (_, _), rstats = Composed.reroot g lv ~new_root:(nn / 2) in
   pf "executed re-root (Lemma 19): %d rounds, %d messages\n" rstats.Composed.rounds
     rstats.Composed.messages;
-  let cfg256 = Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree () in
+  let cfg256 = Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree in
   let printed = ref false in
   List.iter
     (fun (u, v) ->
@@ -891,9 +891,9 @@ let e12 ~short () =
       (!r, (Unix.gettimeofday () -. t0) /. float_of_int reps)
     end
   in
-  let module Bfs_ref = Engine.Reference.Make (Prim.Bfs_program) in
+  let module Bfs_ref = Repro_testkit.Reference.Engine.Make (Prim.Bfs_program) in
   let module Bfs_fast = Engine.Make (Prim.Bfs_program) in
-  let module Pw_ref = Engine.Reference.Make (Prim.Partwise_program) in
+  let module Pw_ref = Repro_testkit.Reference.Engine.Make (Prim.Partwise_program) in
   let module Pw_fast = Engine.Make (Prim.Partwise_program) in
   let row name n run_ref run_fast =
     (* Warm both paths once, then time each. *)
@@ -979,7 +979,6 @@ let e13 ~short () =
   in
   Table.set_align t 0 Table.Left;
   Table.set_align t 2 Table.Left;
-  let acct = ref None in
   List.iter
     (fun (seed, n) ->
       let emb = Gen.stacked_triangulation ~seed ~n () in
@@ -995,17 +994,6 @@ let e13 ~short () =
         Composed.Reference.separator_phase3 g ~rot_orders ~parent ~depth ~root
       in
       let identical = sep = sep' in
-      (* The charged accountant carries the execution observability too. *)
-      let d = Array.fold_left max 1 depth in
-      let a =
-        match !acct with
-        | Some a -> a
-        | None ->
-          let a = Rounds.create ~n:nn ~d () in
-          acct := Some a;
-          a
-      in
-      Rounds.note_exec a st;
       let row mode (s : Composed.stats) =
         Table.add_row t
           [
@@ -1023,11 +1011,6 @@ let e13 ~short () =
       row "batched" st)
     (if short then [ (3, 120) ] else [ (3, 120); (5, 240); (7, 480) ]);
   output t;
-  Option.iter
-    (fun a ->
-      pf "(accountant observability: %d engine runs, %d collectives)\n"
-        (Rounds.engine_runs a) (Rounds.collectives a))
-    !acct;
   let t2 =
     Table.create ~title:"E13b k-slot learn: one pipelined run vs k serial learns"
       [
@@ -1262,7 +1245,7 @@ let e15 ~short () =
       let str_, ir, _, ss = run true in
       let lr = Rounds.create ~n ~d () in
       let st_ref = Join.create g ~root in
-      let ir' = Join.Reference.join ~rounds:lr st_ref ~members ~separator in
+      let ir' = Repro_testkit.Reference.Join.join ~rounds:lr st_ref ~members ~separator in
       let identical =
         stb.Join.parent = str_.Join.parent
         && stb.Join.parent = st_ref.Join.parent
@@ -1906,65 +1889,76 @@ let micro () =
 let () =
   (* usage: main [--jobs N] [--short] [--out PATH] [experiment]
      (experiment: e1..e19, f1..f3, micro; default all).  --short shrinks
-     instance sizes for the CI smoke run; --out overrides the JSON dump
-     path (default BENCH_8.json). *)
+     instance sizes for the CI smoke run; --out writes the run's BENCH
+     document to PATH (nothing is written without it).  A bad argument
+     exits 2 with one stderr line before any experiment runs. *)
+  let usage_error msg =
+    prerr_endline ("bench: " ^ msg);
+    exit 2
+  in
   let jobs = ref (Pool.default_jobs ()) in
   let short = ref false in
-  let out = ref "BENCH_8.json" in
+  let out = ref None in
   let only = ref None in
-  let argc = Array.length Sys.argv in
-  let i = ref 1 in
-  while !i < argc do
-    (match Sys.argv.(!i) with
-    | "--jobs" when !i + 1 < argc ->
-      jobs := max 1 (int_of_string Sys.argv.(!i + 1));
-      incr i
-    | "--jobs" -> invalid_arg "--jobs needs an argument"
-    | "--short" -> short := true
-    | "--out" when !i + 1 < argc ->
-      out := Sys.argv.(!i + 1);
-      incr i
-    | "--out" -> invalid_arg "--out needs an argument"
-    | name -> only := Some name);
-    incr i
-  done;
-  let timings = ref [] in
-  let run name f =
+  let rec parse = function
+    | "--jobs" :: v :: rest ->
+      (match int_of_string_opt v with
+      | Some j -> jobs := max 1 j
+      | None -> usage_error ("--jobs needs an integer, got " ^ v));
+      parse rest
+    | [ "--jobs" ] -> usage_error "--jobs needs an argument"
+    | "--short" :: rest ->
+      short := true;
+      parse rest
+    | "--out" :: path :: rest ->
+      out := Some path;
+      parse rest
+    | [ "--out" ] -> usage_error "--out needs an argument"
+    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
+      usage_error ("unknown option " ^ arg)
+    | name :: rest ->
+      if !only <> None then usage_error ("more than one experiment: " ^ name);
+      only := Some name;
+      parse rest
+    | [] -> ()
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  let jobs = !jobs and short = !short in
+  let experiments =
+    [
+      ("e1", e1); ("e2", e2); ("f1", f1); ("e3", e3); ("e4", e4); ("e5", e5);
+      ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("f2", f2);
+      ("e11", e11 ~jobs ~short); ("e12", e12 ~short); ("e13", e13 ~short);
+      ("e14", e14 ~jobs); ("e15", e15 ~short); ("e16", e16 ~short);
+      ("e17", e17 ~jobs ~short); ("e18", e18 ~short); ("e19", e19 ~jobs ~short);
+      ("f3", f3 ~short); ("micro", micro);
+    ]
+  in
+  let selected =
     match !only with
-    | Some o when o <> name -> ()
-    | _ ->
-      current_exp := name;
-      reset_peak_rss ();
-      let t0 = Sys.time () in
-      let w0 = Unix.gettimeofday () in
-      f ();
-      timings := (name, Unix.gettimeofday () -. w0, peak_rss_kb ()) :: !timings;
-      pf "[%s done in %.1fs cpu]\n" name (Sys.time () -. t0)
+    | None -> experiments
+    | Some name -> (
+      match List.assoc_opt name experiments with
+      | Some f -> [ (name, f) ]
+      | None ->
+        usage_error
+          (Printf.sprintf "unknown experiment %s (known: %s)" name
+             (String.concat ", " (List.map fst experiments))))
   in
   pf "Deterministic Distributed DFS via Cycle Separators — experiment harness\n";
-  pf "(jobs = %d)\n" !jobs;
-  run "e1" e1;
-  run "e2" e2;
-  run "f1" f1;
-  run "e3" e3;
-  run "e4" e4;
-  run "e5" e5;
-  run "e6" e6;
-  run "e7" e7;
-  run "e8" e8;
-  run "e9" e9;
-  run "e10" e10;
-  run "f2" f2;
-  run "e11" (e11 ~jobs:!jobs ~short:!short);
-  run "e12" (e12 ~short:!short);
-  run "e13" (e13 ~short:!short);
-  run "e14" (e14 ~jobs:!jobs);
-  run "e15" (e15 ~short:!short);
-  run "e16" (e16 ~short:!short);
-  run "e17" (e17 ~jobs:!jobs ~short:!short);
-  run "e18" (e18 ~short:!short);
-  run "e19" (e19 ~jobs:!jobs ~short:!short);
-  run "f3" (f3 ~short:!short);
-  run "micro" micro;
-  write_json ~path:!out ~jobs:!jobs ~timings:(List.rev !timings);
+  pf "(jobs = %d)\n" jobs;
+  let timings =
+    List.map
+      (fun (name, f) ->
+        current_exp := name;
+        reset_peak_rss ();
+        let t0 = Sys.time () in
+        let w0 = Unix.gettimeofday () in
+        f ();
+        let timing = (name, Unix.gettimeofday () -. w0, peak_rss_kb ()) in
+        pf "[%s done in %.1fs cpu]\n" name (Sys.time () -. t0);
+        timing)
+      selected
+  in
+  Option.iter (fun path -> write_json ~path ~jobs ~timings) !out;
   pf "\nAll experiments complete.\n"

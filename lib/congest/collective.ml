@@ -399,10 +399,9 @@ type ctx = {
      scalar (grown to the largest k seen) *)
   mutable max_ops : Prim.op array; (* shared all-Max ops, grown likewise *)
   mutable tally : stats;
-  trace : Repro_trace.Trace.t option;
 }
 
-let create ?trace g ~parent ~root =
+let create g ~parent ~root =
   {
     g;
     parent;
@@ -411,23 +410,16 @@ let create ?trace g ~parent ~root =
     bottom = [||];
     max_ops = [||];
     tally = no_stats;
-    trace;
   }
 
 let tally ctx = ctx.tally
 let reset ctx = ctx.tally <- no_stats
 
 (* The single funnel for every engine run issued on a ctx — scalar
-   primitives, batched collectives, BFS floods — so attributing here covers
-   the whole executed layer. *)
+   primitives, batched collectives, BFS floods — so the tally covers the
+   whole executed layer. *)
 let record ?collectives ctx s =
-  let inc = of_engine ?collectives s in
-  ctx.tally <- add ctx.tally inc;
-  match ctx.trace with
-  | Some tr ->
-    Repro_trace.Trace.note_exec tr ~rounds:inc.rounds ~messages:inc.messages
-      ~engine_runs:inc.engine_runs ~collectives:inc.collectives
-  | None -> ()
+  ctx.tally <- add ctx.tally (of_engine ?collectives s)
 
 let ensure_scratch ctx k =
   if Array.length ctx.bottom < k then ctx.bottom <- Array.make k (-1);

@@ -32,8 +32,8 @@ val of_engine : ?collectives:int -> Engine.stats -> stats
 (** {2 Engine programs}
 
     Exposed so the differential suite (test/engine_equiv.ml) can run them
-    through both [Engine.Make] and [Engine.Reference.Make], like the
-    programs in {!Prim}. *)
+    through both [Engine.Make] and the testkit's dense
+    [Reference.Engine.Make], like the programs in {!Prim}. *)
 
 (** k convergecast+broadcast slots in one pipelined run over a tree.
     Slot values stream up in ascending slot order, one per edge per
@@ -71,12 +71,10 @@ end
 
 type ctx
 
-val create :
-  ?trace:Repro_trace.Trace.t -> Graph.t -> parent:int array -> root:int -> ctx
+val create : Graph.t -> parent:int array -> root:int -> ctx
 (** A collective context over a spanning tree given as parent pointers
     ([-1] at [root]).  Builds no messages; the tree schedule is implicit
-    in the pipelined programs.  [?trace] attributes every recorded engine
-    run to the tracer's innermost open span (in addition to the tally). *)
+    in the pipelined programs. *)
 
 val tally : ctx -> stats
 (** Statistics accumulated by every primitive issued on this ctx. *)

@@ -165,15 +165,10 @@ let serial_comms g acc ~parent ~root =
 
 (* Run a subroutine core against the batched collective layer and return
    its accumulated tally. *)
-(* Every public batched subroutine funnels through here: one span per
-   subroutine, with every engine run the ctx records attributed to it via
-   [Collective.record].  [trace = None] (the default everywhere) is the
-   exact pre-trace behaviour. *)
-let with_batched ?trace ~name g ~parent ~root f =
-  Repro_trace.Trace.within trace name (fun () ->
-      let ctx = Collective.create ?trace g ~parent ~root in
-      let out = f (batched_comms ctx) in
-      (out, Collective.tally ctx))
+let with_batched g ~parent ~root f =
+  let ctx = Collective.create g ~parent ~root in
+  let out = f (batched_comms ctx) in
+  (out, Collective.tally ctx)
 
 let with_serial g ~parent ~root f =
   let acc = ref Collective.no_stats in
@@ -294,10 +289,10 @@ let dfs_orders_run comms g ~children ~parent ~depth ~root =
   let bfs_parent, _ = comms.bfs ~root in
   dfs_orders_core comms g ~children ~parent ~depth ~root ~size ~bfs_parent
 
-let dfs_orders ?trace g ~children ~parent ~depth ~root =
+let dfs_orders g ~children ~parent ~depth ~root =
   let (orders, phases), st =
-    with_batched ?trace ~name:"composed.dfs-orders" g ~parent ~root
-      (fun comms -> dfs_orders_run comms g ~children ~parent ~depth ~root)
+    with_batched g ~parent ~root (fun comms ->
+        dfs_orders_run comms g ~children ~parent ~depth ~root)
   in
   (orders, phases, st)
 
@@ -491,10 +486,10 @@ let weights_core comms g (lv : local_view) =
   done;
   !results
 
-let weights ?trace g (lv : local_view) =
+let weights g (lv : local_view) =
   let tk = tk_of_view lv in
-  with_batched ?trace ~name:"composed.weights" g ~parent:tk.parent ~root:tk.root
-    (fun comms -> weights_core comms g lv)
+  with_batched g ~parent:tk.parent ~root:tk.root (fun comms ->
+      weights_core comms g lv)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1 (Section 5.3), executed end to end: from purely local data   *)
@@ -544,9 +539,9 @@ let phase1_core comms g ~(rot_orders : int array array) ~(parent : int array)
     },
     bfs_parent )
 
-let phase1 ?trace g ~rot_orders ~parent ~depth ~root =
+let phase1 g ~rot_orders ~parent ~depth ~root =
   let (lv, _), st =
-    with_batched ?trace ~name:"composed.phase1" g ~parent ~root (fun comms ->
+    with_batched g ~parent ~root (fun comms ->
         phase1_core comms g ~rot_orders ~parent ~depth ~root)
   in
   (lv, st)
@@ -575,9 +570,8 @@ let lca_core comms n (tk : tree_knowledge) ~u ~v =
   let best = (comms.agg_batch ~op:Prim.Max [| values |]).(0) in
   (best mod (n + 1), pi_u, pi_v)
 
-let lca ?trace g (tk : tree_knowledge) ~u ~v =
-  with_batched ?trace ~name:"composed.lca" g ~parent:tk.parent ~root:tk.root
-    (fun comms ->
+let lca g (tk : tree_knowledge) ~u ~v =
+  with_batched g ~parent:tk.parent ~root:tk.root (fun comms ->
       let w, _, _ = lca_core comms (Graph.n g) tk ~u ~v in
       w)
 
@@ -603,9 +597,8 @@ let mark_path_core comms n (tk : tree_knowledge) ~u ~v ~extra =
   in
   (marked, Array.sub got 2 (Array.length extra))
 
-let mark_path ?trace g (tk : tree_knowledge) ~u ~v =
-  with_batched ?trace ~name:"composed.mark-path" g ~parent:tk.parent
-    ~root:tk.root (fun comms ->
+let mark_path g (tk : tree_knowledge) ~u ~v =
+  with_batched g ~parent:tk.parent ~root:tk.root (fun comms ->
       fst (mark_path_core comms (Graph.n g) tk ~u ~v ~extra:[||]))
 
 (* ------------------------------------------------------------------ *)
@@ -735,10 +728,9 @@ let detect_face_core comms n (lv : local_view) ~u ~v ~extra =
   done;
   ({ border; inside }, Array.sub got 12 (Array.length extra))
 
-let detect_face ?trace g (lv : local_view) ~u ~v =
+let detect_face g (lv : local_view) ~u ~v =
   let tk = tk_of_view lv in
-  with_batched ?trace ~name:"composed.detect-face" g ~parent:tk.parent
-    ~root:tk.root (fun comms ->
+  with_batched g ~parent:tk.parent ~root:tk.root (fun comms ->
       fst (detect_face_core comms (Graph.n g) lv ~u ~v ~extra:[||]))
 
 (* ------------------------------------------------------------------ *)
@@ -779,9 +771,9 @@ let separator_phase3_core comms g ~rot_orders ~parent ~depth ~root =
     Some ((u, v), marked)
   end
 
-let separator_phase3 ?trace g ~rot_orders ~parent ~depth ~root =
-  with_batched ?trace ~name:"composed.separator-phase3" g ~parent ~root
-    (fun comms -> separator_phase3_core comms g ~rot_orders ~parent ~depth ~root)
+let separator_phase3 g ~rot_orders ~parent ~depth ~root =
+  with_batched g ~parent ~root (fun comms ->
+      separator_phase3_core comms g ~rot_orders ~parent ~depth ~root)
 
 (* ------------------------------------------------------------------ *)
 (* JOIN iteration (Lemma 2), executed.                                  *)
@@ -853,10 +845,9 @@ let join_elections_core comms g ~bcast_parent ~parts ~visited_depth ~marked
   let t = comms.agg_batch ~op:Prim.Sum [| remaining_flag; unvisited_flag |] in
   (a, b, t)
 
-let join_elections ?trace g ~bcast_parent ~root ~parts ~visited_depth ~marked
+let join_elections g ~bcast_parent ~root ~parts ~visited_depth ~marked
     ~forest ~attach =
-  with_batched ?trace ~name:"composed.join-elections" g ~parent:bcast_parent
-    ~root (fun comms ->
+  with_batched g ~parent:bcast_parent ~root (fun comms ->
       join_elections_core comms g ~bcast_parent ~parts ~visited_depth ~marked
         ~forest ~attach)
 
@@ -955,15 +946,14 @@ let spanning_forest_core comms g ~parts =
   let parent, depth = comms.bfs_forest forest ~roots in
   ((parent, depth, frag), !phases)
 
-let spanning_forest ?trace g ?parts () =
+let spanning_forest g ?parts () =
   let n = Graph.n g in
   let parts = match parts with Some p -> p | None -> Array.make n 0 in
   (* No spanning tree exists yet, so the ctx carries no communication
      tree: Borůvka only issues exchanges, part-wise pipelines and BFS
      floods, which are tree-free — the ctx is just the tally. *)
   let (out, phases), st =
-    with_batched ?trace ~name:"composed.spanning-forest" g
-      ~parent:(Array.make n (-1)) ~root:0 (fun comms ->
+    with_batched g ~parent:(Array.make n (-1)) ~root:0 (fun comms ->
         spanning_forest_core comms g ~parts)
   in
   (out, phases, st)
@@ -999,11 +989,11 @@ let screen_tally_core comms g ~root ~sums ~mins =
     (slot Prim.Sum sums, slot Prim.Min mins, reached)
   end
 
-let screen_tally ?trace g ~root ~sums ~mins =
+let screen_tally g ~root ~sums ~mins =
   let n = Graph.n g in
   let (s, m, reached), st =
-    with_batched ?trace ~name:"composed.screen" g ~parent:(Array.make n (-1))
-      ~root (fun comms -> screen_tally_core comms g ~root ~sums ~mins)
+    with_batched g ~parent:(Array.make n (-1)) ~root (fun comms ->
+        screen_tally_core comms g ~root ~sums ~mins)
   in
   (s, m, reached, st)
 
@@ -1054,10 +1044,10 @@ let reroot_core comms n (lv : local_view) ~new_root =
   done;
   (parent', depth')
 
-let reroot ?trace g (lv : local_view) ~new_root =
+let reroot g (lv : local_view) ~new_root =
   let tk = tk_of_view lv in
-  with_batched ?trace ~name:"composed.reroot" g ~parent:tk.parent ~root:tk.root
-    (fun comms -> reroot_core comms (Graph.n g) lv ~new_root)
+  with_batched g ~parent:tk.parent ~root:tk.root (fun comms ->
+      reroot_core comms (Graph.n g) lv ~new_root)
 
 (* ------------------------------------------------------------------ *)
 (* HIDDEN-PROBLEM (Lemma 16), executed: given the fundamental edge e    *)
@@ -1361,10 +1351,10 @@ let hidden_core comms g (lv : local_view) ~u ~v ~t =
   in
   Array.init n (fun x -> verdicts.(x) @ List.map (fun (b, _) -> (b, x)) shared.(x))
 
-let hidden ?trace g (lv : local_view) ~u ~v ~t =
+let hidden g (lv : local_view) ~u ~v ~t =
   let tk = tk_of_view lv in
-  with_batched ?trace ~name:"composed.hidden" g ~parent:tk.parent ~root:tk.root
-    (fun comms -> hidden_core comms g lv ~u ~v ~t)
+  with_batched g ~parent:tk.parent ~root:tk.root (fun comms ->
+      hidden_core comms g lv ~u ~v ~t)
 
 (* ------------------------------------------------------------------ *)
 (* The serial oracle: the identical subroutine cores bound to the       *)

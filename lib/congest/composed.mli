@@ -6,12 +6,6 @@
     broadcasts and aggregations; this module executes that decomposition in
     the synchronous engine and returns genuinely measured statistics.
 
-    Every public subroutine takes an optional [?trace] tracer
-    ([Repro_trace.Trace.t]): when given, the subroutine runs under a span
-    named after it ("composed.lca", "composed.mark-path", ...) and every
-    engine run it issues attributes rounds/messages to that span.  The
-    default is no tracer and is bit-identical to the untraced code.
-
     All communication goes through the collective layer ({!Collective}):
     each subroutine builds one communication-tree context and ships its
     scalar broadcasts as slots of batched, pipelined collectives —
@@ -46,7 +40,6 @@ type stats = Collective.stats = {
 type orders = { pi_left : int array; pi_right : int array }
 
 val dfs_orders :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   children:int array array ->
   parent:int array ->
@@ -71,7 +64,6 @@ type local_view = {
 }
 
 val phase1 :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   rot_orders:int array array ->
   parent:int array ->
@@ -83,7 +75,6 @@ val phase1 :
     in rotation order, subtree sizes, LEFT/RIGHT positions. *)
 
 val separator_phase3 :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   rot_orders:int array array ->
   parent:int array ->
@@ -97,7 +88,6 @@ val separator_phase3 :
     The Phase-1 BFS tree is reused for the election pipeline. *)
 
 val join_elections :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   bcast_parent:int array ->
   root:int ->
@@ -123,7 +113,6 @@ val join_elections :
     Returns the anchor/marked rows, the target row and the two sums. *)
 
 val weights :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   local_view ->
   ((int * int) * int) list * stats
@@ -133,7 +122,6 @@ val weights :
     edges themselves.  Edges are normalized ([pi_left u < pi_left v]). *)
 
 val lca :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   tree_knowledge ->
   u:int ->
@@ -143,7 +131,6 @@ val lca :
     Two batched engine runs (endpoint positions, then the depth-MAX). *)
 
 val mark_path :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   tree_knowledge ->
   u:int ->
@@ -155,7 +142,6 @@ val mark_path :
 type face_membership = { border : bool array; inside : bool array }
 
 val detect_face :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   local_view ->
   u:int ->
@@ -167,7 +153,6 @@ val detect_face :
     batches: still three engine runs in total. *)
 
 val spanning_forest :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   ?parts:int array ->
   unit ->
@@ -179,7 +164,6 @@ val spanning_forest :
     (O(log n)) and the measured statistics. *)
 
 val screen_tally :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   root:int ->
   sums:int array array ->
@@ -197,7 +181,6 @@ val screen_tally :
     the verdict). *)
 
 val reroot :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   local_view ->
   new_root:int ->
@@ -208,7 +191,6 @@ val reroot :
     arrays. *)
 
 val hidden :
-  ?trace:Repro_trace.Trace.t ->
   Graph.t ->
   local_view ->
   u:int ->

@@ -6,17 +6,15 @@
    bandwidth and reports round/message statistics.  Execution ends when all
    nodes have finished and no message is in flight.
 
-   Two implementations share the same semantics:
-
-   - [Make] is the event-driven scheduler: it maintains an explicit
-     worklist of active nodes (nodes holding a message or not yet
-     finished), double-buffered flat message queues, a round-stamped
-     duplicate-destination check and O(1) quiescence detection, so a round
-     costs O(active nodes + messages in flight) instead of O(n).
-   - [Reference.Make] is the original dense scheduler that scans all n
-     nodes every round.  It is kept as the oracle for the differential
-     suite (test/engine_equiv.ml): both engines must produce bit-identical
-     outputs and statistics on every program.
+   [Make] is an event-driven scheduler: it maintains an explicit worklist
+   of active nodes (nodes holding a message or not yet finished),
+   double-buffered flat message queues, a round-stamped
+   duplicate-destination check and O(1) quiescence detection, so a round
+   costs O(active nodes + messages in flight) instead of O(n).  The
+   original dense scheduler, which scans all n nodes every round, lives
+   on in the testkit ([Repro_testkit.Reference.Engine]) as the oracle of
+   the differential suite: both must produce bit-identical outputs and
+   statistics on every program.
 
    Equivalence argument for the event-driven scheduler: the reference
    steps node v in round r iff v's inbox is non-empty or v is not
@@ -70,94 +68,13 @@ exception Duplicate_message of { src : int; dst : int }
 exception Did_not_terminate of { max_rounds : int }
 
 (* ------------------------------------------------------------------ *)
-(* Reference implementation: dense O(n)-per-round scheduler.           *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  module Make (P : PROGRAM) = struct
-    let run ?max_rounds ?bandwidth g ~(input : P.input array) =
-      let n = Graph.n g in
-      if Array.length input <> n then invalid_arg "Engine.run: wrong input arity";
-      let bandwidth = match bandwidth with Some b -> b | None -> Bandwidth.default ~n in
-      let max_rounds = match max_rounds with Some r -> r | None -> 100 * (n + 10) in
-      let states = Array.make n None in
-      let inboxes : (int * P.msg) list array = Array.make n [] in
-      let messages = ref 0 and max_edge_bits = ref 0 and total_bits = ref 0 in
-      let pending = ref 0 in
-      let deliver src outbox =
-        (* At most one message per incident edge per round. *)
-        let seen = Hashtbl.create (List.length outbox) in
-        List.iter
-          (fun (dst, msg) ->
-            if not (Graph.mem_edge g src dst) then
-              invalid_arg "Engine: message along a non-edge";
-            if Hashtbl.mem seen dst then raise (Duplicate_message { src; dst });
-            Hashtbl.add seen dst ();
-            let bits = P.msg_bits msg in
-            if bits > bandwidth then
-              raise (Bandwidth_exceeded { src; dst; bits; limit = bandwidth });
-            if bits > !max_edge_bits then max_edge_bits := bits;
-            total_bits := !total_bits + bits;
-            incr messages;
-            incr pending;
-            inboxes.(dst) <- (src, msg) :: inboxes.(dst))
-          outbox
-      in
-      for v = 0 to n - 1 do
-        let st, outbox = P.init ~n ~id:v ~neighbors:(Graph.neighbors g v) input.(v) in
-        states.(v) <- Some st;
-        deliver v outbox
-      done;
-      let round = ref 0 in
-      let all_done () =
-        !pending = 0
-        && Array.for_all
-             (function Some st -> P.finished st | None -> true)
-             states
-      in
-      while not (all_done ()) do
-        incr round;
-        if !round > max_rounds then raise (Did_not_terminate { max_rounds });
-        (* Swap in fresh inboxes so this round's sends arrive next round. *)
-        let current = Array.copy inboxes in
-        Array.fill inboxes 0 n [];
-        pending := 0;
-        for v = 0 to n - 1 do
-          match states.(v) with
-          | None -> ()
-          | Some st ->
-            let inbox = current.(v) in
-            if inbox <> [] || not (P.finished st) then begin
-              let st', outbox = P.step ~round:!round ~id:v st ~inbox in
-              states.(v) <- Some st';
-              deliver v outbox
-            end
-        done
-      done;
-      let outputs =
-        Array.init n (fun v ->
-            match states.(v) with
-            | Some st -> P.output st
-            | None -> assert false)
-      in
-      ( outputs,
-        {
-          rounds = !round;
-          messages = !messages;
-          max_edge_bits = !max_edge_bits;
-          total_bits = !total_bits;
-        } )
-  end
-end
-
-(* ------------------------------------------------------------------ *)
 (* Event-driven implementation: sparse-activation scheduler.           *)
 (* ------------------------------------------------------------------ *)
 
 let compare_int (a : int) (b : int) = compare a b
 
 module Make (P : PROGRAM) = struct
-  let run ?trace ?max_rounds ?bandwidth g ~(input : P.input array) =
+  let run ?max_rounds ?bandwidth g ~(input : P.input array) =
     let n = Graph.n g in
     if Array.length input <> n then invalid_arg "Engine.run: wrong input arity";
     let bandwidth = match bandwidth with Some b -> b | None -> Bandwidth.default ~n in
@@ -299,11 +216,6 @@ module Make (P : PROGRAM) = struct
           | Some st -> P.output st
           | None -> assert false)
     in
-    (match trace with
-    | Some tr ->
-      Repro_trace.Trace.note_exec tr ~rounds:!round ~messages:!messages
-        ~engine_runs:1 ~collectives:0
-    | None -> ());
     ( outputs,
       {
         rounds = !round;

@@ -7,10 +7,10 @@
 
     [Make] is the event-driven scheduler: it keeps an explicit worklist of
     active nodes (nodes holding a message or not yet finished), so a round
-    costs O(active nodes + messages in flight) rather than O(n).
-    [Reference.Make] is the original dense scheduler, kept as the oracle of
-    the differential suite: both must produce bit-identical outputs and
-    statistics on every program. *)
+    costs O(active nodes + messages in flight) rather than O(n).  The
+    original dense scheduler is the testkit's [Reference.Engine.Make], the
+    oracle of the differential suite: both must produce bit-identical
+    outputs and statistics on every program. *)
 
 open Repro_graph
 
@@ -52,28 +52,9 @@ exception Did_not_terminate of { max_rounds : int }
 
 module Make (P : PROGRAM) : sig
   val run :
-    ?trace:Repro_trace.Trace.t ->
     ?max_rounds:int ->
     ?bandwidth:int ->
     Graph.t ->
     input:P.input array ->
     P.output array * stats
-  (** [?trace] attributes this run's statistics (rounds, messages, one
-      engine invocation) to the tracer's innermost open span.  The
-      Reference scheduler takes no tracer: it is the differential oracle
-      and stays byte-for-byte at its pre-trace behaviour. *)
-end
-
-(** The original O(n)-per-round scheduler, retained as the differential
-    oracle (see test/engine_equiv.ml) and as the baseline of the engine
-    micro-benchmark (E12). *)
-module Reference : sig
-  module Make (P : PROGRAM) : sig
-    val run :
-      ?max_rounds:int ->
-      ?bandwidth:int ->
-      Graph.t ->
-      input:P.input array ->
-      P.output array * stats
-  end
 end

@@ -16,9 +16,9 @@ val apply : op -> int -> int -> int
     The underlying [Engine.PROGRAM] modules, exposed so that the
     differential suite (test/engine_equiv.ml) and the engine
     micro-benchmark (E12) can run the very same programs through both
-    [Engine.Make] and [Engine.Reference.Make].  Their [finished]
-    predicates are quiescence predicates: true whenever a node would take
-    no action on an empty inbox (see prim.ml). *)
+    [Engine.Make] and the testkit's dense [Reference.Engine.Make].  Their
+    [finished] predicates are quiescence predicates: true whenever a node
+    would take no action on an empty inbox (see prim.ml). *)
 
 module Bfs_program : sig
   include Engine.PROGRAM with type input = bool and type output = int * int

@@ -27,10 +27,6 @@ type t = {
   params : params;
   mutable total : float;
   breakdown : (string, float * int) Hashtbl.t;
-  (* Observability for the executed (message-level) portions: how many
-     engine invocations and logical collectives backed the charges. *)
-  mutable engine_runs : int;
-  mutable collectives : int;
   (* Optional span tracer riding the accountant: every charge attributes
      to the tracer's innermost open span.  [None] is the zero-cost path. *)
   trace : Repro_trace.Trace.t option;
@@ -43,8 +39,6 @@ let create ?(params = default_params) ?trace ~n ~d () =
     params;
     total = 0.0;
     breakdown = Hashtbl.create 32;
-    engine_runs = 0;
-    collectives = 0;
     trace;
   }
 
@@ -95,19 +89,6 @@ let charge_exact t ~label rounds = charge t ~label (float_of_int rounds)
 
 let total t = t.total
 
-let note_exec t (s : Collective.stats) =
-  t.engine_runs <- t.engine_runs + s.Collective.engine_runs;
-  t.collectives <- t.collectives + s.Collective.collectives;
-  match t.trace with
-  | Some tr ->
-    Repro_trace.Trace.note_exec tr ~rounds:s.Collective.rounds
-      ~messages:s.Collective.messages ~engine_runs:s.Collective.engine_runs
-      ~collectives:s.Collective.collectives
-  | None -> ()
-
-let engine_runs t = t.engine_runs
-let collectives t = t.collectives
-
 (* Fresh accountant with the same network parameters — used to meter the
    parts of a partition independently before taking the parallel maximum. *)
 let like t =
@@ -115,8 +96,6 @@ let like t =
     t with
     total = 0.0;
     breakdown = Hashtbl.create 32;
-    engine_runs = 0;
-    collectives = 0;
     (* A fresh tracer per part: parts mutate only their own span tree, so
        pool tasks stay data-race free; the caller splices the heaviest
        part's tree back in via [absorb]. *)
@@ -129,8 +108,6 @@ let like t =
    the maximum, not the sum). *)
 let absorb t other =
   t.total <- t.total +. other.total;
-  t.engine_runs <- t.engine_runs + other.engine_runs;
-  t.collectives <- t.collectives + other.collectives;
   (match (t.trace, other.trace) with
   | Some tr, Some tr' -> Repro_trace.Trace.absorb tr tr'
   | _ -> ());
@@ -187,9 +164,6 @@ let label_invocations t label =
 
 let pp fmt t =
   Fmt.pf fmt "rounds=%.0f (n=%d, D=%d, PA=%.0f)@." t.total t.n t.d (pa_cost t);
-  if t.engine_runs > 0 then
-    Fmt.pf fmt "  executed: %d engine runs, %d collectives@." t.engine_runs
-      t.collectives;
   List.iter
     (fun (label, r, c) -> Fmt.pf fmt "  %-26s %10.0f rounds %6d calls@." label r c)
     (breakdown t)

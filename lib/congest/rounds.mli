@@ -13,9 +13,9 @@ val default_params : params
 type t
 
 val create : ?params:params -> ?trace:Repro_trace.Trace.t -> n:int -> d:int -> unit -> t
-(** [?trace] attaches a span tracer: every [charge_*] and [note_exec]
-    attributes its cost to the tracer's innermost open span.  Omitting it
-    keeps the accountant exactly as before (no tracing work at all). *)
+(** [?trace] attaches a span tracer: every [charge_*] attributes its cost
+    to the tracer's innermost open span.  Omitting it keeps the accountant
+    exactly as before (no tracing work at all). *)
 
 val tracer : t -> Repro_trace.Trace.t option
 
@@ -44,15 +44,6 @@ val charge_reroot : t -> unit
 val charge_exact : t -> label:string -> int -> unit
 
 val total : t -> float
-
-val note_exec : t -> Collective.stats -> unit
-(** Fold the observability counters of an executed collective tally into
-    the accountant (the charged rounds themselves are still added via
-    [charge_*]; this only tracks how many engine invocations and logical
-    collectives backed them). *)
-
-val engine_runs : t -> int
-val collectives : t -> int
 
 val like : t -> t
 (** Fresh accountant with the same network parameters.  If the original

@@ -68,14 +68,10 @@ let outer_root_first emb root =
       Some !best
     end
 
-let of_embedded ?(spanning = Spanning.Bfs) ?root ?root_first emb =
+let of_embedded ?(spanning = Spanning.Bfs) emb =
   let g = Embedded.graph emb in
-  let root = match root with Some r -> r | None -> Embedded.outer emb in
-  let root_first =
-    match root_first with
-    | Some f -> Some f
-    | None -> outer_root_first emb root
-  in
+  let root = Embedded.outer emb in
+  let root_first = outer_root_first emb root in
   let parent = Spanning.make spanning g ~root in
   let tree = Rooted.build ?root_first ~rot:(Embedded.rot emb) ~root parent in
   { graph = g; rot = Embedded.rot emb; tree; root_first; to_global = None }
@@ -110,8 +106,8 @@ let of_part ?(spanning = Spanning.Bfs) ~members ~root emb =
 
 (* Build a configuration from pre-existing pieces: a graph paired with a
    tree built elsewhere (the testkit's instances, tests, benchmarks). *)
-let of_parts ~graph ~rot ~tree ?root_first () =
-  { graph; rot; tree; root_first; to_global = None }
+let of_parts ~graph ~rot ~tree =
+  { graph; rot; tree; root_first = None; to_global = None }
 
 (* Real fundamental edges of T: the non-tree edges of G, normalized so that
    pi_left(u) < pi_left(v). *)

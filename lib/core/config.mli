@@ -8,11 +8,10 @@ open Repro_tree
 
 type t
 
-val of_embedded :
-  ?spanning:Spanning.kind -> ?root:int -> ?root_first:int -> Embedded.t -> t
-(** Configuration for a whole embedded graph.  The root defaults to the
-    embedding's outer vertex; [root_first] (where the virtual root edge is
-    inserted) defaults to the outward direction when coordinates exist. *)
+val of_embedded : ?spanning:Spanning.kind -> Embedded.t -> t
+(** Configuration for a whole embedded graph, rooted at the embedding's
+    outer vertex, with the virtual root edge inserted in the outward
+    direction when coordinates exist ({!outer_root_first}). *)
 
 val of_part :
   ?spanning:Spanning.kind -> members:int array -> root:int -> Embedded.t -> t
@@ -21,13 +20,7 @@ val of_part :
     renumbered; map back with [to_global].  Members are an array — the
     representation the part-parallel batch runners traffic in. *)
 
-val of_parts :
-  graph:Graph.t ->
-  rot:Rotation.t ->
-  tree:Rooted.t ->
-  ?root_first:int ->
-  unit ->
-  t
+val of_parts : graph:Graph.t -> rot:Rotation.t -> tree:Rooted.t -> t
 (** Assemble a configuration from existing pieces: a graph paired with a
     tree built elsewhere (the testkit's instances, tests, benchmarks). *)
 

@@ -18,10 +18,10 @@
    (Lemma 11, making path activation node-local) and three aggregations,
    instead of the old per-component anchor aggregation + re-root +
    mark-path schedule.  The elections are expressed as integer codes whose
-   part-wise maximum realises exactly the serial tie-breaks; [Reference]
-   keeps the pre-batching choreography verbatim as the differential
-   oracle, and [?exec] runs the batched elections for real in the message
-   engine ({!Repro_congest.Composed.join_elections}).
+   part-wise maximum realises exactly the serial tie-breaks; the testkit's
+   [Reference.Join] keeps the pre-batching choreography verbatim as the
+   differential oracle, and [?exec] runs the batched elections for real
+   in the message engine ({!Repro_congest.Composed.join_elections}).
 
    Joins of distinct components may run concurrently (the DFS driver batches
    them over a domain pool): a join writes [parent]/[depth] only for its own
@@ -321,8 +321,7 @@ let join_inner ?rounds ?exec st ~members ~separator =
             ~attach:attach_cb
       in
       assert (t.(0) = !count);
-      e.stats <- Collective.add e.stats stats;
-      Option.iter (fun r -> Rounds.note_exec r stats) rounds
+      e.stats <- Collective.add e.stats stats
   done;
   Graph.Marks.release scratch.remaining;
   !iterations
@@ -330,137 +329,3 @@ let join_inner ?rounds ?exec st ~members ~separator =
 let join ?rounds ?exec st ~members ~separator =
   Rounds.span rounds "join" (fun () ->
       join_inner ?rounds ?exec st ~members ~separator)
-
-(* ------------------------------------------------------------------ *)
-(* The pre-batching choreography, verbatim: one anchor aggregation, a   *)
-(* re-root and a full mark-path per iteration, with a per-component     *)
-(* hash-table member index.  Kept as the differential oracle: the       *)
-(* batched join above must produce a bit-identical partial tree and     *)
-(* iteration count on every input.                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  let preferring_tree st members ~anchor ~marked =
-    let k = Array.length members in
-    let member = Hashtbl.create (2 * k) in
-    Array.iteri (fun i v -> Hashtbl.replace member v i) members;
-    let idx v = Hashtbl.find member v in
-    let uf = Repro_util.Union_find.create k in
-    let adj = Array.make k [] in
-    let add_edge u v =
-      if Repro_util.Union_find.union uf (idx u) (idx v) then begin
-        adj.(idx u) <- v :: adj.(idx u);
-        adj.(idx v) <- u :: adj.(idx v)
-      end
-    in
-    let consider pass =
-      Array.iter
-        (fun v ->
-          Array.iter
-            (fun u ->
-              if Hashtbl.mem member u && v < u then begin
-                let zero = marked v && marked u in
-                if (pass = 0 && zero) || (pass = 1 && not zero) then add_edge v u
-              end)
-            (Graph.neighbors st.g v))
-        members
-    in
-    consider 0;
-    consider 1;
-    let parent = Array.make k (-2) in
-    let depth = Array.make k (-1) in
-    parent.(idx anchor) <- -1;
-    depth.(idx anchor) <- 0;
-    let queue = Array.make k anchor in
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
-      let v = queue.(!head) in
-      incr head;
-      List.iter
-        (fun u ->
-          if parent.(idx u) = -2 then begin
-            parent.(idx u) <- v;
-            depth.(idx u) <- depth.(idx v) + 1;
-            queue.(!tail) <- u;
-            incr tail
-          end)
-        adj.(idx v)
-    done;
-    (idx, parent, depth)
-
-  let attach st ~anchor ~anchor_parent ~idx ~tree_parent target =
-    let rec path_to v acc =
-      if v = anchor then v :: acc else path_to tree_parent.(idx v) (v :: acc)
-    in
-    let path = path_to target [] in
-    let rec walk prev = function
-      | [] -> ()
-      | v :: rest ->
-        st.parent.(v) <- prev;
-        st.depth.(v) <- st.depth.(prev) + 1;
-        Atomic.decr st.unvisited;
-        walk v rest
-    in
-    walk anchor_parent path
-
-  let join_inner ?rounds st ~members ~separator =
-    let remaining = Hashtbl.create (2 * List.length separator) in
-    List.iter
-      (fun v -> if not (in_tree st v) then Hashtbl.replace remaining v ())
-      separator;
-    let iterations = ref 0 in
-    while Hashtbl.length remaining > 0 do
-      incr iterations;
-      (match rounds with
-      | Some r ->
-        (* One iteration: spanning forest, anchor/leaf aggregation,
-           re-root, path marking — all Õ(D) (Section 6.1). *)
-        Rounds.charge_spanning_forest r;
-        Rounds.charge_aggregate r "join-anchor";
-        Rounds.charge_reroot r;
-        Rounds.charge_mark_path r
-      | None -> ());
-      let comps = unvisited_components st members in
-      let touched = ref false in
-      List.iter
-        (fun comp ->
-          let has_marked = Array.exists (Hashtbl.mem remaining) comp in
-          if has_marked then begin
-            match component_anchor st comp with
-            | None -> invalid_arg "Join.join: component with no tree neighbour"
-            | Some (anchor, anchor_parent) ->
-              let idx, tree_parent, tree_depth =
-                preferring_tree st comp ~anchor ~marked:(Hashtbl.mem remaining)
-              in
-              (* Deepest remaining marked node of this component's tree. *)
-              let target =
-                Array.fold_left
-                  (fun acc v ->
-                    if Hashtbl.mem remaining v then begin
-                      match acc with
-                      | Some best when tree_depth.(idx best) >= tree_depth.(idx v)
-                        ->
-                        acc
-                      | _ -> Some v
-                    end
-                    else acc)
-                  None comp
-              in
-              (match target with
-              | None -> ()
-              | Some h ->
-                attach st ~anchor ~anchor_parent ~idx ~tree_parent h;
-                touched := true;
-                Array.iter
-                  (fun v -> if in_tree st v then Hashtbl.remove remaining v)
-                  comp)
-          end)
-        comps;
-      if not !touched then
-        invalid_arg "Join.join: no progress — separator nodes unreachable"
-    done;
-    !iterations
-
-  let join ?rounds st ~members ~separator =
-    Rounds.span rounds "join" (fun () -> join_inner ?rounds st ~members ~separator)
-end

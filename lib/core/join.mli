@@ -4,9 +4,10 @@
     The per-iteration queries — anchor election, target election, attach
     bookkeeping — are slot-batched across all active components (one
     part-wise aggregation each), with the preferring forests and their
-    rooted orders charged as Lemmas 9 and 11.  {!Reference} keeps the
-    pre-batching choreography (anchor aggregation + re-root + mark-path
-    per iteration) verbatim as the differential oracle.
+    rooted orders charged as Lemmas 9 and 11.  The testkit's
+    [Reference.Join] keeps the pre-batching choreography (anchor
+    aggregation + re-root + mark-path per iteration) verbatim as the
+    differential oracle.
 
     Joins of distinct components only touch their own members, so the DFS
     driver may run them concurrently over a domain pool. *)
@@ -62,12 +63,3 @@ val join :
 (** Add every separator node of the component to the partial tree; returns
     the number of halving iterations used (Lemma 2 bounds it by O(log n)
     per surviving path piece). *)
-
-(** The pre-batching serial choreography, verbatim (per-component hash
-    index, per-iteration anchor aggregation + re-root + mark-path): the
-    differential oracle against which the batched {!join} must be
-    bit-identical in resulting tree and iteration count. *)
-module Reference : sig
-  val join :
-    ?rounds:Rounds.t -> state -> members:int array -> separator:int list -> int
-end

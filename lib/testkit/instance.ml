@@ -221,7 +221,7 @@ let build_clean spec =
   let root = Embedded.outer emb in
   let parent = Spanning.make spec.spanning g ~root in
   let tree = Rooted.build ~rot:(Embedded.rot emb) ~root parent in
-  let config = Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree () in
+  let config = Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree in
   { spec; emb; config }
 
 (* A hostile instance carries the hostile embedding but a placeholder

@@ -261,11 +261,11 @@ let run_graph (inst : Instance.t) =
 
 module Diff (P : Engine.PROGRAM) = struct
   module Fast = Engine.Make (P)
-  module Ref = Engine.Reference.Make (P)
+  module Ref = Reference.Engine.Make (P)
 
-  let check ?max_rounds ?bandwidth g ~input =
-    let out_r, st_r = Ref.run ?max_rounds ?bandwidth g ~input in
-    let out_f, st_f = Fast.run ?max_rounds ?bandwidth g ~input in
+  let check g ~input =
+    let out_r, st_r = Ref.run g ~input in
+    let out_f, st_f = Fast.run g ~input in
     let err =
       if out_r <> out_f then Some "outputs diverge"
       else if st_r <> st_f then
@@ -781,7 +781,7 @@ let run_join (inst : Instance.t) =
   let run_join ledger exec reference =
     let st = Join.create g ~root in
     let iters =
-      if reference then Join.Reference.join ~rounds:ledger st ~members ~separator
+      if reference then Reference.Join.join ~rounds:ledger st ~members ~separator
       else Join.join ~rounds:ledger ?exec st ~members ~separator
     in
     (st, iters)

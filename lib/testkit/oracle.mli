@@ -31,12 +31,7 @@ type t = {
     Exposed so the engine-equiv suite can keep its deterministic tiny-graph
     edge cases (n = 1, n = 2) next to the fuzzed property. *)
 module Diff (P : Repro_congest.Engine.PROGRAM) : sig
-  val check :
-    ?max_rounds:int ->
-    ?bandwidth:int ->
-    Repro_graph.Graph.t ->
-    input:P.input array ->
-    int * string option
+  val check : Repro_graph.Graph.t -> input:P.input array -> int * string option
   (** (event-driven engine rounds, divergence description if any);
       divergence covers outputs and all four statistics. *)
 end

@@ -1,0 +1,224 @@
+(* The pre-optimisation twins of two production modules, kept verbatim
+   as differential oracles.  They use only the public interfaces of the
+   modules they check, so the production libraries ship only what runs.
+
+   - [Engine.Make] is the original dense CONGEST scheduler: it scans all n
+     nodes every round.  The event-driven [Repro_congest.Engine.Make] must
+     produce bit-identical outputs and statistics on every program (the
+     "engine" oracle, test/engine_equiv.ml, bench E12).
+   - [Join.join] is the pre-batching JOIN choreography: one anchor
+     aggregation, a re-root and a full mark-path per iteration, with a
+     per-component hash-table member index.  The batched
+     [Repro_core.Join.join] must produce a bit-identical partial tree and
+     iteration count on every input (the "join" oracle, test_join,
+     bench E15). *)
+
+open Repro_graph
+open Repro_congest
+
+module Engine = struct
+  open Repro_congest.Engine
+
+  module Make (P : PROGRAM) = struct
+    let run ?max_rounds ?bandwidth g ~(input : P.input array) =
+      let n = Graph.n g in
+      if Array.length input <> n then invalid_arg "Engine.run: wrong input arity";
+      let bandwidth = match bandwidth with Some b -> b | None -> Bandwidth.default ~n in
+      let max_rounds = match max_rounds with Some r -> r | None -> 100 * (n + 10) in
+      let states = Array.make n None in
+      let inboxes : (int * P.msg) list array = Array.make n [] in
+      let messages = ref 0 and max_edge_bits = ref 0 and total_bits = ref 0 in
+      let pending = ref 0 in
+      let deliver src outbox =
+        (* At most one message per incident edge per round. *)
+        let seen = Hashtbl.create (List.length outbox) in
+        List.iter
+          (fun (dst, msg) ->
+            if not (Graph.mem_edge g src dst) then
+              invalid_arg "Engine: message along a non-edge";
+            if Hashtbl.mem seen dst then raise (Duplicate_message { src; dst });
+            Hashtbl.add seen dst ();
+            let bits = P.msg_bits msg in
+            if bits > bandwidth then
+              raise (Bandwidth_exceeded { src; dst; bits; limit = bandwidth });
+            if bits > !max_edge_bits then max_edge_bits := bits;
+            total_bits := !total_bits + bits;
+            incr messages;
+            incr pending;
+            inboxes.(dst) <- (src, msg) :: inboxes.(dst))
+          outbox
+      in
+      for v = 0 to n - 1 do
+        let st, outbox = P.init ~n ~id:v ~neighbors:(Graph.neighbors g v) input.(v) in
+        states.(v) <- Some st;
+        deliver v outbox
+      done;
+      let round = ref 0 in
+      let all_done () =
+        !pending = 0
+        && Array.for_all
+             (function Some st -> P.finished st | None -> true)
+             states
+      in
+      while not (all_done ()) do
+        incr round;
+        if !round > max_rounds then raise (Did_not_terminate { max_rounds });
+        (* Swap in fresh inboxes so this round's sends arrive next round. *)
+        let current = Array.copy inboxes in
+        Array.fill inboxes 0 n [];
+        pending := 0;
+        for v = 0 to n - 1 do
+          match states.(v) with
+          | None -> ()
+          | Some st ->
+            let inbox = current.(v) in
+            if inbox <> [] || not (P.finished st) then begin
+              let st', outbox = P.step ~round:!round ~id:v st ~inbox in
+              states.(v) <- Some st';
+              deliver v outbox
+            end
+        done
+      done;
+      let outputs =
+        Array.init n (fun v ->
+            match states.(v) with
+            | Some st -> P.output st
+            | None -> assert false)
+      in
+      ( outputs,
+        {
+          rounds = !round;
+          messages = !messages;
+          max_edge_bits = !max_edge_bits;
+          total_bits = !total_bits;
+        } )
+  end
+end
+
+module Join = struct
+  open Repro_core.Join
+
+  let preferring_tree st members ~anchor ~marked =
+    let k = Array.length members in
+    let member = Hashtbl.create (2 * k) in
+    Array.iteri (fun i v -> Hashtbl.replace member v i) members;
+    let idx v = Hashtbl.find member v in
+    let uf = Repro_util.Union_find.create k in
+    let adj = Array.make k [] in
+    let add_edge u v =
+      if Repro_util.Union_find.union uf (idx u) (idx v) then begin
+        adj.(idx u) <- v :: adj.(idx u);
+        adj.(idx v) <- u :: adj.(idx v)
+      end
+    in
+    let consider pass =
+      Array.iter
+        (fun v ->
+          Array.iter
+            (fun u ->
+              if Hashtbl.mem member u && v < u then begin
+                let zero = marked v && marked u in
+                if (pass = 0 && zero) || (pass = 1 && not zero) then add_edge v u
+              end)
+            (Graph.neighbors st.g v))
+        members
+    in
+    consider 0;
+    consider 1;
+    let parent = Array.make k (-2) in
+    let depth = Array.make k (-1) in
+    parent.(idx anchor) <- -1;
+    depth.(idx anchor) <- 0;
+    let queue = Array.make k anchor in
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let v = queue.(!head) in
+      incr head;
+      List.iter
+        (fun u ->
+          if parent.(idx u) = -2 then begin
+            parent.(idx u) <- v;
+            depth.(idx u) <- depth.(idx v) + 1;
+            queue.(!tail) <- u;
+            incr tail
+          end)
+        adj.(idx v)
+    done;
+    (idx, parent, depth)
+
+  let attach st ~anchor ~anchor_parent ~idx ~tree_parent target =
+    let rec path_to v acc =
+      if v = anchor then v :: acc else path_to tree_parent.(idx v) (v :: acc)
+    in
+    let path = path_to target [] in
+    let rec walk prev = function
+      | [] -> ()
+      | v :: rest ->
+        st.parent.(v) <- prev;
+        st.depth.(v) <- st.depth.(prev) + 1;
+        Atomic.decr st.unvisited;
+        walk v rest
+    in
+    walk anchor_parent path
+
+  let join_inner ?rounds st ~members ~separator =
+    let remaining = Hashtbl.create (2 * List.length separator) in
+    List.iter
+      (fun v -> if not (in_tree st v) then Hashtbl.replace remaining v ())
+      separator;
+    let iterations = ref 0 in
+    while Hashtbl.length remaining > 0 do
+      incr iterations;
+      (match rounds with
+      | Some r ->
+        (* One iteration: spanning forest, anchor/leaf aggregation,
+           re-root, path marking — all Õ(D) (Section 6.1). *)
+        Rounds.charge_spanning_forest r;
+        Rounds.charge_aggregate r "join-anchor";
+        Rounds.charge_reroot r;
+        Rounds.charge_mark_path r
+      | None -> ());
+      let comps = unvisited_components st members in
+      let touched = ref false in
+      List.iter
+        (fun comp ->
+          let has_marked = Array.exists (Hashtbl.mem remaining) comp in
+          if has_marked then begin
+            match component_anchor st comp with
+            | None -> invalid_arg "Join.join: component with no tree neighbour"
+            | Some (anchor, anchor_parent) ->
+              let idx, tree_parent, tree_depth =
+                preferring_tree st comp ~anchor ~marked:(Hashtbl.mem remaining)
+              in
+              (* Deepest remaining marked node of this component's tree. *)
+              let target =
+                Array.fold_left
+                  (fun acc v ->
+                    if Hashtbl.mem remaining v then begin
+                      match acc with
+                      | Some best when tree_depth.(idx best) >= tree_depth.(idx v)
+                        ->
+                        acc
+                      | _ -> Some v
+                    end
+                    else acc)
+                  None comp
+              in
+              (match target with
+              | None -> ()
+              | Some h ->
+                attach st ~anchor ~anchor_parent ~idx ~tree_parent h;
+                touched := true;
+                Array.iter
+                  (fun v -> if in_tree st v then Hashtbl.remove remaining v)
+                  comp)
+          end)
+        comps;
+      if not !touched then
+        invalid_arg "Join.join: no progress — separator nodes unreachable"
+    done;
+    !iterations
+
+  let join ?rounds st ~members ~separator =
+    Rounds.span rounds "join" (fun () -> join_inner ?rounds st ~members ~separator)
+end

@@ -30,10 +30,16 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of 15, 16 or 17 significant digits that parses back to
+   the same float (17 always does). *)
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else begin
-    let s = Printf.sprintf "%.17g" f in
+    let digits p = Printf.sprintf "%.*g" p f in
+    let s =
+      List.find_opt (fun s -> float_of_string s = f) [ digits 15; digits 16 ]
+      |> Option.value ~default:(digits 17)
+    in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s then s
     else s ^ ".0"
   end

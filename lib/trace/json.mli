@@ -4,8 +4,9 @@
     shared by the trace exporters (Chrome-trace, metrics), the bench
     emitter and the bench-diff regression gate, so emitted documents can be
     parsed back losslessly.  Integers and floats are kept distinct so exact
-    counters survive a round trip; floats print with enough digits
-    ([%.17g]) that [of_string (to_string j)] reproduces the same value. *)
+    counters survive a round trip; a float prints in the shortest of 15, 16
+    or 17 significant digits that reads back as the same value, so
+    [of_string (to_string j)] reproduces it. *)
 
 type t =
   | Null

@@ -1,14 +1,10 @@
-(* Span-tree tracer driven entirely by virtual time (charged + executed
-   rounds).  No wall clock, no identifiers minted from global state: a
-   trace is a pure function of the run, which is what makes the jobs=N
-   determinism guarantee (and the CI exact-diff gate) possible. *)
+(* Span-tree tracer driven entirely by virtual time (charged rounds).  No
+   wall clock, no identifiers minted from global state: a trace is a pure
+   function of the run, which is what makes the jobs=N determinism
+   guarantee (and the CI exact-diff gate) possible. *)
 
 type counters = {
   mutable charged : float;
-  mutable exec_rounds : int;
-  mutable messages : int;
-  mutable engine_runs : int;
-  mutable collectives : int;
   mutable charges : int;
   mutable pa_units : int;
   mutable tasks : int;
@@ -25,24 +21,10 @@ type t = {
   mutable stack : span list; (* innermost first; always ends with root_span *)
 }
 
-let zero () =
-  {
-    charged = 0.0;
-    exec_rounds = 0;
-    messages = 0;
-    engine_runs = 0;
-    collectives = 0;
-    charges = 0;
-    pa_units = 0;
-    tasks = 0;
-  }
+let zero () = { charged = 0.0; charges = 0; pa_units = 0; tasks = 0 }
 
 let add_into ~into c =
   into.charged <- into.charged +. c.charged;
-  into.exec_rounds <- into.exec_rounds + c.exec_rounds;
-  into.messages <- into.messages + c.messages;
-  into.engine_runs <- into.engine_runs + c.engine_runs;
-  into.collectives <- into.collectives + c.collectives;
   into.charges <- into.charges + c.charges;
   into.pa_units <- into.pa_units + c.pa_units;
   into.tasks <- into.tasks + c.tasks
@@ -86,13 +68,6 @@ let note_pa t units =
   let c = (current t).self in
   c.pa_units <- c.pa_units + units
 
-let note_exec t ~rounds ~messages ~engine_runs ~collectives =
-  let c = (current t).self in
-  c.exec_rounds <- c.exec_rounds + rounds;
-  c.messages <- c.messages + messages;
-  c.engine_runs <- c.engine_runs + engine_runs;
-  c.collectives <- c.collectives + collectives
-
 let note_tasks t n =
   let c = (current t).self in
   c.tasks <- c.tasks + n
@@ -114,80 +89,47 @@ let rec totals span =
 
 let in_order span = List.rev span.children
 
-(* Aggregation: merge sibling spans with equal names, preserving the order
-   of first occurrence — the per-phase attribution view. *)
+(* Aggregation: sibling spans with equal names merge into one node, in
+   order of first occurrence, and their children merge the same way at
+   every depth — the per-phase attribution view. *)
 type agg = {
   aname : string;
-  mutable count : int;
+  count : int;
   aself : counters;
   atotal : counters;
-  mutable akids : agg list; (* newest first *)
+  akids : agg list; (* order of first occurrence *)
 }
 
-let rec aggregate_children spans =
-  let index = Hashtbl.create 8 in
-  let out = ref [] in
+(* Spans grouped by name, groups in order of first occurrence and each
+   group's spans in their own order. *)
+let by_name spans =
+  let groups = Hashtbl.create 8 and names = ref [] in
   List.iter
-    (fun (s : span) ->
-      let node =
-        match Hashtbl.find_opt index s.name with
-        | Some node -> node
-        | None ->
-          let node =
-            {
-              aname = s.name;
-              count = 0;
-              aself = zero ();
-              atotal = zero ();
-              akids = [];
-            }
-          in
-          Hashtbl.replace index s.name node;
-          out := node :: !out;
-          node
-      in
-      node.count <- node.count + 1;
-      add_into ~into:node.aself s.self;
-      add_into ~into:node.atotal (totals s);
-      node.akids <- List.rev_append (aggregate_children (in_order s)) node.akids)
+    (fun s ->
+      match Hashtbl.find_opt groups s.name with
+      | Some group -> group := s :: !group
+      | None ->
+        Hashtbl.add groups s.name (ref [ s ]);
+        names := s.name :: !names)
     spans;
-  (* Children aggregated per-sibling above may repeat across instances of
-     the same name: fold them once more. *)
-  let fold_aggs aggs =
-    let index = Hashtbl.create 8 in
-    let out = ref [] in
-    List.iter
-      (fun (a : agg) ->
-        match Hashtbl.find_opt index a.aname with
-        | Some node ->
-          node.count <- node.count + a.count;
-          add_into ~into:node.aself a.aself;
-          add_into ~into:node.atotal a.atotal;
-          node.akids <- a.akids @ node.akids
-        | None ->
-          Hashtbl.replace index a.aname a;
-          out := a :: !out)
-      aggs;
-    List.rev !out
-  in
-  let merged = fold_aggs (List.rev !out) in
-  List.iter (fun a -> a.akids <- fold_aggs (List.rev a.akids)) merged;
-  merged
+  List.rev_map (fun name -> (name, List.rev !(Hashtbl.find groups name))) !names
 
-let aggregate_span (root : span) =
-  let a =
-    {
-      aname = root.name;
-      count = 1;
-      aself = zero ();
-      atotal = totals root;
-      akids = List.rev (aggregate_children (in_order root));
-    }
-  in
-  add_into ~into:a.aself root.self;
-  a
+let rec merge (name, group) =
+  let aself = zero () and atotal = zero () in
+  List.iter
+    (fun s ->
+      add_into ~into:aself s.self;
+      add_into ~into:atotal (totals s))
+    group;
+  {
+    aname = name;
+    count = List.length group;
+    aself;
+    atotal;
+    akids = List.map merge (by_name (List.concat_map in_order group));
+  }
 
-let aggregate t = aggregate_span t.root_span
+let aggregate span = merge (span.name, [ span ])
 
 let pp fmt t =
   let rec go indent (a : agg) =
@@ -195,35 +137,22 @@ let pp fmt t =
     Fmt.pf fmt "%s%-*s" indent (max 1 (34 - String.length indent)) a.aname;
     if a.count > 1 then Fmt.pf fmt " x%-5d" a.count else Fmt.pf fmt "       ";
     if tot.charged > 0.0 then Fmt.pf fmt " charged=%-10.0f" tot.charged;
-    if tot.exec_rounds > 0 then Fmt.pf fmt " rounds=%-8d" tot.exec_rounds;
-    if tot.messages > 0 then Fmt.pf fmt " msgs=%-9d" tot.messages;
-    if tot.engine_runs > 0 then Fmt.pf fmt " engine=%-5d" tot.engine_runs;
-    if tot.collectives > 0 then Fmt.pf fmt " coll=%-5d" tot.collectives;
     if tot.pa_units > 0 then Fmt.pf fmt " pa=%-6d" tot.pa_units;
     if tot.tasks > 0 then Fmt.pf fmt " tasks=%-5d" tot.tasks;
     Fmt.pf fmt "@.";
-    List.iter (go (indent ^ "  ")) (List.rev a.akids)
+    List.iter (go (indent ^ "  ")) a.akids
   in
-  go "" (aggregate t)
+  go "" (aggregate t.root_span)
 
 (* --- exporters ------------------------------------------------------ *)
 
 let counters_fields (c : counters) =
   [
     ("charged_rounds", Json.Float c.charged);
-    ("exec_rounds", Json.Int c.exec_rounds);
-    ("messages", Json.Int c.messages);
-    ("engine_runs", Json.Int c.engine_runs);
-    ("collectives", Json.Int c.collectives);
     ("charges", Json.Int c.charges);
     ("pa_units", Json.Int c.pa_units);
     ("tasks", Json.Int c.tasks);
   ]
-
-(* Virtual duration of a span: charged plus executed rounds (the two never
-   both dominate — charged-model runs execute nothing and vice versa — and
-   summing keeps the axis monotone for hybrid runs). *)
-let duration tot = tot.charged +. float_of_int tot.exec_rounds
 
 let to_chrome t =
   let events = ref [] in
@@ -236,7 +165,7 @@ let to_chrome t =
           ("cat", Json.String "congest");
           ("ph", Json.String "X");
           ("ts", Json.Float ts);
-          ("dur", Json.Float (duration tot));
+          ("dur", Json.Float tot.charged);
           ("pid", Json.Int 0);
           ("tid", Json.Int 0);
           ("args", Json.Obj (counters_fields tot));
@@ -248,7 +177,7 @@ let to_chrome t =
     List.iter
       (fun c ->
         emit !cursor c;
-        cursor := !cursor +. duration (totals c))
+        cursor := !cursor +. (totals c).charged)
       (in_order span)
   in
   emit 0.0 t.root_span;
@@ -267,10 +196,10 @@ let metrics_of_span s =
       @ counters_fields a.atotal
       @ [
           ("self", Json.Obj (counters_fields a.aself));
-          ("children", Json.List (List.map node (List.rev a.akids)));
+          ("children", Json.List (List.map node a.akids));
         ])
   in
-  node (aggregate_span s)
+  node (aggregate s)
 
 let to_metrics t = metrics_of_span t.root_span
 

@@ -1,18 +1,23 @@
 (** Structured tracing for the CONGEST stack.
 
     A tracer is a tree of named spans with one open-span stack.  Spans wrap
-    the composed subroutines, the separator phases, the DFS/decomposition
-    recursion levels and the pool batches; counters attribute charged
-    rounds, executed engine statistics and pool-batch sizes to the
-    innermost open span.  Everything is driven by *virtual* time (charged
-    and executed rounds), never by the wall clock, so a trace is a pure
-    function of the run: jobs=N produces a bit-identical trace to jobs=1
-    under the per-part ledger discipline of [Rounds.map_parts].
+    the separator phases, the screen, JOIN, the DFS/decomposition recursion
+    levels, the pool batches and the daemon's requests.  A span's cost is
+    what the paper charges for it: the charged ledger ([Rounds]) attributes
+    charged rounds, charge events and part-wise-aggregation units, and the
+    pool attributes the items of each batch, to the innermost open span.
+    Everything is driven by *virtual* time (charged rounds), never by the
+    wall clock, so a trace is a pure function of the run: jobs=N produces
+    a bit-identical trace to jobs=1 under the per-part ledger discipline
+    of [Rounds.map_parts].
 
     The whole subsystem is optional-by-construction: every integration
     point holds a [t option], and the [None] path does no work and
     allocates nothing, keeping traced-off runs bit-identical to the
     pre-trace code.
+
+    The summary and the metrics tree merge sibling spans with equal names
+    at every depth, in order of first occurrence.
 
     Sinks: an aggregated textual summary ({!pp}), a Chrome-trace JSON
     ({!to_chrome}, loadable in Perfetto / chrome://tracing with charged
@@ -22,10 +27,6 @@
 
 type counters = {
   mutable charged : float;  (** charged rounds ([Rounds.charge]) *)
-  mutable exec_rounds : int;  (** executed engine rounds *)
-  mutable messages : int;
-  mutable engine_runs : int;
-  mutable collectives : int;
   mutable charges : int;  (** number of charge invocations *)
   mutable pa_units : int;  (** charged part-wise-aggregation units *)
   mutable tasks : int;  (** pool-batch items executed under this span *)
@@ -67,10 +68,6 @@ val note_charge : t -> float -> unit
 val note_pa : t -> int -> unit
 (** Charged part-wise-aggregation units (rides a [note_charge]). *)
 
-val note_exec :
-  t -> rounds:int -> messages:int -> engine_runs:int -> collectives:int -> unit
-(** Executed engine statistics (one engine run's worth, typically). *)
-
 val note_tasks : t -> int -> unit
 (** A pool batch of this many items ran under the current span. *)
 
@@ -87,18 +84,18 @@ val totals : span -> counters
 (** Fresh counters: self plus all descendants. *)
 
 val pp : Format.formatter -> t -> unit
-(** Aggregated tree summary: sibling spans with equal names merge, with an
-    instance count. *)
+(** Aggregated tree summary: sibling spans with equal names merge at every
+    depth, with an instance count, children in order of first
+    occurrence. *)
 
 val to_chrome : t -> Json.t
 (** Chrome-trace ("traceEvents") document of complete ("X") events.  The
-    time axis is virtual: a span's duration is its total charged rounds
-    plus executed rounds, children laid out sequentially inside the
-    parent. *)
+    time axis is virtual: a span's duration is its total charged rounds,
+    children laid out sequentially inside the parent. *)
 
 val to_metrics : t -> Json.t
-(** Machine-readable aggregated tree; deterministic, so the CI bench-diff
-    gate compares it exactly. *)
+(** Machine-readable aggregated tree, merged as {!pp} merges it;
+    deterministic, so the CI bench-diff gate compares it exactly. *)
 
 val metrics_of_span : span -> Json.t
 (** {!to_metrics} rooted at an arbitrary span — the request-scoped

@@ -229,7 +229,7 @@ let centroid t =
 (* Re-root the same set of tree edges at a new vertex (RE-ROOT-PROBLEM,
    Lemma 19).  Children orders are recomputed from the rotation so that the
    re-rooted tree again satisfies the parent-first convention. *)
-let reroot ?root_first ~rot t new_root =
+let reroot ~rot t new_root =
   let size = n t in
   let adj = Array.make size [] in
   for v = 0 to size - 1 do
@@ -252,7 +252,7 @@ let reroot ?root_first ~rot t new_root =
         end)
       adj.(u)
   done;
-  build ?root_first ~rot ~root:new_root parent
+  build ~rot ~root:new_root parent
 
 let edges t =
   let acc = ref [] in

@@ -82,7 +82,7 @@ val path : t -> int -> int -> int list
 val centroid : t -> int
 (** A vertex whose removal leaves components of size at most [n/2]. *)
 
-val reroot : ?root_first:int -> rot:Rotation.t -> t -> int -> t
+val reroot : rot:Rotation.t -> t -> int -> t
 (** Same tree edges, new root (RE-ROOT-PROBLEM, Lemma 19). *)
 
 val edges : t -> (int * int) list

@@ -21,16 +21,6 @@ let percentile a p =
 
 let median a = percentile a 50.0
 
-let min_max a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Stats.min_max: empty";
-  let mn = ref a.(0) and mx = ref a.(0) in
-  for i = 1 to n - 1 do
-    if a.(i) < !mn then mn := a.(i);
-    if a.(i) > !mx then mx := a.(i)
-  done;
-  (!mn, !mx)
-
 (* Least-squares slope of y against x; used to fit round-complexity curves. *)
 let linear_slope ~x ~y =
   let n = Array.length x in

@@ -6,7 +6,6 @@ val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0, 100\]], linear interpolation. *)
 
 val median : float array -> float
-val min_max : float array -> float * float
 
 val linear_slope : x:float array -> y:float array -> float
 (** Least-squares slope of [y] against [x]. *)

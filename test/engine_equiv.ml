@@ -1,5 +1,5 @@
 (* Differential suite: the event-driven scheduler (Engine.Make) against the
-   dense reference scheduler (Engine.Reference.Make).
+   dense reference scheduler (the testkit's Reference.Engine.Make).
 
    The hand-rolled graph zoo that used to live here is now the testkit's
    "engine" oracle (lib/testkit/oracle.ml): every program through both

@@ -245,7 +245,7 @@ let test_hidden_rounds_scale_with_depth () =
     let g, _, _, tree = setup ~spanning emb in
     let lv = local_view_of emb tree in
     let cfg =
-      Repro_core.Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree ()
+      Repro_core.Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree
     in
     let instance =
       List.find_map

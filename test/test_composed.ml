@@ -77,7 +77,7 @@ let test_separator_phase3_executed () =
         let sep = ref [] in
         Array.iteri (fun x m -> if m then sep := x :: !sep) marked;
         let cfg =
-          Repro_core.Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree ()
+          Repro_core.Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree
         in
         let verdict = Repro_core.Check.check_separator cfg !sep in
         Alcotest.(check bool)

@@ -4,7 +4,7 @@
 
    1. Bit-identity: on every generator family, the slot-batched join
       (lib/core/join.ml) produces exactly the partial tree and iteration
-      count of [Join.Reference] — the pre-batching per-component anchor
+      count of the testkit's [Reference.Join] — the pre-batching per-component anchor
       aggregation + re-root + mark-path choreography kept verbatim as the
       differential oracle.
    2. The charged schedule is >= 2x cheaper from lg >= 4 on (per
@@ -55,7 +55,7 @@ let test_batched_equals_reference () =
         let st = Join.create g ~root in
         let iters =
           if reference then
-            Join.Reference.join ~rounds:ledger st ~members ~separator
+            Reference.Join.join ~rounds:ledger st ~members ~separator
           else Join.join ~rounds:ledger st ~members ~separator
         in
         (st, iters, Rounds.total ledger)

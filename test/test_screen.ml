@@ -217,25 +217,28 @@ let test_jobs_bit_identity () =
 (* The executables are built next to this test binary (the dune test
    stanza depends on them), so their paths do not depend on the working
    directory.  Exit 3 is the screen-rejection code. *)
-let exe name =
+let exe dir name =
   List.fold_left Filename.concat
     (Filename.dirname Sys.executable_name)
-    [ ".."; "bin"; name ]
+    [ ".."; dir; name ]
 
-let repro_exe = exe "main.exe"
-let fuzz_exe = exe "fuzz.exe"
+let repro_exe = exe "bin" "main.exe"
+let fuzz_exe = exe "bin" "fuzz.exe"
+let bench_exe = exe "bench" "main.exe"
 
 let cli cmdline =
   Sys.command
     (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote repro_exe) cmdline)
 
-(* Exit code and the non-empty stdout and stderr line counts of one run. *)
-let run_lines exe cmdline =
+(* Exit code and the non-empty stdout and stderr line counts of one run,
+   in the working directory [cwd] when given. *)
+let run_lines ?cwd exe cmdline =
   let out = Filename.temp_file "repro-cli" ".out" in
   let err = Filename.temp_file "repro-cli" ".err" in
+  let cd = match cwd with Some d -> "cd " ^ Filename.quote d ^ " && " | None -> "" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote exe) cmdline
+      (Printf.sprintf "%s%s %s >%s 2>%s" cd (Filename.quote exe) cmdline
          (Filename.quote out) (Filename.quote err))
   in
   let lines path =
@@ -293,7 +296,21 @@ let test_cli_exit_codes () =
       ];
     Alcotest.(check int) "a disconnected edge list is a screen rejection" 3
       (cli ("sep --edges " ^ Filename.quote disconnected));
-    List.iter Sys.remove [ token; loop; negative; disconnected ]
+    List.iter Sys.remove [ token; loop; negative; disconnected ];
+    (* The bench harness writes a BENCH document only under --out, and a
+       bad argument stops it before any experiment runs. *)
+    let dir = Filename.temp_dir "repro-bench" "" in
+    List.iter
+      (fun cmdline ->
+        Alcotest.(check (triple int int int))
+          ("bench " ^ cmdline ^ ": exit 2, one stderr line, no stdout")
+          (2, 0, 1)
+          (run_lines ~cwd:dir bench_exe cmdline);
+        Alcotest.(check (array string))
+          ("bench " ^ cmdline ^ ": no file written")
+          [||] (Sys.readdir dir))
+      [ "--sort"; "e99" ];
+    Sys.rmdir dir
   end
 
 (* The fuzz runner keeps the same contract. *)

@@ -195,7 +195,7 @@ let grid_cost rows =
   let root = Embedded.outer emb in
   let parent = Spanning.bfs g ~root in
   let tree = Rooted.build ~rot:(Embedded.rot emb) ~root parent in
-  let cfg = Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree () in
+  let cfg = Config.of_parts ~graph:g ~rot:(Embedded.rot emb) ~tree in
   let n = Graph.n g in
   let d = Algo.diameter g in
   let sep = Rounds.create ~n ~d () in

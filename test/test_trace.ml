@@ -29,9 +29,6 @@ let rec check_span (s : Trace.span) =
     (Printf.sprintf "span %s: self counters non-negative" s.Trace.name)
     true
     (s.Trace.self.Trace.charged >= 0.0
-    && s.Trace.self.Trace.exec_rounds >= 0
-    && s.Trace.self.Trace.messages >= 0
-    && s.Trace.self.Trace.engine_runs >= 0
     && s.Trace.self.Trace.charges >= 0
     && s.Trace.self.Trace.pa_units >= 0
     && s.Trace.self.Trace.tasks >= 0);
@@ -47,15 +44,6 @@ let rec check_span (s : Trace.span) =
     (Printf.sprintf "span %s: children charged <= total" s.Trace.name)
     true
     (kids_charged <= tot.Trace.charged +. 1e-6);
-  let kids_messages =
-    List.fold_left
-      (fun acc c -> acc + (Trace.totals c).Trace.messages)
-      0 s.Trace.children
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "span %s: children messages <= total" s.Trace.name)
-    true
-    (kids_messages <= tot.Trace.messages);
   List.iter check_span s.Trace.children
 
 let test_well_formed () =
@@ -102,6 +90,79 @@ let test_disabled_mode_identical () =
     "charged total identical" (Rounds.total rounds_off) (Rounds.total rounds_on);
   Alcotest.(check int) "invocations identical" (Rounds.invocations rounds_off)
     (Rounds.invocations rounds_on)
+
+(* --- merge: sibling spans with equal names, at every depth ------------ *)
+
+(* run > A > (B > (C, D), E) and run > A > (B > C, F), then G: the two B
+   spans merge under the merged A, and so do their C children. *)
+let nested_trace () =
+  let t = Trace.create () in
+  let span name body = Trace.with_span t name body in
+  let leaf name = span name (fun () -> Trace.note_charge t 1.0) in
+  span "A" (fun () ->
+      span "B" (fun () ->
+          leaf "C";
+          leaf "D");
+      leaf "E");
+  span "A" (fun () ->
+      span "B" (fun () -> leaf "C");
+      leaf "F");
+  leaf "G";
+  t
+
+(* (depth, name, count) per node, in the order printed. *)
+let expected_merge =
+  [
+    (0, "run", 1);
+    (1, "A", 2);
+    (2, "B", 2);
+    (3, "C", 2);
+    (3, "D", 1);
+    (2, "E", 1);
+    (2, "F", 1);
+    (1, "G", 1);
+  ]
+
+let test_merge_every_depth () =
+  let t = nested_trace () in
+  let rec nodes depth j =
+    let str key = match Json.member key j with Some (Json.String s) -> s | _ -> "" in
+    let count = match Json.member "count" j with Some (Json.Int c) -> c | _ -> 0 in
+    let kids = match Json.member "children" j with Some (Json.List l) -> l | _ -> [] in
+    (depth, str "name", count, j) :: List.concat_map (nodes (depth + 1)) kids
+  in
+  let metrics = nodes 0 (Trace.to_metrics t) in
+  Alcotest.(check (list (triple int string int)))
+    "metrics: one node per name and depth, first-occurrence order" expected_merge
+    (List.map (fun (d, name, count, _) -> (d, name, count)) metrics);
+  let charged_c =
+    List.filter_map
+      (fun (_, name, _, j) ->
+        if name = "C" then Json.member "charged_rounds" j else None)
+      metrics
+  in
+  Alcotest.(check bool) "merged C carries both charges" true
+    (charged_c = [ Json.Float 2.0 ]);
+  (* The summary prints the same tree: indentation is two spaces a level,
+     and a merged span shows its count as "xN". *)
+  let lines =
+    Format.asprintf "%a" Trace.pp t
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun line ->
+           let indent = ref 0 in
+           while line.[!indent] = ' ' do
+             incr indent
+           done;
+           let depth = !indent / 2 in
+           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+           | name :: count :: _ when count.[0] = 'x' ->
+             (depth, name, int_of_string (String.sub count 1 (String.length count - 1)))
+           | name :: _ -> (depth, name, 1)
+           | [] -> (depth, "", 0))
+  in
+  Alcotest.(check (list (triple int string int)))
+    "pp: one line per name and depth, first-occurrence order" expected_merge lines
 
 (* --- jobs determinism ------------------------------------------------ *)
 
@@ -175,7 +236,27 @@ let test_json_codec_int_float_distinct () =
   Alcotest.(check bool) "round trip preserves Int/Float distinction" true
     (Json.equal doc doc');
   Alcotest.(check bool) "Int 3 <> Float 3.0" false
-    (Json.equal (Json.Int 3) (Json.Float 3.0))
+    (Json.equal (Json.Int 3) (Json.Float 3.0));
+  (* Floats print in their shortest round-trip form and read back to the
+     same bits. *)
+  Alcotest.(check string) "0.687 prints as 0.687" "0.687"
+    (Json.to_string (Json.Float 0.687));
+  let round_trips f =
+    match Json.of_string (Json.to_string (Json.Float f)) with
+    | Json.Float f' -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
+    | _ -> false
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "%h round-trips" f) true (round_trips f))
+    [ 0.687; 0.1 +. 0.2; 1e-300; -2.5e300; 5e-324 ];
+  let rng = Repro_util.Rng.create 7 in
+  for _ = 1 to 1000 do
+    let sign = if Repro_util.Rng.bool rng then -1.0 else 1.0 in
+    let exponent = Repro_util.Rng.int_in_range rng ~lo:(-300) ~hi:300 in
+    let f = sign *. Repro_util.Rng.float rng 1.0 *. (10.0 ** float_of_int exponent) in
+    if not (round_trips f) then Alcotest.failf "%h does not round-trip" f
+  done
 
 let suites =
   Repro_testkit.Suite.make __MODULE__
@@ -186,6 +267,8 @@ let suites =
         test_unbalanced_leave_rejected;
       Alcotest.test_case "tracing off is bit-identical" `Quick
         test_disabled_mode_identical;
+      Alcotest.test_case "same-name spans merge at every depth" `Quick
+        test_merge_every_depth;
       Alcotest.test_case "jobs=1 and jobs=4 traces bit-identical" `Quick
         test_jobs_deterministic;
       Alcotest.test_case "chrome/metrics schema and JSON round-trip" `Quick
