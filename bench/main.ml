@@ -1293,7 +1293,7 @@ let e15 ~short () =
       let d = max 1 (Algo.diameter g) in
       let ledger = Rounds.create ~n ~d () in
       let r = Separator.find ~rounds:ledger cfg in
-      let batches = Rounds.label_invocations ledger "verify-balance" in
+      let batches = Rounds.label_invocations ledger Verify_balance in
       let lg =
         int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.0))
       in

@@ -96,10 +96,9 @@ let () =
      paper costs for the same operation. *)
   let d = Algo.diameter g in
   let rounds = Rounds.create ~n ~d () in
-  Rounds.charge_aggregate rounds "partwise-min";
   Printf.printf
     "\ncharged cost of one part-wise aggregation at D=%d: %.0f rounds\n" d
-    (Rounds.total rounds);
+    (Rounds.pa_cost rounds);
   Printf.printf
     "(the executed pipelined version above used %d — the shortcut bound is\n"
     stats.Engine.rounds;

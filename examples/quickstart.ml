@@ -48,5 +48,6 @@ let () =
   print_endline "\nper-subroutine breakdown:";
   List.iter
     (fun (label, cost, calls) ->
-      Printf.printf "  %-28s %10.0f rounds %4d call(s)\n" label cost calls)
+      Printf.printf "  %-28s %10.0f rounds %4d call(s)\n"
+        (Rounds.label_name label) cost calls)
     (Rounds.breakdown rounds)

@@ -45,14 +45,11 @@ let find ?rounds ~seed ~samples cfg =
   let rng = Rng.create seed in
   let n = Config.n cfg in
   let tree = Config.tree cfg in
-  (match rounds with
-  | Some r ->
-    Rounds.charge_spanning_forest r;
-    Rounds.charge_dfs_order r;
-    (* Sampling replaces the deterministic weights but costs the same
-       aggregation schedule. *)
-    Rounds.charge_weights r
-  | None -> ());
+  Rounds.charge rounds Spanning_forest;
+  Rounds.charge rounds Dfs_order;
+  (* Sampling replaces the deterministic weights but costs the same
+     aggregation schedule. *)
+  Rounds.charge rounds Weights;
   let fundamental = Config.fundamental_edges cfg in
   let fallback () =
     (* Where estimation finds nothing, the randomized algorithm restarts
@@ -79,9 +76,7 @@ let find ?rounds ~seed ~samples cfg =
     in
     match candidate with
     | Some ((u, v), est) ->
-      (match rounds with
-      | Some r -> Rounds.charge_mark_path r
-      | None -> ());
+      Rounds.charge rounds Mark_path;
       let path = Repro_tree.Rooted.path tree u v in
       {
         separator = path;

@@ -3,8 +3,5 @@
 val bits_for_int : int -> int
 (** Bits to encode a signed integer. *)
 
-val bits_for_id : n:int -> int
-(** Bits to encode a vertex identifier in an [n]-vertex network. *)
-
 val default : n:int -> int
 (** Default per-edge per-round bandwidth, Θ(log n). *)

@@ -50,9 +50,7 @@ let lt_level_find ?rounds cfg =
   let n = Config.n cfg in
   let root = Rooted.root (Config.tree cfg) in
   Rounds.span rounds "backend.lt-level" @@ fun () ->
-  Option.iter
-    (fun r -> Rounds.charge_exact r ~label:"backend-collect[lt-level]" n)
-    rounds;
+  Rounds.charge_rounds rounds Backend_collect n;
   if n <= 3 then
     Separator.
       {

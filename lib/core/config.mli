@@ -11,7 +11,8 @@ type t
 val of_embedded : ?spanning:Spanning.kind -> Embedded.t -> t
 (** Configuration for a whole embedded graph, rooted at the embedding's
     outer vertex, with the virtual root edge inserted in the outward
-    direction when coordinates exist ({!outer_root_first}). *)
+    direction (away from the drawing's centroid) when coordinates
+    exist. *)
 
 val of_part :
   ?spanning:Spanning.kind -> members:int array -> root:int -> Embedded.t -> t
@@ -32,10 +33,6 @@ val root_first : t -> int option
 
 val to_global : t -> int -> int
 (** Map a local vertex back to the original graph's numbering. *)
-
-val outer_root_first : Embedded.t -> int -> int option
-(** Neighbour of the given hull vertex that follows the outward direction
-    clockwise — the virtual-root-edge convention of Section 4. *)
 
 val fundamental_edges : t -> (int * int) list
 (** Real fundamental edges (non-tree edges), normalized so that

@@ -32,7 +32,7 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
   let n = Graph.n g in
   Graph.check_vertex g root;
   Screen.require ?rounds ~entry:"Dfs.run" emb;
-  (match rounds with Some r -> Rounds.charge_embedding r | None -> ());
+  Rounds.charge rounds Embedding;
   let st = Join.create g ~root in
   let phases = ref 0 in
   let max_join = ref 0 in
@@ -49,9 +49,7 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
     (* The phase span wraps both batches and their absorbs, so the
        heaviest parts' spliced sub-trees land inside it. *)
     Rounds.span rounds (Printf.sprintf "dfs.phase%d" !phases) @@ fun () ->
-    (match rounds with
-    | Some r -> Rounds.charge_aggregate r "components[Phase]"
-    | None -> ());
+    Rounds.charge rounds Components;
     let comps = Array.of_list (Join.unvisited_components st all_members) in
     let largest = Array.fold_left (fun a c -> max a (Array.length c)) 0 comps in
     (* Theorem 1 on the node-disjoint collection of components: compute all

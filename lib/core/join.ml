@@ -186,19 +186,16 @@ let join_inner ?rounds ?exec st ~members ~separator =
   let iterations = ref 0 in
   while !count > 0 do
     incr iterations;
-    (match rounds with
-    | Some r ->
-      (* One iteration, all active components in parallel: preferring
-         forests (Lemma 9), their orders rooted at the anchors (Lemma 11 —
-         path activation becomes node-local), and the three slot-batched
-         aggregations: anchor/marked election, target election, attach
-         bookkeeping (Section 6.1). *)
-      Rounds.charge_spanning_forest r;
-      Rounds.charge_dfs_order r;
-      Rounds.charge_aggregate r "join-elections";
-      Rounds.charge_aggregate r "join-target";
-      Rounds.charge_aggregate r "join-attach"
-    | None -> ());
+    (* One iteration, all active components in parallel: preferring
+       forests (Lemma 9), their orders rooted at the anchors (Lemma 11 —
+       path activation becomes node-local), and the three slot-batched
+       aggregations: anchor/marked election, target election, attach
+       bookkeeping (Section 6.1). *)
+    Rounds.charge rounds Spanning_forest;
+    Rounds.charge rounds Dfs_order;
+    Rounds.charge rounds Join_elections;
+    Rounds.charge rounds Join_target;
+    Rounds.charge rounds Join_attach;
     let comps = Array.of_list (unvisited_components st members) in
     let m = Array.length comps in
     let forests = Array.make m None in

@@ -28,8 +28,6 @@ type verdict = Accepted | Rejected of reason | Flagged of witness
 exception
   Rejected_input of { entry : string; verdict : verdict; spec : string }
 
-let charge_opt rounds f = match rounds with Some r -> f r | None -> ()
-
 (* ---- tier 1: structure ------------------------------------------------ *)
 
 (* The rotation store validates at [of_orders] time, but hostile
@@ -178,7 +176,7 @@ let check ?rounds emb =
     Rounds.span rounds "screen.structure" @@ fun () ->
     (* Degree sum, rotation-closure flag and BFS reach ride the slots
        of one aggregation over the communication tree: O(D). *)
-    charge_opt rounds (fun r -> Rounds.charge_aggregate r "screen-structure");
+    Rounds.charge rounds Screen_structure;
     structural_reason g rot ~outer:(Embedded.outer emb)
   in
   match structural with
@@ -188,9 +186,8 @@ let check ?rounds emb =
     (* Face tallies need the rotation known along the walks — priced as
        one embedding broadcast — and the count / witness election is
        one more aggregation: Õ(D) total. *)
-    charge_opt rounds (fun r ->
-        Rounds.charge_embedding r;
-        Rounds.charge_aggregate r "screen-planarity");
+    Rounds.charge rounds Embedding;
+    Rounds.charge rounds Screen_planarity;
     let n = Graph.n g and m = Graph.m g in
     if m = 0 then Accepted (* connected with no edges: a single vertex *)
     else begin

@@ -51,8 +51,6 @@ type result = {
 
 exception No_separator_found of string
 
-let charge_opt rounds f = match rounds with Some r -> f r | None -> ()
-
 (* The shared verification handle of one [find]: the Phase-1 tree is held
    by the config, the BFS marks and queue of [Check.balanced_with] are
    allocated at the first probe and reused by every later one (a [find]
@@ -78,7 +76,7 @@ let candidate ?rounds cfg ver tried ~batch ~phase ~closing (a, b) =
   if ver.batch <> Some batch then begin
     ver.batch <- Some batch;
     Rounds.span rounds "sep.verify" (fun () ->
-        charge_opt rounds (fun r -> Rounds.charge_aggregate r "verify-balance"))
+        Rounds.charge rounds Verify_balance)
   end;
   {
     separator = Rooted.path (Config.tree cfg) a b;
@@ -110,7 +108,7 @@ let first_some candidates =
 let tree_phase ?rounds cfg ver tried =
   let tree = Config.tree cfg in
   let n = Config.n cfg in
-  charge_opt rounds (fun r -> Rounds.charge_aggregate r "range-subtree");
+  Rounds.charge rounds Range_subtree;
   (* The paper's RANGE-PROBLEM: any v with n_T(v) in [n/3, 2n/3]. *)
   let in_range = ref None in
   for v = 0 to n - 1 do
@@ -254,10 +252,9 @@ let pi_for_case cfg = function
 let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
   let n = Config.n cfg in
   let case = Faces.classify cfg ~u ~v in
-  charge_opt rounds (fun r -> Rounds.charge_detect_face r);
+  Rounds.charge rounds Detect_face;
   let interior = Faces.interior cfg ~u ~v in
-  charge_opt rounds (fun r ->
-      Rounds.charge_aggregate r "full-augmentation[Phase4]");
+  Rounds.charge rounds Full_augmentation;
   let leaves =
     region_leaves_with_counter cfg ~pi:(pi_for_case cfg case) ~counter:`Prefix
       interior
@@ -280,7 +277,7 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
   let hidden =
     List.map
       (fun t () ->
-        charge_opt rounds (fun r -> Rounds.charge_hidden r);
+        Rounds.charge rounds Hidden;
         match Hidden.maximal_hiding_edge cfg ~e:(u, v) ~t with
         | None -> None
         | Some (z1, z2) ->
@@ -309,7 +306,7 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
 let outside_sweep_candidates ?rounds cfg ver tried ~label region =
   let n = Config.n cfg in
   let root = Rooted.root (Config.tree cfg) in
-  charge_opt rounds (fun r -> Rounds.charge_aggregate r "outside-sweep[Phase5]");
+  Rounds.charge rounds Outside_sweep;
   let leaves =
     region_leaves_with_counter cfg
       ~pi:(Rooted.pi_left (Config.tree cfg))
@@ -345,10 +342,9 @@ let find ?rounds cfg =
        election below — nothing below re-marks or re-walks it. *)
     let ver = verifier_create () in
     Rounds.span rounds "sep.phase1-precompute" (fun () ->
-        charge_opt rounds (fun r ->
-            Rounds.charge_spanning_forest r;
-            Rounds.charge_dfs_order r;
-            Rounds.charge_weights r));
+        Rounds.charge rounds Spanning_forest;
+        Rounds.charge rounds Dfs_order;
+        Rounds.charge rounds Weights);
     let weights = Weights.all_weights cfg in
     if weights = [] then
       Rounds.span rounds "sep.phase2-tree" (fun () -> tree_phase ?rounds cfg ver tried)
@@ -358,8 +354,7 @@ let find ?rounds cfg =
          the cycle from above and, with the border, those outside it. *)
       let phase3_result =
         Rounds.span rounds "sep.phase3-face" (fun () ->
-            charge_opt rounds (fun r ->
-                Rounds.charge_aggregate r "range-weights[Phase3]");
+            Rounds.charge rounds Range_weights;
             List.find_opt (fun (_, w) -> 3 * w >= n && 3 * w <= 2 * n) weights
             |> Option.map (fun ((u, v), _) ->
                    candidate ?rounds cfg ver tried ~batch:"phase3"
@@ -376,7 +371,7 @@ let find ?rounds cfg =
             (* Phase 4: a minimal heavy face — one that does not contain any
                other heavy face (NOT-CONTAINS, Lemma 18).  Containment can
                only hold within the minimum-weight tier. *)
-            charge_opt rounds (fun r -> Rounds.charge_not_contained r);
+            Rounds.charge rounds Not_contained;
             let wmin = List.fold_left (fun a (_, w) -> min a w) max_int heavy in
             let face (u, v) () = heavy_face_candidates ?rounds cfg ver tried ~u ~v in
             let e = pick_not_contains cfg (weight_tier ~best:wmin heavy) in
@@ -402,11 +397,11 @@ let find ?rounds cfg =
             (* Phase 5: every face lighter than n/3.  Take an edge not
                contained in any other face (NOT-CONTAINED, Lemma 17); only
                the maximum-weight tier can contain it. *)
-            charge_opt rounds (fun r -> Rounds.charge_not_contained r);
+            Rounds.charge rounds Not_contained;
             let wmax = List.fold_left (fun a (_, w) -> max a w) min_int weights in
             let u, v = pick_not_contained cfg (weight_tier ~best:wmax weights) in
             let f_left, f_right = Weights.outside_split cfg ~u ~v in
-            charge_opt rounds (fun r -> Rounds.charge_aggregate r "outside-split[Phase5]");
+            Rounds.charge rounds Outside_split;
             let nl = List.length f_left and nr = List.length f_right in
             let base_candidates =
               (* Only the border path carries a certified closing edge (the
@@ -542,7 +537,7 @@ let shrink ?rounds cfg path =
     let rec replay lo hi below =
       if hi - lo > 1 then begin
         Rounds.span rounds "sep.shrink-probe" (fun () ->
-            charge_opt rounds (fun r -> Rounds.charge_aggregate r "shrink-balance"));
+            Rounds.charge rounds Shrink_balance);
         let mid = (lo + hi) / 2 in
         if below mid then replay mid hi below else replay lo mid below
       end

@@ -7,9 +7,6 @@ type point = float * float
 val orient : point -> point -> point -> float
 (** Signed area of the triangle; positive = counterclockwise. *)
 
-val clockwise_order : point array -> int -> int array -> int array
-(** Neighbours of a vertex sorted clockwise by angle. *)
-
 val rotation_of_coords : Graph.t -> point array -> Rotation.t
 (** Rotation system induced by vertex coordinates. *)
 

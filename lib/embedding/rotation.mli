@@ -52,9 +52,6 @@ val next_clockwise : t -> int -> int -> int
 val order_from : t -> int -> first:int -> int array
 (** Rotation of [v] as a linear order starting at neighbour [first]. *)
 
-val next_dart : t -> int * int -> int * int
-(** Face-traversal successor of a directed edge. *)
-
 val faces : Graph.t -> t -> (int * int) list list
 (** All faces as closed dart walks (each dart appears in exactly one face). *)
 

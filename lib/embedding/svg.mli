@@ -4,8 +4,6 @@
     coordinate-free embeddings get a Tutte-style barycentric layout pinned
     to the longest face of the rotation system. *)
 
-open Repro_graph
-
 type style = {
   width : float;
   vertex_radius : float;
@@ -16,10 +14,6 @@ type style = {
 }
 
 val default_style : style
-
-val tutte_layout :
-  Graph.t -> boundary:int list -> iterations:int -> Geometry.point array
-(** Barycentric relaxation with the boundary cycle pinned to a circle. *)
 
 val layout : Embedded.t -> Geometry.point array
 (** The embedding's own coordinates, or a barycentric layout. *)

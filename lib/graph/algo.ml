@@ -59,12 +59,6 @@ let components g =
   done;
   (comp, !count)
 
-let component_sizes g =
-  let comp, k = components g in
-  let sizes = Array.make k 0 in
-  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
-  sizes
-
 (* Membership marks of [restricted_components], one per domain: byte [v]
    is 1 while [v] is a surviving member not yet reached by the BFS.  The
    members are the occupant, so a [skip] that raised, or an out-of-range

@@ -9,8 +9,6 @@ val bfs_parents : Graph.t -> int -> int array
 val components : Graph.t -> int array * int
 (** Component id of every vertex and the number of components. *)
 
-val component_sizes : Graph.t -> int array
-
 val restricted_components :
   Graph.t -> members:int array -> skip:(int -> bool) -> int array list
 (** Connected components of the subgraph induced by the members for which

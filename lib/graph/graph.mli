@@ -8,15 +8,8 @@
 type t
 
 val of_edges : n:int -> (int * int) list -> t
-(** Build a graph; duplicate edges are dropped, self loops rejected. *)
-
-val of_edge_array : n:int -> (int * int) array -> t
-(** Same as {!of_edges} without the intermediate list. *)
-
-val max_vertices : int
-(** Largest representable [n]; {!of_edges} raises [Invalid_argument]
-    beyond it instead of corrupting (the pre-CSR edge index silently
-    collided past [2^30]). *)
+(** Build a graph; duplicate edges are dropped, self loops rejected, and
+    an [n] above [Sys.max_array_length - 1] raises [Invalid_argument]. *)
 
 val n : t -> int
 (** Number of vertices. *)

@@ -65,8 +65,3 @@ val stats_json : t -> Json.t
     metrics document BENCH_8's E19 entry commits and serve-smoke gates. *)
 
 val shutdown_requested : t -> bool
-
-val hash_ints : int list -> int
-(** The engine's FNV-1a fold over a vertex list (62-bit, version-stable);
-    exposed for tests and for clients that want to check response
-    hashes. *)

@@ -18,16 +18,6 @@ let pair a b rng =
 let int_range lo hi rng = Rng.int_in_range rng ~lo ~hi
 let oneof xs rng = Rng.pick rng (Array.of_list xs)
 
-let frequency weighted rng =
-  let total = List.fold_left (fun a (w, _) -> a + w) 0 weighted in
-  if total <= 0 then invalid_arg "Generator.frequency";
-  let roll = Rng.int rng total in
-  let rec pick acc = function
-    | [] -> invalid_arg "Generator.frequency"
-    | (w, x) :: rest -> if roll < acc + w then x else pick (acc + w) rest
-  in
-  pick 0 weighted
-
 (* BFS trees are the shallow common case; bias toward DFS and random trees,
    which stress the depth-dependent bounds much harder. *)
 let spanning_kind rng =

@@ -6,7 +6,6 @@
     fuzzer's case stream (and hence every failure) replayable. *)
 
 open Repro_graph
-open Repro_tree
 
 type 'a t = Repro_util.Rng.t -> 'a
 
@@ -16,16 +15,6 @@ val bind : 'a t -> ('a -> 'b t) -> 'b t
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val int_range : int -> int -> int t
 (** Inclusive. *)
-
-val oneof : 'a list -> 'a t
-(** Uniform element of a non-empty list. *)
-
-val frequency : (int * 'a) list -> 'a t
-(** Weighted choice; weights must be positive. *)
-
-val spanning_kind : Spanning.kind t
-(** Adversarial spanning-tree pool: BFS (shallow), DFS (deep) and seeded
-    random trees, biased toward the random ones. *)
 
 val spec : ?families:string list -> size:int -> Instance.spec t
 (** An instance spec of roughly the given size. *)

@@ -45,11 +45,6 @@ val is_hostile : string -> bool
 val min_size : string -> int
 (** Smallest [n] the family accepts (shrinking floor). *)
 
-val chorded_cycle : seed:int -> n:int -> Embedded.t
-(** Cycle with a random set of non-crossing chords (outerplanar), drawn
-    with vertices in convex position so the rotation system is the
-    straight-line one. *)
-
 val planar_plus_chords : seed:int -> n:int -> k:int -> Embedded.t
 (** Planar grid plus [k] random chords, each spliced into both endpoint
     rotations at a random position: tier-1 clean (the rotations stay
@@ -77,8 +72,6 @@ val build : spec -> t
     hostile instances). *)
 
 val spanning_name : Spanning.kind -> string
-val spanning_of_name : string -> Spanning.kind
-
 val to_string : spec -> string
 (** Repro line, e.g. ["stacked:60:7:rand3"]. *)
 

@@ -644,7 +644,7 @@ let run_pipeline (inst : Instance.t) =
 (* The balanced trim as the modelled CONGEST algorithm runs it: a binary
    search per end of the path, each probe one union-find over G
    ([Check.max_component_without]) after moving the window's boundary
-   marks, and one "shrink-balance" charge.  Ground truth for the one-pass
+   marks, and one [Shrink_balance] charge.  Ground truth for the one-pass
    [Separator.shrink], path and ledger alike. *)
 let shrink_reference ?rounds cfg path =
   let arr = Array.of_list path in
@@ -665,7 +665,7 @@ let shrink_reference ?rounds cfg path =
   in
   let balanced_sub i j =
     Rounds.span rounds "sep.shrink-probe" (fun () ->
-        Option.iter (fun r -> Rounds.charge_aggregate r "shrink-balance") rounds);
+        Rounds.charge rounds Shrink_balance);
     set_window i j;
     Check.max_component_without (Config.graph cfg) removed
     <= Check.balance_limit n
@@ -704,10 +704,10 @@ let check_shrink ctx ~label ~d cfg path =
   let s = Separator.shrink ~rounds:l cfg path in
   let s' = shrink_reference ~rounds:l' cfg path in
   ck ctx (label "shrink = binary-search reference") (s = s');
-  let probes l = Rounds.label_invocations l "shrink-balance" in
+  let probes l = Rounds.label_invocations l Shrink_balance in
   ck ctx
     (label
-       (Printf.sprintf "shrink-balance probes %d = reference %d" (probes l)
+       (Printf.sprintf "trim balance probes %d = reference %d" (probes l)
           (probes l')))
     (probes l = probes l');
   s
@@ -742,15 +742,13 @@ let run_separator (inst : Instance.t) =
     (List.length shrunk <= List.length r.Separator.separator);
   (* Amortized verification: the phase groups are tree, or phase3 followed
      by phase4 or phase5, each maintaining one running balance aggregate —
-     so a find charges at most two "verify-balance" batches, however many
+     so a find charges at most two [Verify_balance] batches, however many
      candidates it probes, and the retired per-candidate mark-path walks
      must stay retired. *)
-  ck ctx
-    (Printf.sprintf "verify-balance batches %d <= 2"
-       (Rounds.label_invocations ledger "verify-balance"))
-    (Rounds.label_invocations ledger "verify-balance" <= 2);
+  let batches = Rounds.label_invocations ledger Verify_balance in
+  ck ctx (Printf.sprintf "balance batches %d <= 2" batches) (batches <= 2);
   ck ctx "no per-candidate mark-path walks"
-    (Rounds.label_invocations ledger "mark-path[Lem13]" = 0);
+    (Rounds.label_invocations ledger Mark_path = 0);
   (* Charged-model budget: the candidate loop stays polylog, and the total
      stays a polylog multiple of one part-wise aggregation (Õ(D)). *)
   let lg = log2ceil n in
@@ -809,7 +807,7 @@ let run_join (inst : Instance.t) =
          (Rounds.total lr))
       (2.0 *. Rounds.total lb <= Rounds.total lr);
   ck ctx "batched join never charges mark-path"
-    (Rounds.label_invocations lb "mark-path[Lem13]" = 0);
+    (Rounds.label_invocations lb Mark_path = 0);
   (* Executed elections: batched and serial bindings agree bit-identically
      with the host-side choreography, and the slot batching keeps a >= 2x
      engine-run advantage (the Collect/Partwise-batch economics). *)
@@ -1075,9 +1073,8 @@ let run_backend (inst : Instance.t) =
           (int_of_float
              (float_of_int (inv_budget * lg * lg) *. Rounds.pa_cost ledger))
       | Backend.Centralized ->
-        let collect = Printf.sprintf "backend-collect[%s]" name in
         ck ctx (lbl "collect charged exactly once")
-          (Rounds.label_invocations ledger collect = 1);
+          (Rounds.label_invocations ledger Backend_collect = 1);
         ck ctx (lbl "collect charge covers the part")
           (Rounds.total ledger >= float_of_int n))
     selected;
@@ -1142,10 +1139,10 @@ let run_screen (inst : Instance.t) =
     ck ctx "verdict deterministic" (Screen.check emb = verdict);
     (* Charge pins: one structure aggregate, one embedding broadcast, one
        planarity aggregate — flat Õ(D), independent of n. *)
-    ck ctx "screen-structure charged exactly once"
-      (Rounds.label_invocations ledger "screen-structure" = 1);
-    ck ctx "screen-planarity charged exactly once"
-      (Rounds.label_invocations ledger "screen-planarity" = 1);
+    ck ctx "structure aggregate charged exactly once"
+      (Rounds.label_invocations ledger Screen_structure = 1);
+    ck ctx "planarity aggregate charged exactly once"
+      (Rounds.label_invocations ledger Screen_planarity = 1);
     ck ctx
       (Printf.sprintf "ledger invocations %d <= 4" (Rounds.invocations ledger))
       (Rounds.invocations ledger <= 4);

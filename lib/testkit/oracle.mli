@@ -51,7 +51,7 @@ val p_term_reference :
 val shrink_reference :
   ?rounds:Repro_congest.Rounds.t -> Repro_core.Config.t -> int list -> int list
 (** The balanced trim by binary search per end, one union-find over G per
-    probe and one ["shrink-balance"] charge per probe: ground truth for the
+    probe and one [Shrink_balance] charge per probe: ground truth for the
     one-pass {!Repro_core.Separator.shrink}, whose path and probe count the
     ["separator"] and ["backend"] oracles and the separator tests check
     against it. *)

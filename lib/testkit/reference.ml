@@ -169,15 +169,12 @@ module Join = struct
     let iterations = ref 0 in
     while Hashtbl.length remaining > 0 do
       incr iterations;
-      (match rounds with
-      | Some r ->
-        (* One iteration: spanning forest, anchor/leaf aggregation,
-           re-root, path marking — all Õ(D) (Section 6.1). *)
-        Rounds.charge_spanning_forest r;
-        Rounds.charge_aggregate r "join-anchor";
-        Rounds.charge_reroot r;
-        Rounds.charge_mark_path r
-      | None -> ());
+      (* One iteration: spanning forest, anchor/leaf aggregation,
+         re-root, path marking — all Õ(D) (Section 6.1). *)
+      Rounds.charge rounds Spanning_forest;
+      Rounds.charge rounds Join_anchor;
+      Rounds.charge rounds Re_root;
+      Rounds.charge rounds Mark_path;
       let comps = unvisited_components st members in
       let touched = ref false in
       List.iter

@@ -19,8 +19,6 @@ type t =
 
 val to_string : t -> string
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> t
 (** Raises [Failure] with a position-annotated message on malformed
     input. *)

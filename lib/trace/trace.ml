@@ -59,14 +59,11 @@ let within t name f =
 
 (* --- attribution ---------------------------------------------------- *)
 
-let note_charge t rounds =
+let note_charge t ~pa_units rounds =
   let c = (current t).self in
   c.charged <- c.charged +. rounds;
-  c.charges <- c.charges + 1
-
-let note_pa t units =
-  let c = (current t).self in
-  c.pa_units <- c.pa_units + units
+  c.charges <- c.charges + 1;
+  c.pa_units <- c.pa_units + pa_units
 
 let note_tasks t n =
   let c = (current t).self in

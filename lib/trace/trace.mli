@@ -62,11 +62,9 @@ val within : t option -> string -> (unit -> 'a) -> 'a
 
 (** {2 Counter attribution (innermost open span)} *)
 
-val note_charge : t -> float -> unit
-(** One charged-model charge of the given rounds. *)
-
-val note_pa : t -> int -> unit
-(** Charged part-wise-aggregation units (rides a [note_charge]). *)
+val note_charge : t -> pa_units:int -> float -> unit
+(** One charged-model charge of the given rounds, [pa_units] of them
+    part-wise aggregations. *)
 
 val note_tasks : t -> int -> unit
 (** A pool batch of this many items ran under the current span. *)

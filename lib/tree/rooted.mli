@@ -29,16 +29,13 @@ val depth : t -> int -> int
 
 val children : t -> int -> int array
 (** Children in clockwise rotation order.  Allocates a fresh array — hot
-    paths use {!children_count} / {!child} / {!iter_children}. *)
+    paths use {!children_count} / {!child} / {!fold_children}. *)
 
 val children_count : t -> int -> int
 
 val child : t -> int -> int -> int
 (** [child t v i] is the [i]-th clockwise child of [v] (unchecked:
     [0 <= i < children_count t v]), without allocating. *)
-
-val iter_children : t -> int -> (int -> unit) -> unit
-(** Apply to each child in clockwise order, without allocating. *)
 
 val fold_children : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 

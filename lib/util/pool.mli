@@ -21,9 +21,11 @@ val create : ?seq_grain:int -> jobs:int -> unit -> t
     domain, which participates in every [map]).  Worker domains are spawned
     lazily, on the first [map] that goes parallel: a pool whose batches all
     fall back never leaves single-domain execution (and never pays the
-    multi-domain GC overhead).  [seq_grain] (default {!default_seq_grain})
-    is the minimum estimated batch cost, in caller-chosen work units, below
-    which [map ~cost] runs sequentially. *)
+    multi-domain GC overhead).  [seq_grain] is the minimum estimated batch
+    cost, in caller-chosen work units, below which [map ~cost] runs
+    sequentially.  Its default, 8192, is roughly where domain wake-up and
+    cache traffic are amortised when a unit is one graph node of batch
+    work. *)
 
 val jobs : t -> int
 (** The worker count the pool was created with (>= 1). *)
@@ -35,12 +37,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: one worker per hardware thread.
     Workers read the flat graph store in place (shared, read-only), so
     extra domains carry no per-domain data cost. *)
-
-val default_seq_grain : int
-(** The default [seq_grain]: 8192 work units.  With the convention that a
-    unit is one graph node of batch work, this is roughly the point where
-    domain wake-up and cache traffic are amortised now that per-part build
-    cost is O(part) on the flat store. *)
 
 val runs_parallel : ?cost:int -> t -> int -> bool
 (** [runs_parallel ?cost t len] is the exact predicate [map] uses to decide

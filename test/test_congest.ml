@@ -200,21 +200,113 @@ let test_duplicate_message_rejected () =
 
 let test_rounds_accountant () =
   let r = Rounds.create ~n:1024 ~d:10 () in
+  let ledger = Some r in
   Alcotest.(check (float 1e-9)) "pa cost" (10.0 *. 100.0) (Rounds.pa_cost r);
-  Rounds.charge_pa r ~label:"x";
-  Rounds.charge_pa r ~label:"x" ~units:2;
-  Alcotest.(check (float 1e-9)) "total" (3.0 *. 1000.0) (Rounds.total r);
-  match Rounds.breakdown r with
-  | [ ("x", rounds, calls) ] ->
-    Alcotest.(check (float 1e-9)) "breakdown rounds" 3000.0 rounds;
-    Alcotest.(check int) "breakdown calls" 2 calls
-  | _ -> Alcotest.fail "unexpected breakdown"
+  Rounds.charge ledger Weights;
+  Rounds.charge ledger Weights;
+  Rounds.charge_rounds ledger Backend_collect 7;
+  Rounds.charge None Weights;
+  Alcotest.(check (float 1e-9)) "total" 2007.0 (Rounds.total r);
+  Alcotest.(check bool) "breakdown, heaviest first" true
+    (Rounds.breakdown r = [ (Weights, 2000.0, 2); (Backend_collect, 7.0, 1) ]);
+  (* Lemmas 9 and 11 cost the same: ties keep table order. *)
+  let tie = Rounds.create ~n:1024 ~d:10 () in
+  Rounds.charge (Some tie) Dfs_order;
+  Rounds.charge (Some tie) Spanning_forest;
+  Alcotest.(check bool) "ties in table order" true
+    (List.map (fun (l, _, _) -> l) (Rounds.breakdown tie)
+    = [ Rounds.Spanning_forest; Dfs_order ]);
+  Alcotest.(check bool) "an exact-rounds label refuses a PA charge" true
+    (match Rounds.charge ledger Backend_collect with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 let test_rounds_subroutine_charges () =
   let r = Rounds.create ~n:256 ~d:5 () in
-  Rounds.charge_dfs_order r;
+  Rounds.charge (Some r) Dfs_order;
   (* log2 256 = 8 phases, each one PA = 5 * 64 rounds. *)
   Alcotest.(check (float 1e-9)) "dfs-order" (8.0 *. 320.0) (Rounds.total r)
+
+(* The paper's bound per PA label, in PA units per charge. *)
+let pa_units ~lg = function
+  | Rounds.Spanning_forest | Dfs_order -> lg
+  | Mark_path -> lg * lg
+  | _ -> 1
+
+(* Every label of the table is charged by some entry point, and every PA
+   label at its published bound. *)
+let test_every_label_charged () =
+  let open Repro_core in
+  let charged = ref [] in
+  let run emb f =
+    let g = Embedded.graph emb in
+    let rounds = Rounds.create ~n:(Graph.n g) ~d:(Algo.diameter g) () in
+    f rounds;
+    let lg = int_of_float (Rounds.log2n rounds) in
+    List.iter
+      (fun (label, r, calls) ->
+        charged := label :: !charged;
+        if label <> Rounds.Backend_collect then
+          Alcotest.(check (float 1e-6))
+            (Rounds.label_name label ^ " per charge")
+            (float_of_int (pa_units ~lg label) *. Rounds.pa_cost rounds)
+            (r /. float_of_int calls))
+      (Rounds.breakdown rounds)
+  in
+  List.iter
+    (fun family ->
+      let emb = Gen.by_family ~seed:3 family ~n:150 in
+      let n = Embedded.n emb in
+      run emb (fun rounds -> ignore (Screen.check ~rounds emb));
+      run emb (fun rounds ->
+          ignore (Dfs.run ~rounds emb ~root:(Embedded.outer emb)));
+      run emb (fun rounds ->
+          ignore
+            (Dfs.run ~rounds ~spanning:(Repro_tree.Spanning.Random 5) emb
+               ~root:(n / 2)));
+      run emb (fun rounds ->
+          ignore (Decomposition.build ~rounds ~small_part_cutoff:30 emb));
+      let cfg = Config.of_embedded emb in
+      run emb (fun rounds ->
+          ignore (Separator.shrink ~rounds cfg (Separator.find cfg).separator));
+      run emb (fun rounds ->
+          ignore (Repro_baseline.Random_sep.find ~rounds ~seed:1 ~samples:400 cfg));
+      run emb (fun rounds ->
+          let g = Config.graph cfg in
+          let st = Join.create g ~root:(Repro_tree.Rooted.root (Config.tree cfg)) in
+          ignore
+            (Repro_testkit.Reference.Join.join ~rounds st
+               ~members:(Array.init n Fun.id)
+               ~separator:(Separator.find cfg).separator)))
+    Gen.family_names;
+  (* Lemma 16's hiding edge is asked for only when every Phase-4 sweep
+     hit fails, as on this tree from an inner root. *)
+  let emb = Gen.by_family ~seed:8 "tgrid" ~n:60 in
+  run emb (fun rounds ->
+      ignore
+        (Dfs.run ~rounds ~spanning:(Repro_tree.Spanning.Random 8) emb
+           ~root:(Embedded.n emb / 2)));
+  Alcotest.(check (list string)) "every label charged"
+    (List.map Rounds.label_name Rounds.labels)
+    (List.filter (fun l -> List.mem l !charged) Rounds.labels
+    |> List.map Rounds.label_name)
+
+(* Minor words of [k] untraced charges: constant in [k] when a charge
+   allocates nothing. *)
+let test_untraced_charge_allocates_nothing () =
+  let ledger = Some (Rounds.create ~n:1000 ~d:7 ()) in
+  let words k =
+    let before = Gc.minor_words () in
+    for _ = 1 to k do
+      Rounds.charge ledger Weights;
+      Rounds.charge ledger Mark_path;
+      Rounds.charge_rounds ledger Backend_collect 3
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (words 10);
+  Alcotest.(check (float 0.0)) "1,000 vs 10,000 charges" (words 1_000)
+    (words 10_000)
 
 let prop_partwise_matches_reference =
   QCheck.Test.make ~name:"partwise aggregation matches reference" ~count:30
@@ -259,5 +351,9 @@ let suites =
           test_duplicate_message_rejected;
         Alcotest.test_case "rounds accountant" `Quick test_rounds_accountant;
         Alcotest.test_case "subroutine charges" `Quick test_rounds_subroutine_charges;
+        Alcotest.test_case "every label charged at its bound" `Quick
+          test_every_label_charged;
+        Alcotest.test_case "untraced charge allocates nothing" `Quick
+          test_untraced_charge_allocates_nothing;
         qtest prop_partwise_matches_reference;
     ]

@@ -89,14 +89,14 @@ let test_dfs_rounds_charged () =
   Alcotest.(check bool) "valid" true (Dfs.verify emb ~root:0 r);
   Alcotest.(check bool) "rounds positive" true (Rounds.total rounds > 0.0);
   Alcotest.(check bool) "embedding charged" true
-    (List.exists (fun (l, _, _) -> l = "embedding[Prop1]") (Rounds.breakdown rounds));
+    (Rounds.label_invocations rounds Embedding > 0);
   Alcotest.(check bool) "batched join elections charged" true
-    (List.exists (fun (l, _, _) -> l = "join-elections") (Rounds.breakdown rounds));
+    (Rounds.label_invocations rounds Join_elections > 0);
   Alcotest.(check bool) "amortized verify charged" true
-    (List.exists (fun (l, _, _) -> l = "verify-balance") (Rounds.breakdown rounds));
+    (Rounds.label_invocations rounds Verify_balance > 0);
   (* The batched choreography retired the per-candidate mark-path walks. *)
   Alcotest.(check int) "no mark-path walks" 0
-    (Rounds.label_invocations rounds "mark-path[Lem13]")
+    (Rounds.label_invocations rounds Mark_path)
 
 let test_join_single_path () =
   (* Joining a separator that is a straight path through the component. *)

@@ -211,19 +211,6 @@ let prop_bfs_dist_triangle_ineq =
       Graph.iter_edges g (fun u v -> if abs (d.(u) - d.(v)) > 1 then ok := false);
       !ok)
 
-let prop_component_sizes_sum =
-  QCheck.Test.make ~name:"component sizes sum to n" ~count:100
-    QCheck.(pair (int_range 1 50) (int_bound 1000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let edges = ref [] in
-      for _ = 1 to n do
-        let u = Rng.int rng n and v = Rng.int rng n in
-        if u <> v then edges := (u, v) :: !edges
-      done;
-      let g = Graph.of_edges ~n !edges in
-      Array.fold_left ( + ) 0 (Algo.component_sizes g) = n)
-
 (* The hash-table version [Algo.restricted_components] replaced, verbatim:
    the output it must keep, component order and BFS order included. *)
 let restricted_components_reference g ~members ~skip =
@@ -323,7 +310,6 @@ let suites =
           test_is_dfs_tree_rejects_garbage;
         qtest prop_dfs_tree_valid;
         qtest prop_bfs_dist_triangle_ineq;
-        qtest prop_component_sizes_sum;
         qtest prop_restricted_components;
         qtest prop_induced_members_keep;
     ]

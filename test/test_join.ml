@@ -122,9 +122,9 @@ let test_batched_never_marks_paths () =
   let st = Join.create g ~root in
   ignore (Join.join ~rounds:ledger st ~members ~separator);
   Alcotest.(check int) "no mark-path walks" 0
-    (Rounds.label_invocations ledger "mark-path[Lem13]");
+    (Rounds.label_invocations ledger Mark_path);
   Alcotest.(check bool) "elections charged" true
-    (Rounds.label_invocations ledger "join-elections" > 0)
+    (Rounds.label_invocations ledger Join_elections > 0)
 
 (* The member index of [Join.join] is a per-domain scratch that grows to
    the largest n it has seen and is reused by every later join on that

@@ -99,11 +99,11 @@ let test_map_parts_charge () =
     let rounds = Rounds.create ~trace ~n:16 ~d:2 () in
     let results =
       Rounds.map_parts ~rounds ?pool ~label:"pool.parts" ~cost:0
-        (fun ?rounds (name, charge) ->
-          Rounds.span rounds name (fun () ->
-              Rounds.charge_exact (Option.get rounds) ~label:name charge);
-          name)
-        [| ("a", 3); ("b", 5); ("c", 1); ("d", 5) |]
+        (fun ?rounds (label, charge) ->
+          Rounds.span rounds (Rounds.label_name label) (fun () ->
+              Rounds.charge_rounds rounds label charge);
+          label)
+        [| (Rounds.Weights, 3); (Hidden, 5); (Detect_face, 1); (Re_root, 5) |]
     in
     let root = Repro_trace.Trace.root trace in
     ( (results, Rounds.total rounds, Rounds.breakdown rounds),
@@ -112,16 +112,19 @@ let test_map_parts_charge () =
   in
   let ledger, spans, _ = run None in
   Alcotest.(check bool) "part order; the tie's first part, charged once" true
-    (ledger = ([| "a"; "b"; "c"; "d" |], 5.0, [ ("b", 5.0, 1) ]));
+    (ledger
+    = ( [| Rounds.Weights; Hidden; Detect_face; Re_root |],
+        5.0,
+        [ (Rounds.Hidden, 5.0, 1) ] ));
   Alcotest.(check (list string)) "no pool: the absorbed part's span only"
-    [ "b" ] spans;
+    [ Rounds.label_name Hidden ] spans;
   let _, _, seq_metrics = Pool.with_pool ~jobs:1 (fun p -> run (Some p)) in
   let par_ledger, par_spans, par_metrics =
     Pool.with_pool ~seq_grain:0 ~jobs:3 (fun p -> run (Some p))
   in
   Alcotest.(check bool) "jobs=3 ledger = no pool" true (par_ledger = ledger);
   Alcotest.(check (list string)) "jobs=3: the pool span, then the absorb"
-    [ "b"; "pool.parts" ] par_spans;
+    [ Rounds.label_name Hidden; "pool.parts" ] par_spans;
   Alcotest.(check string) "jobs=3 metrics = jobs=1" seq_metrics par_metrics
 
 let suites =

@@ -194,11 +194,11 @@ let test_jobs_bit_identity () =
   Alcotest.(check (array int)) "outputs identical" r1.Dfs.parent r4.Dfs.parent;
   Alcotest.(check bool) "charged totals identical" true
     (Rounds.total l1 = Rounds.total l4);
-  Alcotest.(check int) "screen-structure charges identical"
-    (Rounds.label_invocations l1 "screen-structure")
-    (Rounds.label_invocations l4 "screen-structure");
+  Alcotest.(check int) "structure charges identical"
+    (Rounds.label_invocations l1 Screen_structure)
+    (Rounds.label_invocations l4 Screen_structure);
   Alcotest.(check bool) "screening charged" true
-    (Rounds.label_invocations l1 "screen-structure" >= 1);
+    (Rounds.label_invocations l1 Screen_structure >= 1);
   let m1 = Trace.to_metrics_string t1 and m4 = Trace.to_metrics_string t4 in
   Alcotest.(check string) "metrics (incl. screen spans) bit-identical" m1 m4;
   (* The screen spans are present and attributed. *)

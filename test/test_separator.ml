@@ -99,7 +99,7 @@ let test_rounds_charged () =
   let _ = find_on ~rounds emb Spanning.Bfs in
   Alcotest.(check bool) "positive rounds" true (Rounds.total rounds > 0.0);
   Alcotest.(check bool) "has dfs-order charge" true
-    (List.exists (fun (l, _, _) -> l = "dfs-order[Lem11]") (Rounds.breakdown rounds))
+    (Rounds.label_invocations rounds Dfs_order > 0)
 
 let test_partition_version () =
   (* Theorem 1's partition interface: grid split into vertical strips. *)
@@ -178,8 +178,8 @@ let shrink_matches_reference cfg path =
   let s' = Repro_testkit.Oracle.shrink_reference ~rounds:l' cfg path in
   ( s,
     s',
-    Rounds.label_invocations l "shrink-balance",
-    Rounds.label_invocations l' "shrink-balance" )
+    Rounds.label_invocations l Shrink_balance,
+    Rounds.label_invocations l' Shrink_balance )
 
 let test_shrink_no_balanced_window () =
   (* Two nodes out of a 400-node grid leave a component far above 2n/3:
@@ -191,7 +191,7 @@ let test_shrink_no_balanced_window () =
   let s, s', probes, probes' = shrink_matches_reference cfg path in
   Alcotest.(check (list int)) "one-pass unchanged" path s;
   Alcotest.(check (list int)) "reference unchanged" path s';
-  Alcotest.(check int) "shrink-balance probes" probes' probes
+  Alcotest.(check int) "trim balance probes" probes' probes
 
 let prop_shrink_matches_reference =
   QCheck.Test.make ~name:"shrink = binary-search reference (path, probes)"

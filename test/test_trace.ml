@@ -98,7 +98,7 @@ let test_disabled_mode_identical () =
 let nested_trace () =
   let t = Trace.create () in
   let span name body = Trace.with_span t name body in
-  let leaf name = span name (fun () -> Trace.note_charge t 1.0) in
+  let leaf name = span name (fun () -> Trace.note_charge t ~pa_units:0 1.0) in
   span "A" (fun () ->
       span "B" (fun () ->
           leaf "C";
