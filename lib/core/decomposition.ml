@@ -218,17 +218,12 @@ let independent_set emb t =
    nothing proportional to the global n. *)
 let piece_scratch_key = Domain.DLS.new_key Graph.Scratch.create
 
-(* "Hop diameter of the induced piece > target", exactly: the double sweep
-   is a lower bound, so it only triggers a split; a stop is confirmed by
-   every member's eccentricity. *)
+(* "Hop diameter of the induced piece > target", exactly. *)
 let diameter_exceeds g members target =
   let sub, _, _ =
     Graph.induced_members ~scratch:(Domain.DLS.get piece_scratch_key) g members
   in
-  Algo.diameter_two_sweep sub > target
-  || Seq.exists
-       (fun v -> Algo.eccentricity sub v > target)
-       (Seq.init (Graph.n sub) Fun.id)
+  Algo.diameter_exceeds sub target
 
 let bounded_diameter ?rounds ?pool ?backend ?small_part_cutoff ~diameter_target
     emb =
@@ -243,13 +238,11 @@ let bounded_diameter ?rounds ?pool ?backend ?small_part_cutoff ~diameter_target
         invalid_arg "Decomposition.bounded_diameter: no progress")
     emb
 
-(* The exact per-piece diameter, for validation. *)
+(* The per-piece stop test, asked again of the final pieces. *)
 let check_bounded_diameter emb ~diameter_target t =
   let g = Embedded.graph emb in
-  let scratch = Graph.Scratch.create () in
   valid_partition emb t ~piece_ok:(fun members ->
-      let sub, _, _ = Graph.induced_members ~scratch g (Array.of_list members) in
-      Algo.diameter_exact sub <= diameter_target)
+      not (diameter_exceeds g (Array.of_list members) diameter_target))
 
 let is_independent g nodes =
   let chosen = Array.make (Graph.n g) false in

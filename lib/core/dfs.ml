@@ -32,7 +32,6 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
   let n = Graph.n g in
   Graph.check_vertex g root;
   Screen.require ?rounds ~entry:"Dfs.run" emb;
-  Rounds.charge rounds Embedding;
   let st = Join.create g ~root in
   let phases = ref 0 in
   let max_join = ref 0 in

@@ -178,30 +178,22 @@ module Dmp = struct
           (Graph.neighbors st.g u)
     done;
     (* Components of unembedded vertices. *)
-    let seen = Array.make n false in
-    for s = 0 to n - 1 do
-      if inside.(s) && (not st.in_g.(s)) && not seen.(s) then begin
-        let comp = ref [] and attach = ref [] in
-        let queue = Queue.create () in
-        seen.(s) <- true;
-        Queue.add s queue;
-        while not (Queue.is_empty queue) do
-          let u = Queue.pop queue in
-          comp := u :: !comp;
-          Array.iter
-            (fun v ->
-              if inside.(v) then
-                if st.in_g.(v) then attach := v :: !attach
-                else if not seen.(v) then begin
-                  seen.(v) <- true;
-                  Queue.add v queue
-                end)
-            (Graph.neighbors st.g u)
-        done;
-        let attach = List.sort_uniq compare !attach in
-        frags := { attachments = attach; inner = !comp } :: !frags
-      end
-    done;
+    let free =
+      List.filter (fun v -> inside.(v) && not st.in_g.(v)) (List.init n Fun.id)
+    in
+    List.iter
+      (fun comp ->
+        let attach = ref [] in
+        Array.iter
+          (fun u ->
+            Array.iter
+              (fun v -> if inside.(v) && st.in_g.(v) then attach := v :: !attach)
+              (Graph.neighbors st.g u))
+          comp;
+        let attachments = List.sort_uniq compare !attach in
+        frags := { attachments; inner = Array.to_list comp } :: !frags)
+      (Algo.restricted_components st.g ~members:(Array.of_list free)
+         ~skip:(fun _ -> false));
     !frags
 
   let admissible_faces st frag =

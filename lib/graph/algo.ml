@@ -2,59 +2,55 @@
    instance preparation.  The distributed algorithms live in [repro.congest]
    and [repro.core]; nothing here is charged CONGEST rounds. *)
 
-let bfs_dist g src =
-  Graph.check_vertex g src;
-  let n = Graph.n g in
-  let dist = Array.make n (-1) in
-  let queue = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
+(* The BFS of [bfs_dist], [bfs_parents], [components] and [diameter]:
+   FIFO over the array [queue], each row in ascending order.  Each vertex
+   [v] still [unseen] in [label] that a dequeued [u] reaches is labelled
+   [next u] and joins the queue; the caller labels [src].  Returns the
+   number [r] of vertices reached, in BFS order in [queue.(0 .. r - 1)]. *)
+let bfs g queue (label : int array) ~unseen ~next src =
+  queue.(0) <- src;
+  let head = ref 0 and last = ref 1 in
+  while !head < !last do
+    let u = queue.(!head) in
+    incr head;
+    let x = next u in
     Graph.iter_neighbors g u (fun v ->
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
+        if label.(v) = unseen then begin
+          label.(v) <- x;
+          queue.(!last) <- v;
+          incr last
         end)
   done;
+  !last
+
+(* Distances from [src] into [dist], all [-1] before; returns the number
+   [r] of vertices reached, so the farthest one is [queue.(r - 1)]. *)
+let distances g dist queue src =
+  dist.(src) <- 0;
+  bfs g queue dist ~unseen:(-1) ~next:(fun u -> dist.(u) + 1) src
+
+let bfs_dist g src =
+  Graph.check_vertex g src;
+  let dist = Array.make (Graph.n g) (-1) in
+  ignore (distances g dist (Array.make (Graph.n g) 0) src);
   dist
 
 let bfs_parents g src =
   Graph.check_vertex g src;
-  let n = Graph.n g in
-  let parent = Array.make n (-2) in
-  let queue = Queue.create () in
+  let parent = Array.make (Graph.n g) (-2) in
   parent.(src) <- -1;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Graph.iter_neighbors g u (fun v ->
-        if parent.(v) = -2 then begin
-          parent.(v) <- u;
-          Queue.add v queue
-        end)
-  done;
+  ignore (bfs g (Array.make (Graph.n g) 0) parent ~unseen:(-2) ~next:Fun.id src);
   parent
 
 let components g =
   let n = Graph.n g in
-  let comp = Array.make n (-1) in
-  let count = ref 0 in
+  let comp = Array.make n (-1) and queue = Array.make n 0 and count = ref 0 in
   for v = 0 to n - 1 do
     if comp.(v) < 0 then begin
       let id = !count in
       incr count;
-      let queue = Queue.create () in
       comp.(v) <- id;
-      Queue.add v queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        Graph.iter_neighbors g u (fun w ->
-            if comp.(w) < 0 then begin
-              comp.(w) <- id;
-              Queue.add w queue
-            end)
-      done
+      ignore (bfs g queue comp ~unseen:(-1) ~next:(fun _ -> id) v)
     end
   done;
   (comp, !count)
@@ -70,7 +66,8 @@ let marks_key = Domain.DLS.new_key Graph.Marks.create
    each component is a contiguous slice of it — no per-node list cells.  The
    shared hot path of the part-parallel batches in [Dfs] and
    [Decomposition], of every JOIN iteration and of the daemon's
-   connectivity probe. *)
+   connectivity probe.  Its membership marks are bytes, not [bfs]'s int
+   labels. *)
 let restricted_components g ~members ~skip =
   let k = Array.length members in
   let marks = Domain.DLS.get marks_key in
@@ -105,32 +102,56 @@ let restricted_components g ~members ~skip =
 
 let is_connected g = Graph.n g = 0 || snd (components g) = 1
 
-let eccentricity g v =
-  let dist = bfs_dist g v in
-  Array.fold_left max 0 dist
-
-(* Exact diameter by all-pairs BFS; fine for simulator-scale graphs. *)
-let diameter_exact g =
+(* The bounding-diameters loop of Takes and Kosters ("Determining the
+   diameter of small world networks", CIKM 2011), one component at a time.
+   A BFS from [v] bounds the eccentricity of every [w] of its component
+   from below by max(d(v,w), ecc v - d(v,w)) and from above by
+   ecc v + d(v,w).  [lo], the largest eccentricity found, bounds the
+   diameter from below; [w] stays a candidate while its upper bound is
+   above [max lo floor], since only then can it raise [lo] past what is
+   asked.  A component's first source is its smallest vertex.  Later
+   sources alternate between the vertex with the largest upper bound and
+   the vertex with the smallest lower bound, first in the last BFS order
+   on ties.  The second is chosen among all the component's vertices, not
+   only the candidates, because a central vertex tightens every upper
+   bound even after it has dropped out; a source's lower bound is set to
+   [max_int] so that it is never chosen again.  The loop returns [lo]
+   once no candidate is left, or early once [lo > stop]. *)
+let search g ~floor ~stop =
   let n = Graph.n g in
-  let d = ref 0 in
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  let lower = Array.make n 0 and upper = Array.make n max_int in
+  let lo = ref 0 in
+  (* The vertices of a searched component have finite upper bounds. *)
   for v = 0 to n - 1 do
-    d := max !d (eccentricity g v)
+    if upper.(v) = max_int && !lo <= stop then begin
+      let src = ref v and to_high = ref true and fin = ref false in
+      while not !fin do
+        let reached = distances g dist queue !src in
+        let ecc = dist.(queue.(reached - 1)) in
+        lo := max !lo ecc;
+        lower.(!src) <- max_int;
+        let high = ref !src and low = ref !src in
+        for i = 0 to reached - 1 do
+          let w = queue.(i) in
+          let d = dist.(w) in
+          lower.(w) <- max lower.(w) (max d (ecc - d));
+          upper.(w) <- min upper.(w) (ecc + d);
+          if upper.(w) > upper.(!high) then high := w;
+          if lower.(w) < lower.(!low) then low := w;
+          dist.(w) <- -1
+        done;
+        fin := upper.(!high) <= max !lo floor || !lo > stop;
+        src := if !to_high then !high else !low;
+        to_high := not !to_high
+      done
+    end
   done;
-  !d
+  !lo
 
-(* Double-sweep lower bound: BFS from an arbitrary node, then from the
-   farthest node found.  Exact on trees, a good estimate on planar graphs. *)
-let diameter_two_sweep g =
-  if Graph.n g = 0 then 0
-  else begin
-    let dist0 = bfs_dist g 0 in
-    let far = ref 0 in
-    Array.iteri (fun v d -> if d > dist0.(!far) then far := v) dist0;
-    eccentricity g !far
-  end
+let diameter g = search g ~floor:0 ~stop:max_int
 
-let diameter g =
-  if Graph.n g <= 3000 then diameter_exact g else diameter_two_sweep g
+let diameter_exceeds g k = search g ~floor:k ~stop:k > k
 
 (* Iterative centralized DFS honouring adjacency order; reference
    implementation against which distributed DFS trees are validated. *)

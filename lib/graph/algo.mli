@@ -1,4 +1,6 @@
-(** Centralized graph algorithms (verification and instance preparation). *)
+(** Centralized graph algorithms (verification and instance preparation).
+    {!bfs_dist}, {!bfs_parents}, {!components} and {!diameter} share one
+    FIFO BFS over an array queue that scans each row in ascending order. *)
 
 val bfs_dist : Graph.t -> int -> int array
 (** Hop distances from the source; [-1] for unreachable vertices. *)
@@ -20,15 +22,20 @@ val restricted_components :
 
 val is_connected : Graph.t -> bool
 
-val eccentricity : Graph.t -> int -> int
-
-val diameter_exact : Graph.t -> int
-
-val diameter_two_sweep : Graph.t -> int
-(** Double-sweep BFS lower bound (exact on trees). *)
-
 val diameter : Graph.t -> int
-(** Exact when [n <= 3000], double-sweep otherwise. *)
+(** Exact hop diameter at every [n]; a disconnected graph gives the largest
+    diameter of its components, and [0] when it has no edge.  Computed by
+    the bounding-diameters loop of Takes and Kosters: each BFS bounds every
+    remaining vertex's eccentricity and drops those that cannot beat the
+    best lower bound.  The number of BFS runs depends on the graph: a few
+    on grids and triangulations, up to one per vertex on inputs such as
+    cycles, where every vertex has the same eccentricity. *)
+
+val diameter_exceeds : Graph.t -> int -> bool
+(** [diameter_exceeds g k] is [diameter g > k], by the same loop told
+    that only diameters above [k] matter: it stops as soon as an
+    eccentricity above [k] is found, and drops every vertex whose upper
+    bound is at most [k]. *)
 
 val dfs_parents : Graph.t -> int -> int array
 (** Centralized DFS tree in adjacency order; source [-1], unreachable [-2]. *)

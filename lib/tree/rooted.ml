@@ -226,39 +226,19 @@ let centroid t =
   done;
   !v
 
-(* Re-root the same set of tree edges at a new vertex (RE-ROOT-PROBLEM,
-   Lemma 19).  Children orders are recomputed from the rotation so that the
-   re-rooted tree again satisfies the parent-first convention. *)
-let reroot ~rot t new_root =
-  let size = n t in
-  let adj = Array.make size [] in
-  for v = 0 to size - 1 do
-    if t.parent.(v) >= 0 then begin
-      adj.(v) <- t.parent.(v) :: adj.(v);
-      adj.(t.parent.(v)) <- v :: adj.(t.parent.(v))
-    end
-  done;
-  let parent = Array.make size (-2) in
-  parent.(new_root) <- -1;
-  let queue = Queue.create () in
-  Queue.add new_root queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    List.iter
-      (fun v ->
-        if parent.(v) = -2 then begin
-          parent.(v) <- u;
-          Queue.add v queue
-        end)
-      adj.(u)
-  done;
-  build ~rot ~root:new_root parent
-
 let edges t =
   let acc = ref [] in
   for v = 0 to n t - 1 do
     if t.parent.(v) >= 0 then acc := (v, t.parent.(v)) :: !acc
   done;
   !acc
+
+(* Re-root the same set of tree edges at a new vertex (RE-ROOT-PROBLEM,
+   Lemma 19): tree paths are unique, so any BFS over the tree edges finds
+   the new parents.  Children orders are recomputed from the rotation so
+   that the re-rooted tree again satisfies the parent-first convention. *)
+let reroot ~rot t new_root =
+  let tree = Repro_graph.Graph.of_edges ~n:(n t) (edges t) in
+  build ~rot ~root:new_root (Repro_graph.Algo.bfs_parents tree new_root)
 
 let pp fmt t = Fmt.pf fmt "tree(n=%d, root=%d)" (n t) t.root

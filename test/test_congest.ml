@@ -16,7 +16,7 @@ let test_bfs_tree_grid () =
     Alcotest.(check int) "parent one closer" (dist.(v) - 1) dist.(parent.(v))
   done;
   (* Flooding finishes within eccentricity + O(1) rounds. *)
-  let ecc = Algo.eccentricity g 0 in
+  let ecc = Array.fold_left max 0 expected in
   Alcotest.(check bool) "rounds near ecc" true (stats.Engine.rounds <= ecc + 2)
 
 let test_bfs_single_node () =
@@ -77,7 +77,7 @@ let test_broadcast () =
   let values, stats = Prim.broadcast g ~parent ~root:7 ~value:12345 in
   Array.iter (fun v -> Alcotest.(check int) "value received" 12345 v) values;
   Alcotest.(check bool) "rounds bounded by depth+2" true
-    (stats.Engine.rounds <= Algo.eccentricity g 7 + 3)
+    (stats.Engine.rounds <= Array.fold_left max 0 (Algo.bfs_dist g 7) + 3)
 
 let test_partwise_sum () =
   let emb = Gen.grid ~rows:4 ~cols:6 in
@@ -96,7 +96,7 @@ let test_partwise_sum () =
     Alcotest.(check int) "part sum" expected.(parts.(v)) answers.(v)
   done;
   (* O(depth + k): generous constant-factor check. *)
-  let bound = 4 * (Algo.eccentricity g 0 + 6 + 4) in
+  let bound = 4 * (Array.fold_left max 0 (Algo.bfs_dist g 0) + 6 + 4) in
   Alcotest.(check bool) "pipelined rounds" true (stats.Engine.rounds <= bound)
 
 let test_partwise_min_singletons () =

@@ -170,9 +170,73 @@ let test_components () =
   Alcotest.(check bool) "path connected" true (Algo.is_connected path5)
 
 let test_diameter () =
-  Alcotest.(check int) "path" 4 (Algo.diameter_exact path5);
-  Alcotest.(check int) "triangle" 1 (Algo.diameter_exact triangle);
-  Alcotest.(check int) "two-sweep path" 4 (Algo.diameter_two_sweep path5)
+  Alcotest.(check int) "path" 4 (Algo.diameter path5);
+  Alcotest.(check int) "triangle" 1 (Algo.diameter triangle);
+  Alcotest.(check int) "k4" 1 (Algo.diameter k4)
+
+(* The reference: the largest finite BFS distance over every source. *)
+let all_pairs_diameter g =
+  let d = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    Array.iter (fun x -> d := max !d x) (Algo.bfs_dist g v)
+  done;
+  !d
+
+(* A double sweep from vertex 0 reads 63 here; all-pairs BFS reads 66. *)
+let test_diameter_tgrid_3025 () =
+  let emb = Repro_embedding.Gen.by_family ~seed:3 "tgrid" ~n:3025 in
+  Alcotest.(check int) "D" 66
+    (Algo.diameter (Repro_embedding.Embedded.graph emb))
+
+(* Every generator family up to n = 400, a union of two grids, a graph
+   with isolated vertices, and the graphs on 0, 1 and 2 vertices. *)
+let diameter_cases () =
+  let module Gen = Repro_embedding.Gen in
+  let family =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun n ->
+            List.map
+              (fun seed ->
+                ( Printf.sprintf "%s:%d:%d" name n seed,
+                  Repro_embedding.Embedded.graph (Gen.by_family ~seed name ~n) ))
+              [ 1; 2 ])
+          [ 1; 2; 3; 5; 9; 17; 40; 100; 230; 400 ])
+      Gen.families
+  in
+  let union seed =
+    ( Printf.sprintf "xunion:%d" seed,
+      Repro_embedding.Embedded.graph
+        (Repro_testkit.Instance.disconnected_union ~seed ~n:150) )
+  in
+  family
+  @ [
+      union 1;
+      union 2;
+      ("isolated", Graph.of_edges ~n:8 [ (1, 2); (2, 3); (5, 6) ]);
+      ("n=0", Graph.of_edges ~n:0 []);
+      ("n=1", Graph.of_edges ~n:1 []);
+      ("n=2", Graph.of_edges ~n:2 [ (0, 1) ]);
+      ("n=2 no edge", Graph.of_edges ~n:2 []);
+    ]
+
+let test_diameter_all_pairs () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check int) name (all_pairs_diameter g) (Algo.diameter g))
+    (diameter_cases ())
+
+let test_diameter_exceeds () =
+  List.iter
+    (fun (name, g) ->
+      let d = Algo.diameter g in
+      for k = d - 2 to d + 2 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: D = %d > %d" name d k)
+          (d > k) (Algo.diameter_exceeds g k)
+      done)
+    (diameter_cases ())
 
 let test_dfs_parents () =
   let p = Algo.dfs_parents k4 0 in
@@ -312,4 +376,10 @@ let suites =
         qtest prop_bfs_dist_triangle_ineq;
         qtest prop_restricted_components;
         qtest prop_induced_members_keep;
+        Alcotest.test_case "diameter exact on tgrid n=3025 seed 3" `Quick
+          test_diameter_tgrid_3025;
+        Alcotest.test_case "diameter = all-pairs reference" `Quick
+          test_diameter_all_pairs;
+        Alcotest.test_case "diameter_exceeds = diameter > k" `Quick
+          test_diameter_exceeds;
     ]

@@ -173,6 +173,33 @@ let test_entries_reject_before_phases () =
       Separator.find_partition emb
         ~parts:[ List.init (Embedded.n emb) Fun.id ])
 
+(* Proposition 1 is billed by the screen's planarity tier alone, so every
+   screened entry charges it exactly once on a clean instance. *)
+let test_entries_charge_embedding_once () =
+  let emb = Gen.by_family ~seed:2 "tgrid" ~n:150 in
+  let g = Embedded.graph emb in
+  let embedding_charges f =
+    let rounds = Rounds.create ~n:(Graph.n g) ~d:(Algo.diameter g) () in
+    ignore (f rounds);
+    Rounds.label_invocations rounds Embedding
+  in
+  List.iter
+    (fun (entry, f) ->
+      Alcotest.(check int) (entry ^ " charges embedding[Prop1]") 1
+        (embedding_charges f))
+    [
+      ("Dfs.run", fun rounds -> ignore (Dfs.run ~rounds emb ~root:0));
+      ("Decomposition.build", fun rounds ->
+          ignore (Decomposition.build ~rounds emb));
+      ("Decomposition.bounded_diameter", fun rounds ->
+          ignore
+            (Decomposition.bounded_diameter ~rounds ~diameter_target:6 emb));
+      ("Separator.find_partition", fun rounds ->
+          ignore
+            (Separator.find_partition ~rounds emb
+               ~parts:[ List.init (Graph.n g) Fun.id ]));
+    ]
+
 (* --- jobs=1 vs jobs=N bit-identity of screening ledgers/traces -------- *)
 
 let screened_dfs ~jobs =
@@ -344,4 +371,6 @@ let suites =
         test_cli_exit_codes;
       Alcotest.test_case "fuzz bad arguments exit 2 with one line" `Quick
         test_fuzz_bad_arguments;
+      Alcotest.test_case "each screened entry charges Proposition 1 once"
+        `Quick test_entries_charge_embedding_once;
     ]
