@@ -12,21 +12,20 @@
 
    - a [ctx]: a communication tree fixed once (parents, root) together
      with an accumulating statistics tally, so callers stop threading
-     stats records by hand;
-   - the scalar primitives ([convergecast], [broadcast], [learn],
-     [subtree_agg], [ancestor_agg], [exchange], ...) — each one engine
-     run, recorded in the tally;
-   - the batched variants ([learn_batch], [agg_batch],
+     stats records by hand; a one-run [Prim] primitive joins the tally
+     through [record];
+   - the batched collectives ([learn_batch], [agg_batch],
      [partwise_batch]): k independent scalar collectives multiplexed
      into a single pipelined engine run with k payload slots, costing
      O(depth + k) rounds instead of k · O(depth).
 
-   The batched programs follow the streaming discipline of
-   [Prim.Partwise_program]: one (slot, value) pair per edge per round,
-   slots strictly ascending, so a pair is emitted only when it is final.
-   Unlike the part-wise pipeline the slot count k is globally known, so
-   no Done control messages are needed: a node knows it has seen slot i
-   from a child exactly when the child's stream has passed i. *)
+   [partwise_batch] runs [Prim.Partwise_program] with k slots.  The
+   collect program follows its streaming discipline: one (slot, value)
+   pair per edge per round, slots strictly ascending, so a pair is
+   emitted only when it is final.  Unlike the part-wise pipeline the slot
+   count k is globally known, so no Done control messages are needed: a
+   node knows it has seen slot i from a child exactly when the child's
+   stream has passed i. *)
 
 open Repro_graph
 
@@ -189,200 +188,7 @@ module Collect_program = struct
 end
 
 module Collect_engine = Engine.Make (Collect_program)
-
-(* ------------------------------------------------------------------ *)
-(* The batched part-wise program: k value slots sharing one partition.  *)
-(* ------------------------------------------------------------------ *)
-
-module Partwise_batch_program = struct
-  type input = {
-    parent : int;
-    part : int;
-    values : int array; (* length >= k: this node's per-slot value *)
-    ops : Prim.op array; (* length exactly k; physically shared *)
-  }
-
-  type phase = Up | Down | Finished
-
-  (* Identical streaming machinery to [Prim.Partwise_program], over the
-     composite key space key = part * k + slot: the k per-part streams
-     interleave into one ascending stream, so the pipeline costs
-     O(depth + #parts · k) rounds in a single engine run (with k = 1 the
-     program degenerates message-for-message to the scalar part-wise).
-     The part count is unknown to the nodes, so the UpDone/DownDone
-     control messages stay. *)
-  type state = {
-    parent : int;
-    k : int;
-    my_part : int;
-    ops : Prim.op array;
-    mutable phase : phase;
-    mutable children : int list;
-    mutable learned_children : bool;
-    acc : (int, int) Hashtbl.t; (* composite key -> aggregate *)
-    frontier : (int, int) Hashtbl.t; (* child -> last key received *)
-    mutable emitted_upto : int;
-    mutable up_done_sent : bool;
-    down_queue : (int * int) Queue.t;
-    mutable down_done_received : bool;
-    mutable down_done_sent : bool;
-    answer : int array; (* per-slot aggregate of my own part *)
-  }
-
-  type msg = Child | Up of int * int | UpDone | Down of int * int | DownDone
-  type output = int array
-
-  let msg_bits = function
-    | Child | UpDone | DownDone -> 3
-    | Up (key, x) | Down (key, x) ->
-      3 + Bandwidth.bits_for_int key + Bandwidth.bits_for_int x
-
-  let init ~n:_ ~id:_ ~neighbors:_ (inp : input) =
-    let k = Array.length inp.ops in
-    let acc = Hashtbl.create 8 in
-    for j = 0 to k - 1 do
-      Hashtbl.replace acc ((inp.part * k) + j) inp.values.(j)
-    done;
-    let st =
-      {
-        parent = inp.parent;
-        k;
-        my_part = inp.part;
-        ops = inp.ops;
-        phase = Up;
-        children = [];
-        learned_children = false;
-        acc;
-        frontier = Hashtbl.create 8;
-        emitted_upto = -1;
-        up_done_sent = false;
-        down_queue = Queue.create ();
-        down_done_received = false;
-        down_done_sent = false;
-        answer = Array.make k 0;
-      }
-    in
-    let out = if inp.parent >= 0 then [ (inp.parent, Child) ] else [] in
-    (st, out)
-
-  let record_answer st key x =
-    if key / st.k = st.my_part then st.answer.(key mod st.k) <- x
-
-  let merge st key x =
-    let cur = Hashtbl.find_opt st.acc key in
-    Hashtbl.replace st.acc key
-      (match cur with
-      | None -> x
-      | Some y -> Prim.apply st.ops.(key mod st.k) x y)
-
-  (* Smallest not-yet-emitted key that every child's stream has passed. *)
-  let emittable st =
-    let min_frontier =
-      List.fold_left
-        (fun m c ->
-          match Hashtbl.find_opt st.frontier c with
-          | None -> min m (-1)
-          | Some f -> min m f)
-        max_int st.children
-    in
-    Hashtbl.fold
-      (fun key _ best ->
-        if key > st.emitted_upto && key <= min_frontier then
-          match best with Some b when b <= key -> best | _ -> Some key
-        else best)
-      st.acc None
-
-  let all_children_done st =
-    List.for_all
-      (fun c -> Hashtbl.find_opt st.frontier c = Some max_int)
-      st.children
-
-  let pending_up st =
-    Hashtbl.fold (fun key _ any -> any || key > st.emitted_upto) st.acc false
-
-  let step ~round ~id:_ st ~inbox =
-    if round = 1 then begin
-      st.children <-
-        List.filter_map (function s, Child -> Some s | _ -> None) inbox;
-      st.learned_children <- true
-    end;
-    List.iter
-      (function
-        | c, Up (key, x) ->
-          merge st key x;
-          Hashtbl.replace st.frontier c key
-        | c, UpDone -> Hashtbl.replace st.frontier c max_int
-        | _, Down (key, x) ->
-          record_answer st key x;
-          Queue.add (key, x) st.down_queue
-        | _, DownDone -> st.down_done_received <- true
-        | _, Child -> ())
-      inbox;
-    if not st.learned_children then (st, [])
-    else begin
-      match st.phase with
-      | Up ->
-        if st.parent >= 0 then begin
-          match emittable st with
-          | Some key ->
-            st.emitted_upto <- key;
-            (st, [ (st.parent, Up (key, Hashtbl.find st.acc key)) ])
-          | None ->
-            if all_children_done st && (not (pending_up st)) && not st.up_done_sent
-            then begin
-              st.up_done_sent <- true;
-              st.phase <- Down;
-              (st, [ (st.parent, UpDone) ])
-            end
-            else (st, [])
-        end
-        else if all_children_done st then begin
-          for j = 0 to st.k - 1 do
-            st.answer.(j) <- Hashtbl.find st.acc ((st.my_part * st.k) + j)
-          done;
-          let pairs =
-            Hashtbl.fold (fun key x acc -> (key, x) :: acc) st.acc []
-            |> List.sort compare
-          in
-          List.iter (fun kx -> Queue.add kx st.down_queue) pairs;
-          st.down_done_received <- true;
-          st.phase <- Down;
-          (st, [])
-        end
-        else (st, [])
-      | Down ->
-        if not (Queue.is_empty st.down_queue) then begin
-          let key, x = Queue.pop st.down_queue in
-          record_answer st key x;
-          (st, List.map (fun c -> (c, Down (key, x))) st.children)
-        end
-        else if st.down_done_received && not st.down_done_sent then begin
-          st.down_done_sent <- true;
-          st.phase <- Finished;
-          (st, List.map (fun c -> (c, DownDone)) st.children)
-        end
-        else (st, [])
-      | Finished -> (st, [])
-    end
-
-  let finished st =
-    st.learned_children
-    &&
-    match st.phase with
-    | Finished -> true
-    | Up ->
-      if st.parent >= 0 then
-        emittable st = None
-        && not (all_children_done st && (not (pending_up st)) && not st.up_done_sent)
-      else not (all_children_done st)
-    | Down ->
-      Queue.is_empty st.down_queue
-      && not (st.down_done_received && not st.down_done_sent)
-
-  let output st = st.answer
-end
-
-module Partwise_batch_engine = Engine.Make (Partwise_batch_program)
+module Partwise_engine = Engine.Make (Prim.Partwise_program)
 
 (* ------------------------------------------------------------------ *)
 (* The context: one communication tree, one accumulating tally.        *)
@@ -415,49 +221,15 @@ let create g ~parent ~root =
 let tally ctx = ctx.tally
 let reset ctx = ctx.tally <- no_stats
 
-(* The single funnel for every engine run issued on a ctx — scalar
-   primitives, batched collectives, BFS floods — so the tally covers the
-   whole executed layer. *)
+(* The single funnel for every engine run issued on a ctx — the batched
+   collectives here, and the [Prim] runs callers record — so the tally
+   covers the whole executed layer. *)
 let record ?collectives ctx s =
   ctx.tally <- add ctx.tally (of_engine ?collectives s)
 
 let ensure_scratch ctx k =
   if Array.length ctx.bottom < k then ctx.bottom <- Array.make k (-1);
   if Array.length ctx.max_ops < k then ctx.max_ops <- Array.make k Prim.Max
-
-(* --- scalar primitives (one engine run each) ----------------------- *)
-
-let subtree_agg ctx ~op ~values =
-  let out, s = Prim.subtree_agg ctx.g ~parent:ctx.parent ~op ~values in
-  record ctx s;
-  out
-
-let ancestor_agg ctx ~op ~values =
-  let out, s = Prim.ancestor_agg ctx.g ~parent:ctx.parent ~op ~values in
-  record ctx s;
-  out
-
-let convergecast ctx ~op ~values = (subtree_agg ctx ~op ~values).(ctx.root)
-
-let broadcast ctx ~value =
-  let out, s = Prim.broadcast ctx.g ~parent:ctx.parent ~root:ctx.root ~value in
-  record ctx s;
-  out
-
-let exchange ctx ~sends =
-  let out, s = Prim.exchange ctx.g ~sends in
-  record ctx s;
-  out
-
-let bfs_tree ctx ~root =
-  let out, s = Prim.bfs_tree ctx.g ~root in
-  record ctx s;
-  out
-
-let bfs_forest ctx ~roots =
-  let out, s = Prim.bfs_forest ctx.g ~roots in
-  record ctx s;
-  out
 
 (* --- batched collectives (k slots, one engine run) ----------------- *)
 
@@ -533,13 +305,13 @@ let partwise_batch ctx ~bcast_parent ~op ~parts (values : int array array) =
     let input =
       Array.init ctx.n (fun v ->
           {
-            Partwise_batch_program.parent = bcast_parent.(v);
+            Prim.Partwise_program.parent = bcast_parent.(v);
             part = parts.(v);
             values = Array.init k (fun j -> values.(j).(v));
             ops;
           })
     in
-    let out, s = Partwise_batch_engine.run ctx.g ~input in
+    let out, s = Partwise_engine.run ctx.g ~input in
     record ~collectives:k ctx s;
     Array.init k (fun j -> Array.init ctx.n (fun v -> out.(v).(j)))
   end

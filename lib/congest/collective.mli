@@ -3,7 +3,8 @@
     A [ctx] fixes a communication tree once (parents, root) and
     accumulates execution statistics, so the composed subroutines of
     Section 5.2 stop hand-rolling their own convergecast/broadcast
-    choreography and stats plumbing.  The batched variants multiplex k
+    choreography and stats plumbing; a one-run {!Prim} primitive joins
+    the tally through {!record}.  The batched collectives multiplex k
     independent scalar collectives into a single pipelined engine run
     with k payload slots — O(depth + k) rounds instead of k · O(depth),
     which is the executable counterpart of the shortcut pipelining the
@@ -29,9 +30,9 @@ val of_engine : ?collectives:int -> Engine.stats -> stats
 (** One engine run's statistics as a tally increment (default: one
     logical collective). *)
 
-(** {2 Engine programs}
+(** {2 Engine program}
 
-    Exposed so the differential suite (test/engine_equiv.ml) can run them
+    Exposed so the differential suite (test/engine_equiv.ml) can run it
     through both [Engine.Make] and the testkit's dense
     [Reference.Engine.Make], like the programs in {!Prim}. *)
 
@@ -51,22 +52,6 @@ module Collect_program : sig
   include Engine.PROGRAM with type input := input and type output = int array
 end
 
-(** k part-wise aggregations sharing one partition in one pipelined run:
-    the streams interleave over composite keys [part * k + slot].  With
-    k = 1 this is message-for-message the scalar [Prim.Partwise_program].
-    Output: the k per-part aggregates, at every node (for its own
-    part). *)
-module Partwise_batch_program : sig
-  type input = {
-    parent : int;
-    part : int;
-    values : int array;  (** length >= k: this node's per-slot value *)
-    ops : Prim.op array;  (** length exactly k *)
-  }
-
-  include Engine.PROGRAM with type input := input and type output = int array
-end
-
 (** {2 The context} *)
 
 type ctx
@@ -77,36 +62,13 @@ val create : Graph.t -> parent:int array -> root:int -> ctx
     in the pipelined programs. *)
 
 val tally : ctx -> stats
-(** Statistics accumulated by every primitive issued on this ctx. *)
+(** Statistics accumulated by every run issued or recorded on this ctx. *)
 
 val reset : ctx -> unit
 
 val record : ?collectives:int -> ctx -> Engine.stats -> unit
-(** Fold one externally-run engine execution into the tally (used by
-    callers that must run a primitive on a different tree). *)
-
-(** {2 Scalar primitives (one engine run each)} *)
-
-val subtree_agg : ctx -> op:Prim.op -> values:int array -> int array
-(** Every node learns the aggregate of its subtree (DESCENDANT-SUM). *)
-
-val ancestor_agg : ctx -> op:Prim.op -> values:int array -> int array
-(** Every node learns the aggregate over its root path (ANCESTOR-SUM). *)
-
-val convergecast : ctx -> op:Prim.op -> values:int array -> int
-(** The global aggregate, as known at the root after a convergecast. *)
-
-val broadcast : ctx -> value:int -> int array
-(** Every node learns the root's value. *)
-
-val exchange : ctx -> sends:(int * int) list array -> (int * int) list array
-(** One synchronous neighbour exchange (not tree-bound). *)
-
-val bfs_tree : ctx -> root:int -> int array * int array
-(** BFS tree (parents, distances) by flooding, recorded in the tally. *)
-
-val bfs_forest : ctx -> roots:bool array -> int array * int array
-(** Multi-source BFS forest, recorded in the tally. *)
+(** Fold one externally-run engine execution — a {!Prim} primitive, on
+    this ctx's tree or another — into the tally. *)
 
 (** {2 Batched collectives (k slots, one engine run)} *)
 
@@ -132,7 +94,7 @@ val partwise_batch :
   parts:int array ->
   int array array ->
   int array array
-(** k part-wise aggregations over one partition in one pipelined run over
-    [bcast_parent] (usually the BFS tree, so the pipeline pays depth_BFS).
-    Returns k arrays: result [j].(v) is the slot-j aggregate of v's
-    part. *)
+(** k part-wise aggregations over one partition in one pipelined run of
+    [Prim.Partwise_program] with k slots over [bcast_parent] (usually the
+    BFS tree, so the pipeline pays depth_BFS).  Returns k arrays: result
+    [j].(v) is the slot-j aggregate of v's part. *)

@@ -75,105 +75,73 @@ type comms = {
          edges, not the ctx graph. *)
 }
 
-(* The batched binding: everything runs against one [Collective] ctx,
-   which also accumulates the statistics. *)
-let batched_comms ctx =
+(* One [Prim] run, its statistics folded into the ctx's tally. *)
+let recorded ctx (out, s) =
+  Collective.record ctx s;
+  out
+
+(* The batched binding: the multi-value collectives are one pipelined run
+   each on the [Collective] ctx, the one-run primitives come straight from
+   [Prim], and the ctx's tally records every run. *)
+let batched_comms g ~parent ~root:_ ctx =
   {
     learn_batch = Collective.learn_batch ctx;
     agg_batch = (fun ~op values -> Collective.agg_batch ctx ~op values);
-    subtree = (fun ~op values -> Collective.subtree_agg ctx ~op ~values);
-    ancestor = (fun ~op values -> Collective.ancestor_agg ctx ~op ~values);
-    exchange = (fun sends -> Collective.exchange ctx ~sends);
+    subtree =
+      (fun ~op values -> recorded ctx (Prim.subtree_agg g ~parent ~op ~values));
+    ancestor =
+      (fun ~op values -> recorded ctx (Prim.ancestor_agg g ~parent ~op ~values));
+    exchange = (fun sends -> recorded ctx (Prim.exchange g ~sends));
     partwise =
       (fun ~bcast_parent ~op ~parts values ->
         Collective.partwise_batch ctx ~bcast_parent ~op ~parts values);
-    bfs = (fun ~root -> Collective.bfs_tree ctx ~root);
-    bfs_forest =
-      (fun graph ~roots ->
-        let out, s = Prim.bfs_forest graph ~roots in
-        Collective.record ctx s;
-        out);
+    bfs = (fun ~root -> recorded ctx (Prim.bfs_tree g ~root));
+    bfs_forest = (fun graph ~roots -> recorded ctx (Prim.bfs_forest graph ~roots));
   }
 
-(* The serial binding: the pre-refactor choreography, one engine run per
-   scalar hop, kept as the differential oracle.  Each learn rebuilds its
-   own O(n) indicator array, exactly as the monolith did. *)
-let serial_comms g acc ~parent ~root =
-  let n = Graph.n g in
-  let bump s = acc := Collective.add !acc (Collective.of_engine s) in
+(* The serial binding: the pre-refactor choreography, kept as the
+   differential oracle.  It is the batched binding with each multi-value
+   collective paid one value at a time: a convergecast plus a broadcast
+   per scalar, each learn rebuilding its own O(n) indicator array exactly
+   as the monolith did, and one part-wise run per slot. *)
+let serial_comms g ~parent ~root ctx =
+  let agg_batch ~op values =
+    Array.map
+      (fun vals ->
+        let sums = recorded ctx (Prim.subtree_agg g ~parent ~op ~values:vals) in
+        (recorded ctx (Prim.broadcast g ~parent ~root ~value:sums.(root))).(0))
+      values
+  in
   {
+    (batched_comms g ~parent ~root ctx) with
     learn_batch =
-      Array.map (fun (source, value) ->
-          (* Values are all non-negative (orders, sizes), so -1 is a safe
-             bottom element within the O(log n)-bit budget. *)
-          let indicator =
-            Array.init n (fun x -> if x = source then value else -1)
-          in
-          let maxes, s1 =
-            Prim.subtree_agg g ~parent ~op:Prim.Max ~values:indicator
-          in
-          bump s1;
-          let out, s2 = Prim.broadcast g ~parent ~root ~value:maxes.(root) in
-          bump s2;
-          out.(0));
-    agg_batch =
-      (fun ~op values ->
-        Array.map
-          (fun vals ->
-            let maxes, s1 = Prim.subtree_agg g ~parent ~op ~values:vals in
-            bump s1;
-            let out, s2 = Prim.broadcast g ~parent ~root ~value:maxes.(root) in
-            bump s2;
-            out.(0))
-          values);
-    subtree =
-      (fun ~op values ->
-        let out, s = Prim.subtree_agg g ~parent ~op ~values in
-        bump s;
-        out);
-    ancestor =
-      (fun ~op values ->
-        let out, s = Prim.ancestor_agg g ~parent ~op ~values in
-        bump s;
-        out);
-    exchange =
-      (fun sends ->
-        let out, s = Prim.exchange g ~sends in
-        bump s;
-        out);
+      (fun slots ->
+        (* Values are all non-negative (orders, sizes), so -1 is a safe
+           bottom element within the O(log n)-bit budget. *)
+        agg_batch ~op:Prim.Max
+          (Array.map
+             (fun (source, value) ->
+               Array.init (Graph.n g) (fun x -> if x = source then value else -1))
+             slots));
+    agg_batch;
     partwise =
       (fun ~bcast_parent ~op ~parts values ->
         Array.map
           (fun vals ->
-            let out, s =
-              Prim.partwise g ~parent:bcast_parent ~op ~parts ~values:vals
-            in
-            bump s;
-            out)
+            recorded ctx
+              (Prim.partwise g ~parent:bcast_parent ~op ~parts ~values:vals))
           values);
-    bfs =
-      (fun ~root ->
-        let out, s = Prim.bfs_tree g ~root in
-        bump s;
-        out);
-    bfs_forest =
-      (fun graph ~roots ->
-        let out, s = Prim.bfs_forest graph ~roots in
-        bump s;
-        out);
   }
 
-(* Run a subroutine core against the batched collective layer and return
-   its accumulated tally. *)
-let with_batched g ~parent ~root f =
+(* Run a subroutine core against one binding on a fresh ctx and return its
+   accumulated tally. *)
+let with_comms bind g ~parent ~root f =
   let ctx = Collective.create g ~parent ~root in
-  let out = f (batched_comms ctx) in
+  let out = f (bind g ~parent ~root ctx) in
   (out, Collective.tally ctx)
 
-let with_serial g ~parent ~root f =
-  let acc = ref Collective.no_stats in
-  let out = f (serial_comms g acc ~parent ~root) in
-  (out, !acc)
+let with_batched g ~parent ~root f = with_comms batched_comms g ~parent ~root f
+let with_serial g ~parent ~root f = with_comms serial_comms g ~parent ~root f
 
 (* ------------------------------------------------------------------ *)
 (* DFS-ORDER-PROBLEM (Lemma 11): fragment merging with depth halving.   *)

@@ -1,12 +1,14 @@
 (* Message-level CONGEST primitives.
 
    These are real executions in the synchronous engine (no charged costs):
-   BFS-tree construction, tree broadcast, subtree aggregation
-   (DESCENDANT-SUM-PROBLEM of Proposition 5) and pipelined part-wise
-   aggregation over a global BFS tree.  The part-wise implementation runs in
-   O(depth + #parts) rounds — the classic pipelining bound — and is the
-   executable counterpart of the shortcut-based Õ(D) black box the charged
-   mode models.
+   BFS-tree construction, subtree and ancestor aggregation
+   (DESCENDANT-SUM-PROBLEM and ANCESTOR-SUM-PROBLEM of Proposition 5; a
+   tree broadcast is the ancestor sum of a value held only at the root),
+   the one-round neighbour exchange and pipelined part-wise aggregation
+   over a global BFS tree.  The part-wise implementation runs in
+   O(depth + #parts · k) rounds for k value slots — the classic pipelining
+   bound — and is the executable counterpart of the shortcut-based Õ(D)
+   black box the charged mode models.
 
    Every program's [finished] is a *quiescence* predicate: true whenever
    the node would take no action on an empty inbox, even if it is still
@@ -235,68 +237,12 @@ let ancestor_agg g ~parent ~op ~values =
   in
   Ancestor_engine.run g ~input
 
-(* ------------------------------------------------------------------ *)
-(* Broadcast of the root's value over the tree.                        *)
-(* ------------------------------------------------------------------ *)
-
-module Broadcast_program = struct
-  type input = { parent : int; value : int option (* Some at the root *) }
-
-  type state = {
-    parent : int;
-    mutable children : int list;
-    mutable learned_children : bool;
-    mutable value : int option;
-    mutable forwarded : bool;
-  }
-
-  type msg = Child | Value of int
-  type output = int
-
-  let msg_bits = function Child -> 2 | Value x -> 2 + Bandwidth.bits_for_int x
-
-  let init ~n:_ ~id:_ ~neighbors:_ (inp : input) =
-    let st =
-      {
-        parent = inp.parent;
-        children = [];
-        learned_children = false;
-        value = inp.value;
-        forwarded = false;
-      }
-    in
-    let parent = inp.parent in
-    let out = if parent >= 0 then [ (parent, Child) ] else [] in
-    (st, out)
-
-  let step ~round ~id:_ st ~inbox =
-    if round = 1 then begin
-      st.children <- List.filter_map (function s, Child -> Some s | _ -> None) inbox;
-      st.learned_children <- true
-    end;
-    List.iter
-      (function _, Value x -> st.value <- Some x | _, Child -> ())
-      inbox;
-    match st.value with
-    | Some x when st.learned_children && not st.forwarded ->
-      st.forwarded <- true;
-      (st, List.map (fun c -> (c, Value x)) st.children)
-    | _ -> (st, [])
-
-  (* Same quiescence shape as the downcast: waiting for the value is
-     passive, learning the children (round 1) is not. *)
-  let finished st = st.forwarded || (st.learned_children && st.value = None)
-  let output st = match st.value with Some x -> x | None -> assert false
-end
-
-module Broadcast_engine = Engine.Make (Broadcast_program)
-
+(* Broadcast of the root's value over the tree: the ancestor sum of a
+   value held only at the root. *)
 let broadcast g ~parent ~root ~value =
-  let input =
-    Array.init (Repro_graph.Graph.n g) (fun v ->
-        Broadcast_program.{ parent = parent.(v); value = (if v = root then Some value else None) })
-  in
-  Broadcast_engine.run g ~input
+  ancestor_agg g ~parent ~op:Sum
+    ~values:
+      (Array.init (Repro_graph.Graph.n g) (fun v -> if v = root then value else 0))
 
 (* ------------------------------------------------------------------ *)
 (* One-round neighbour exchange: each node sends one integer to chosen  *)
@@ -333,52 +279,66 @@ let exchange g ~sends =
 (* ------------------------------------------------------------------ *)
 (* Pipelined part-wise aggregation over a global spanning tree.        *)
 (*                                                                     *)
-(* Every node holds (part, value); at the end every node knows the     *)
-(* aggregate of its part.  Upcast: each node merges ascending streams  *)
-(* of (part, aggregate) pairs from its children and emits its own      *)
-(* ascending stream, one pair per round — a part is emitted once every *)
-(* child's stream has passed it, so each pair is final when sent.      *)
-(* Downcast: the root pipelines the full result stream back down.      *)
-(* Both phases take O(depth + #parts) rounds.                          *)
+(* Every node holds (part, k slot values); at the end every node knows *)
+(* the k aggregates of its part.  The k per-part streams interleave    *)
+(* over composite keys part * k + slot.  Upcast: each node merges      *)
+(* ascending streams of (key, aggregate) pairs from its children and   *)
+(* emits its own ascending stream, one pair per round — a key is       *)
+(* emitted once every child's stream has passed it, so each pair is    *)
+(* final when sent.  Downcast: the root pipelines the full result      *)
+(* stream back down.  The part count is unknown to the nodes, so       *)
+(* UpDone/DownDone close the streams.  Both phases take                *)
+(* O(depth + #parts · k) rounds.                                       *)
 (* ------------------------------------------------------------------ *)
 
 module Partwise_program = struct
-  type input = { parent : int; part : int; value : int; op : op }
+  type input = {
+    parent : int;
+    part : int;
+    values : int array; (* length >= k: this node's per-slot value *)
+    ops : op array; (* length exactly k; physically shared *)
+  }
 
   type phase = Up | Down | Finished
 
   type state = {
     parent : int;
+    k : int;
     my_part : int;
-    op : op;
+    ops : op array;
     mutable phase : phase;
     mutable children : int list;
     mutable learned_children : bool;
-    acc : (int, int) Hashtbl.t; (* part -> aggregate at this node *)
-    frontier : (int, int) Hashtbl.t; (* child -> last part id received *)
+    acc : (int, int) Hashtbl.t; (* composite key -> aggregate *)
+    frontier : (int, int) Hashtbl.t; (* child -> last key received *)
     mutable emitted_upto : int;
     mutable up_done_sent : bool;
     down_queue : (int * int) Queue.t;
     mutable down_done_received : bool;
     mutable down_done_sent : bool;
-    mutable answer : int option;
+    answer : int array; (* per-slot aggregate of my own part *)
   }
 
   type msg = Child | Up of int * int | UpDone | Down of int * int | DownDone
-  type output = int
+  type output = int array
 
   let msg_bits = function
     | Child | UpDone | DownDone -> 3
-    | Up (p, x) | Down (p, x) -> 3 + Bandwidth.bits_for_int p + Bandwidth.bits_for_int x
+    | Up (key, x) | Down (key, x) ->
+      3 + Bandwidth.bits_for_int key + Bandwidth.bits_for_int x
 
-  let init ~n:_ ~id:_ ~neighbors:_ { parent; part; value; op } =
+  let init ~n:_ ~id:_ ~neighbors:_ (inp : input) =
+    let k = Array.length inp.ops in
     let acc = Hashtbl.create 8 in
-    Hashtbl.replace acc part value;
+    for j = 0 to k - 1 do
+      Hashtbl.replace acc ((inp.part * k) + j) inp.values.(j)
+    done;
     let st =
       {
-        parent;
-        my_part = part;
-        op;
+        parent = inp.parent;
+        k;
+        my_part = inp.part;
+        ops = inp.ops;
         phase = Up;
         children = [];
         learned_children = false;
@@ -389,17 +349,23 @@ module Partwise_program = struct
         down_queue = Queue.create ();
         down_done_received = false;
         down_done_sent = false;
-        answer = None;
+        answer = Array.make k 0;
       }
     in
-    let out = if parent >= 0 then [ (parent, Child) ] else [] in
+    let out = if inp.parent >= 0 then [ (inp.parent, Child) ] else [] in
     (st, out)
 
-  let merge st p x =
-    let cur = Hashtbl.find_opt st.acc p in
-    Hashtbl.replace st.acc p (match cur with None -> x | Some y -> apply st.op x y)
+  let record_answer st key x =
+    if key / st.k = st.my_part then st.answer.(key mod st.k) <- x
 
-  (* Smallest not-yet-emitted part that every child's stream has passed. *)
+  let merge st key x =
+    let cur = Hashtbl.find_opt st.acc key in
+    Hashtbl.replace st.acc key
+      (match cur with
+      | None -> x
+      | Some y -> apply st.ops.(key mod st.k) x y)
+
+  (* Smallest not-yet-emitted key that every child's stream has passed. *)
   let emittable st =
     let min_frontier =
       List.fold_left
@@ -410,9 +376,9 @@ module Partwise_program = struct
         max_int st.children
     in
     Hashtbl.fold
-      (fun p _ best ->
-        if p > st.emitted_upto && p <= min_frontier then
-          match best with Some b when b <= p -> best | _ -> Some p
+      (fun key _ best ->
+        if key > st.emitted_upto && key <= min_frontier then
+          match best with Some b when b <= key -> best | _ -> Some key
         else best)
       st.acc None
 
@@ -422,22 +388,23 @@ module Partwise_program = struct
       st.children
 
   let pending_up st =
-    Hashtbl.fold (fun p _ any -> any || p > st.emitted_upto) st.acc false
+    Hashtbl.fold (fun key _ any -> any || key > st.emitted_upto) st.acc false
 
   let step ~round ~id:_ st ~inbox =
     if round = 1 then begin
-      st.children <- List.filter_map (function s, Child -> Some s | _ -> None) inbox;
+      st.children <-
+        List.filter_map (function s, Child -> Some s | _ -> None) inbox;
       st.learned_children <- true
     end;
     List.iter
       (function
-        | c, Up (p, x) ->
-          merge st p x;
-          Hashtbl.replace st.frontier c p
+        | c, Up (key, x) ->
+          merge st key x;
+          Hashtbl.replace st.frontier c key
         | c, UpDone -> Hashtbl.replace st.frontier c max_int
-        | _, Down (p, x) ->
-          if p = st.my_part then st.answer <- Some x;
-          Queue.add (p, x) st.down_queue
+        | _, Down (key, x) ->
+          record_answer st key x;
+          Queue.add (key, x) st.down_queue
         | _, DownDone -> st.down_done_received <- true
         | _, Child -> ())
       inbox;
@@ -448,11 +415,11 @@ module Partwise_program = struct
         if st.parent >= 0 then begin
           (* Interior node: emit one pair, or UpDone when drained. *)
           match emittable st with
-          | Some p ->
-            st.emitted_upto <- p;
-            (st, [ (st.parent, Up (p, Hashtbl.find st.acc p)) ])
+          | Some key ->
+            st.emitted_upto <- key;
+            (st, [ (st.parent, Up (key, Hashtbl.find st.acc key)) ])
           | None ->
-            if all_children_done st && not (pending_up st) && not st.up_done_sent
+            if all_children_done st && (not (pending_up st)) && not st.up_done_sent
             then begin
               st.up_done_sent <- true;
               st.phase <- Down;
@@ -462,12 +429,14 @@ module Partwise_program = struct
         end
         else if all_children_done st then begin
           (* Root: aggregation complete; seed the down stream. *)
-          st.answer <- Some (Hashtbl.find st.acc st.my_part);
+          for j = 0 to st.k - 1 do
+            st.answer.(j) <- Hashtbl.find st.acc ((st.my_part * st.k) + j)
+          done;
           let pairs =
-            Hashtbl.fold (fun p x acc -> (p, x) :: acc) st.acc []
+            Hashtbl.fold (fun key x acc -> (key, x) :: acc) st.acc []
             |> List.sort compare
           in
-          List.iter (fun px -> Queue.add px st.down_queue) pairs;
+          List.iter (fun kx -> Queue.add kx st.down_queue) pairs;
           st.down_done_received <- true;
           st.phase <- Down;
           (st, [])
@@ -475,9 +444,9 @@ module Partwise_program = struct
         else (st, [])
       | Down ->
         if not (Queue.is_empty st.down_queue) then begin
-          let (p, x) = Queue.pop st.down_queue in
-          if p = st.my_part then st.answer <- Some x;
-          (st, List.map (fun c -> (c, Down (p, x))) st.children)
+          let key, x = Queue.pop st.down_queue in
+          record_answer st key x;
+          (st, List.map (fun c -> (c, Down (key, x))) st.children)
         end
         else if st.down_done_received && not st.down_done_sent then begin
           st.down_done_sent <- true;
@@ -501,20 +470,24 @@ module Partwise_program = struct
     | Up ->
       if st.parent >= 0 then
         emittable st = None
-        && not (all_children_done st && not (pending_up st) && not st.up_done_sent)
+        && not (all_children_done st && (not (pending_up st)) && not st.up_done_sent)
       else not (all_children_done st)
     | Down ->
       Queue.is_empty st.down_queue
       && not (st.down_done_received && not st.down_done_sent)
 
-  let output st = match st.answer with Some x -> x | None -> assert false
+  let output st = st.answer
 end
 
 module Partwise_engine = Engine.Make (Partwise_program)
 
+(* One slot: the single-value part-wise aggregation. *)
 let partwise g ~parent ~op ~parts ~values =
+  let ops = [| op |] in
   let input =
     Array.init (Repro_graph.Graph.n g) (fun v ->
-        Partwise_program.{ parent = parent.(v); part = parts.(v); value = values.(v); op })
+        Partwise_program.
+          { parent = parent.(v); part = parts.(v); values = [| values.(v) |]; ops })
   in
-  Partwise_engine.run g ~input
+  let out, stats = Partwise_engine.run g ~input in
+  (Array.map (fun slots -> slots.(0)) out, stats)

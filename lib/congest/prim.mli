@@ -1,9 +1,10 @@
 (** Message-level CONGEST primitives (real executions in the engine).
 
     These are the executable counterparts of the black-box primitives that
-    the charged mode models: BFS-tree construction, tree broadcast, subtree
-    aggregation, and pipelined part-wise aggregation in O(depth + #parts)
-    rounds. *)
+    the charged mode models: BFS-tree construction, subtree and ancestor
+    aggregation (a tree broadcast is the ancestor sum of a root-only
+    value), the one-round neighbour exchange, and pipelined part-wise
+    aggregation in O(depth + #parts · k) rounds for k value slots. *)
 
 open Repro_graph
 
@@ -36,12 +37,6 @@ module Ancestor_program : sig
   include Engine.PROGRAM with type input := input and type output = int
 end
 
-module Broadcast_program : sig
-  type input = { parent : int; value : int option }
-
-  include Engine.PROGRAM with type input := input and type output = int
-end
-
 module Exchange_program : sig
   include
     Engine.PROGRAM
@@ -49,10 +44,20 @@ module Exchange_program : sig
        and type output = (int * int) list
 end
 
+(** k part-wise aggregations sharing one partition in one pipelined run:
+    the k per-part streams interleave over composite keys
+    [part * k + slot].  Output: the k aggregates of the node's own part.
+    {!partwise} runs it with one slot, [Collective.partwise_batch] with
+    k. *)
 module Partwise_program : sig
-  type input = { parent : int; part : int; value : int; op : op }
+  type input = {
+    parent : int;
+    part : int;
+    values : int array;  (** length >= k: this node's per-slot value *)
+    ops : op array;  (** length exactly k *)
+  }
 
-  include Engine.PROGRAM with type input := input and type output = int
+  include Engine.PROGRAM with type input := input and type output = int array
 end
 
 val bfs_tree :
@@ -93,7 +98,8 @@ val broadcast :
   root:int ->
   value:int ->
   int array * Engine.stats
-(** Every node learns the root's value (over tree edges). *)
+(** Every node learns the root's value (over tree edges): the ancestor
+    sum of [value] at [root] and 0 elsewhere. *)
 
 val exchange :
   Graph.t ->
@@ -110,5 +116,5 @@ val partwise :
   values:int array ->
   int array * Engine.stats
 (** Part-wise aggregation: every node learns the aggregate of the values of
-    its own part.  Pipelined over the given global spanning tree; runs in
-    O(depth + #parts) rounds. *)
+    its own part.  One slot of [Partwise_program], pipelined over the given
+    global spanning tree; runs in O(depth + #parts) rounds. *)

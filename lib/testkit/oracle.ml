@@ -280,10 +280,9 @@ end
 module Bfs_diff = Diff (Prim.Bfs_program)
 module Subtree_diff = Diff (Prim.Subtree_program)
 module Ancestor_diff = Diff (Prim.Ancestor_program)
-module Broadcast_diff = Diff (Prim.Broadcast_program)
 module Exchange_diff = Diff (Prim.Exchange_program)
+module Partwise_diff = Diff (Prim.Partwise_program)
 module Collect_diff = Diff (Collective.Collect_program)
-module Partwise_batch_diff = Diff (Collective.Partwise_batch_program)
 
 let run_engine (inst : Instance.t) =
   let ctx = ctx_create () in
@@ -321,13 +320,15 @@ let run_engine (inst : Instance.t) =
        ~input:
          (Array.init n (fun v ->
               { Prim.Ancestor_program.parent = parent.(v); value = values.(v); op })));
+  (* A broadcast is the ancestor sum of a root-only value. *)
   diff "broadcast"
-    (Broadcast_diff.check g
+    (Ancestor_diff.check g
        ~input:
          (Array.init n (fun v ->
               {
-                Prim.Broadcast_program.parent = parent.(v);
-                value = (if v = root then Some 4242 else None);
+                Prim.Ancestor_program.parent = parent.(v);
+                value = (if v = root then 4242 else 0);
+                op = Prim.Sum;
               })));
   (* One-round neighbourhood exchange with random payloads. *)
   diff "exchange"
@@ -339,8 +340,8 @@ let run_engine (inst : Instance.t) =
                      if Rng.int rng 2 = 0 then Some (u, Rng.int rng 100)
                      else None)
               |> List.of_seq)));
-  (* The batched collective programs (k-slot convergecast, k-slot
-     part-wise) — the layer the composed subroutines ride on. *)
+  (* The k-slot programs (convergecast, part-wise) — the layer the
+     composed subroutines ride on. *)
   let k = 3 in
   let ops = Array.init k (fun j -> [| Prim.Sum; Prim.Min; Prim.Max |].(j mod 3)) in
   diff "collect-batch"
@@ -355,11 +356,11 @@ let run_engine (inst : Instance.t) =
   let part = Array.init n (fun _ -> Rng.int rng 5) in
   part.(root) <- 0;
   diff "partwise-batch"
-    (Partwise_batch_diff.check g
+    (Partwise_diff.check g
        ~input:
          (Array.init n (fun v ->
               {
-                Collective.Partwise_batch_program.parent = parent.(v);
+                Prim.Partwise_program.parent = parent.(v);
                 part = part.(v);
                 values = Array.init k (fun _ -> Rng.int rng 1000);
                 ops;

@@ -4,8 +4,8 @@
    Three claims are checked here:
 
    1. The batched programs compute the right thing: a k-slot
-      [learn_batch]/[agg_batch]/[partwise_batch] equals k scalar runs of
-      the corresponding [Prim] primitive (and a centralized reduction).
+      [learn_batch]/[agg_batch] equals k scalar learns (and a centralized
+      reduction), and a k-slot part-wise run equals k one-slot runs.
    2. The refactored [Composed] subroutines are bit-identical to
       [Composed.Reference] AND to the centralized algorithms, with the
       >= 3x batching win intact — this used to be a hand-rolled family
@@ -90,7 +90,7 @@ let test_agg_batch_matches_centralized () =
         [ Prim.Sum; Prim.Min; Prim.Max ])
     (graphs ())
 
-let test_partwise_batch_matches_scalar () =
+let test_partwise_k_slots_match_one_slot () =
   List.iter
     (fun (name, g) ->
       let n = Graph.n g in
@@ -115,7 +115,7 @@ let test_partwise_batch_matches_scalar () =
                 Prim.partwise g ~parent ~op ~parts ~values:vals
               in
               Alcotest.(check (array int))
-                (Printf.sprintf "%s partwise_batch slot %d" name j)
+                (Printf.sprintf "%s k-slot part-wise slot %d" name j)
                 expected got.(j))
             values)
         [ Prim.Sum; Prim.Min; Prim.Max ])
@@ -126,19 +126,28 @@ let test_scalar_primitives_via_ctx () =
   let n = Graph.n g in
   let parent = spanning g 0 in
   let ctx = Collective.create g ~parent ~root:0 in
+  let recorded (out, s) =
+    Collective.record ctx s;
+    out
+  in
   let values = Array.init n (fun v -> v + 1) in
-  let sub = Collective.subtree_agg ctx ~op:Prim.Sum ~values in
-  let expected_sub, _ = Prim.subtree_agg g ~parent ~op:Prim.Sum ~values in
-  Alcotest.(check (array int)) "subtree via ctx" expected_sub sub;
-  let anc = Collective.ancestor_agg ctx ~op:Prim.Max ~values in
-  let expected_anc, _ = Prim.ancestor_agg g ~parent ~op:Prim.Max ~values in
-  Alcotest.(check (array int)) "ancestor via ctx" expected_anc anc;
-  let total = Collective.convergecast ctx ~op:Prim.Sum ~values in
-  Alcotest.(check int) "convergecast" (n * (n + 1) / 2) total;
-  let bc = Collective.broadcast ctx ~value:4242 in
+  let sub = recorded (Prim.subtree_agg g ~parent ~op:Prim.Sum ~values) in
+  Alcotest.(check int) "convergecast" (n * (n + 1) / 2) sub.(0);
+  (* BFS parents of a row-major grid have smaller ids. *)
+  let anc = recorded (Prim.ancestor_agg g ~parent ~op:Prim.Max ~values) in
+  Alcotest.(check (array int)) "ancestor max" values anc;
+  let bc = recorded (Prim.broadcast g ~parent ~root:0 ~value:4242) in
   Alcotest.(check bool) "broadcast" true (Array.for_all (( = ) 4242) bc);
+  let got =
+    recorded
+      (Prim.exchange g
+         ~sends:(Array.init n (fun v -> if v = 0 then [] else [ (parent.(v), v) ])))
+  in
+  Alcotest.(check (list (pair int int)))
+    "exchange" [ (1, 1); (5, 5) ] (List.sort compare got.(0));
   Alcotest.(check int) "learn" 77 (Collective.learn ctx ~source:(n - 1) ~value:77);
-  (* The tally counted every run with full engine stats. *)
+  (* The tally counted every recorded run and the learn, with full engine
+     stats. *)
   let t = Collective.tally ctx in
   Alcotest.(check int) "engine runs" 5 t.Collective.engine_runs;
   Alcotest.(check bool) "total bits recorded" true (t.Collective.total_bits > 0)
@@ -284,8 +293,8 @@ let suites =
         test_learn_batch_matches_scalar;
       Alcotest.test_case "agg_batch = centralized reduce" `Quick
         test_agg_batch_matches_centralized;
-      Alcotest.test_case "partwise_batch = k scalar partwise" `Quick
-        test_partwise_batch_matches_scalar;
+      Alcotest.test_case "k-slot run equals k one-slot runs" `Quick
+        test_partwise_k_slots_match_one_slot;
       Alcotest.test_case "scalar primitives via ctx" `Quick
         test_scalar_primitives_via_ctx;
       Alcotest.test_case "batched rounds are O(depth + k)" `Quick
