@@ -518,7 +518,7 @@ let e8 () =
     (fun (name, emb, spanning) ->
       let cfg = Config.of_embedded ~spanning emb in
       let n = Config.n cfg in
-      let weights = Weights.all_weights cfg in
+      let weights = Weights.to_list (Weights.all_weights cfg) in
       if weights <> [] then begin
         let (u, v), _ =
           List.fold_left

@@ -55,34 +55,45 @@ let in_tree st v = st.parent.(v) > -2
 let unvisited st = Atomic.get st.unvisited
 
 (* Anchor of a component: the unvisited node with the deepest visited
-   neighbour (ties broken by identifiers for determinism).  Returns the
-   anchor and that neighbour. *)
+   neighbour, ties broken by identifiers for determinism: of the candidate
+   edges (u, v), u visited and v a member, the one with the deepest u, then
+   the smallest u, then the smallest v.  One closure-free scan; returns
+   (v, u), or (-1, -1) when no member has a visited neighbour. *)
+let elect_anchor st members =
+  let best_d = ref (-1) and best_u = ref (-1) and best_v = ref (-1) in
+  for i = 0 to Array.length members - 1 do
+    let v = members.(i) in
+    for j = 0 to Graph.degree st.g v - 1 do
+      let u = Graph.nth_neighbor st.g v j in
+      if in_tree st u then begin
+        let du = st.depth.(u) in
+        if
+          du > !best_d
+          || (du = !best_d && (u < !best_u || (u = !best_u && v < !best_v)))
+        then begin
+          best_d := du;
+          best_u := u;
+          best_v := v
+        end
+      end
+    done
+  done;
+  (!best_v, !best_u)
+
 let component_anchor st members =
-  Array.fold_left
-    (fun acc v ->
-      Graph.fold_neighbors st.g v
-        (fun acc u ->
-          if in_tree st u then begin
-            match acc with
-            | Some (_, best_u) when st.depth.(best_u) > st.depth.(u) -> acc
-            | Some (best_v, best_u)
-              when st.depth.(best_u) = st.depth.(u) && (best_u, best_v) <= (u, v) ->
-              acc
-            | _ -> Some (v, u)
-          end
-          else acc)
-        acc)
-    None members
+  let v, u = elect_anchor st members in
+  if v < 0 then None else Some (v, u)
 
-(* Election codes.  The part-wise MAX of the anchor codes picks the
-   candidate edge (u, v) — u visited, v an unvisited component member —
-   with the deepest u, ties to the lexicographically smallest (u, v):
-   exactly the [component_anchor] fold.  The MAX of the target codes picks
-   the deepest node of the rooted preferring forest, ties to the first in
-   component order: exactly the serial target fold.  Codes are O(n^3) and
-   therefore fit the engine's O(log n)-bit message budget. *)
-let encode_anchor n ~du ~u ~v = 1 + (du * n * n) + ((n * n) - 1 - ((u * n) + v))
-
+(* Election codes of the engine-backed [?exec] path.  The part-wise MAX of
+   the anchor codes (1 + du n^2 + n^2 - 1 - (u n + v), computed in the
+   engine by [Composed.join_elections]) picks the candidate edge (u, v) —
+   u visited, v an unvisited component member — with the deepest u, ties
+   to the lexicographically smallest (u, v): exactly [elect_anchor].  The
+   MAX of the target codes picks the deepest node of the rooted preferring
+   forest, ties to the first in component order: exactly the serial target
+   fold.  Codes are O(n^3) and therefore fit the engine's O(log n)-bit
+   message budget; [exec_create] refuses an n whose cube overflows an
+   int. *)
 let decode_anchor n code =
   let e = (n * n) - 1 - ((code - 1) mod (n * n)) in
   (e / n, e mod n)
@@ -161,6 +172,9 @@ type exec = {
 }
 
 let exec_create ?(serial = false) st ~root =
+  let n = Graph.n st.g in
+  if n > 1 && n > max_int / n / n then
+    invalid_arg "Join.exec_create: n^3 overflows the election codes";
   (* The broadcast tree is shared setup, identical for both choreographies,
      so its construction cost is deliberately not tallied. *)
   let (bcast_parent, _), _ = Prim.bfs_tree st.g ~root in
@@ -199,33 +213,29 @@ let join_inner ?rounds ?exec st ~members ~separator =
     let comps = Array.of_list (unvisited_components st members) in
     let m = Array.length comps in
     let forests = Array.make m None in
-    (* Batch A, host side: per-component maxima of the anchor codes and
-       marked flags (what the part-wise MAX computes per part). *)
+    (* Batch A, host side: per-component anchor edges and marked flags
+       (what the part-wise MAX computes per part). *)
+    let anchor = Array.make m (-1) and anchor_parent = Array.make m (-1) in
+    let has_marked = Array.make m 0 in
     let elect_anchors () =
-      let a0 = Array.make m 0 and a1 = Array.make m 0 in
       Array.iteri
         (fun i comp ->
-          Array.iter
-            (fun v ->
-              if marked v then a1.(i) <- 1;
-              Graph.iter_neighbors st.g v (fun u ->
-                  if in_tree st u then begin
-                    let c = encode_anchor n ~du:st.depth.(u) ~u ~v in
-                    if c > a0.(i) then a0.(i) <- c
-                  end))
-            comp)
-        comps;
-      (a0, a1)
+          if Array.exists marked comp then has_marked.(i) <- 1;
+          let v, u = elect_anchor st comp in
+          anchor.(i) <- v;
+          anchor_parent.(i) <- u)
+        comps
     in
-    let build_forests (a0, a1) =
+    let build_forests () =
       Array.iteri
         (fun i comp ->
-          if a1.(i) > 0 then begin
-            if a0.(i) = 0 then
+          if has_marked.(i) > 0 then begin
+            if anchor.(i) < 0 then
               invalid_arg "Join.join: component with no tree neighbour";
-            let anchor_parent, anchor = decode_anchor n a0.(i) in
-            let tparent, tdepth = preferring_tree st comp ~anchor ~marked ~scratch in
-            forests.(i) <- Some (anchor_parent, tparent, tdepth)
+            let tparent, tdepth =
+              preferring_tree st comp ~anchor:anchor.(i) ~marked ~scratch
+            in
+            forests.(i) <- Some (anchor_parent.(i), tparent, tdepth)
           end)
         comps
     in
@@ -272,7 +282,8 @@ let join_inner ?rounds ?exec st ~members ~separator =
     in
     match exec with
     | None ->
-      build_forests (elect_anchors ());
+      elect_anchors ();
+      build_forests ();
       attach_all (elect_targets ())
     | Some e ->
       (* Run the elections for real in the engine; the host callbacks keep
@@ -284,9 +295,17 @@ let join_inner ?rounds ?exec st ~members ~separator =
       let parts = Array.make n m in
       Array.iteri (fun i comp -> Array.iter (fun v -> parts.(v) <- i) comp) comps;
       let forest a =
-        let a0 = Array.map (fun comp -> a.(0).(comp.(0))) comps in
-        let a1 = Array.map (fun comp -> a.(1).(comp.(0))) comps in
-        build_forests (a0, a1);
+        Array.iteri
+          (fun i comp ->
+            let code = a.(0).(comp.(0)) in
+            if code > 0 then begin
+              let u, v = decode_anchor n code in
+              anchor.(i) <- v;
+              anchor_parent.(i) <- u
+            end;
+            has_marked.(i) <- a.(1).(comp.(0)))
+          comps;
+        build_forests ();
         let target_code = Array.make n 0 in
         Array.iteri
           (fun i comp ->

@@ -33,10 +33,12 @@ exception
 (* The rotation store validates at [of_orders] time, but hostile
    instances are built through [induced]-style raw paths on purpose, so
    re-establish permutation closure here: every rotation row must be a
-   permutation of its CSR adjacency row and the position index must
-   round-trip.  A row of deg entries is a permutation of the deg
-   neighbours iff every entry is a neighbour and no neighbour rank
-   repeats; [seen] stamps rank r with the vertex that last used it. *)
+   permutation of its CSR adjacency row.  Every [Rotation.t] is consistent
+   with its own graph (its [pos_of_rank] row inverts its order row over
+   that graph's sorted row), so the row of v closes over the screened
+   graph iff each rank r maps to a distinct slot p of the row holding the
+   r-th neighbour of v; [seen] stamps slot p with the vertex that last
+   used it.  The check reads [pos_of_rank] directly, with no search. *)
 let rotation_violation g rot =
   let n = Graph.n g in
   let seen = Array.make n (-1) in
@@ -48,20 +50,16 @@ let rotation_violation g rot =
          bad := v;
          raise Exit
        end;
-       for i = 0 to deg - 1 do
-         let r = Graph.neighbor_rank g v (Rotation.nth rot v i) in
-         if r < 0 || seen.(r) = v then begin
+       for r = 0 to deg - 1 do
+         let p = Rotation.position_of_rank rot v r in
+         if
+           p < 0 || p >= deg || seen.(p) = v
+           || Rotation.nth rot v p <> Graph.nth_neighbor g v r
+         then begin
            bad := v;
            raise Exit
          end;
-         seen.(r) <- v
-       done;
-       for i = 0 to deg - 1 do
-         let u = Rotation.nth rot v i in
-         if Rotation.position rot v u <> i then begin
-           bad := v;
-           raise Exit
-         end
+         seen.(p) <- v
        done
      done
    with Exit -> ());
@@ -100,20 +98,28 @@ let dart g u v = Graph.adj_offset g u + Graph.neighbor_rank g u v
    (deterministically) by the edge's smaller dart id.  Walk ids come flat
    from [Rotation.dart_faces] and walk lengths from one counting pass over
    them; scanning each edge at its smaller dart lists the candidates in key
-   order, with no walk list and no per-dart tuple. *)
+   order, with no walk list and no per-dart tuple.  The reverse dart comes
+   from a cursor: scanning the rows in decreasing u, the u's that reach v
+   are v's sorted row from its end, so [cursor.(v)] steps down to the id
+   of the dart v -> u. *)
 let face_scan g rot =
   let face, faces = Rotation.dart_faces rot in
   let len = Array.make faces 0 in
   Array.iter (fun f -> len.(f) <- len.(f) + 1) face;
+  let cursor =
+    Array.init (Graph.n g) (fun v -> Graph.adj_offset g v + Graph.degree g v)
+  in
   let cands = ref [] in
   for u = Graph.n g - 1 downto 0 do
     let off = Graph.adj_offset g u in
     for r = Graph.degree g u - 1 downto 0 do
       let v = Graph.nth_neighbor g u r in
+      let back = cursor.(v) - 1 in
+      cursor.(v) <- back;
       if u < v then begin
         let key = off + r in
         let f = face.(key) in
-        if face.(dart g v u) = f then cands := ((u, v), key, len.(f)) :: !cands
+        if face.(back) = f then cands := ((u, v), key, len.(f)) :: !cands
       end
     done
   done;

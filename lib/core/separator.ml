@@ -238,9 +238,13 @@ let pick_not_contains cfg tier =
   in
   go tier
 
-let weight_tier ~best weights =
-  List.filter_map (fun (e, w) -> if w = best then Some e else None) weights
-  |> List.sort compare
+(* The fundamental edges of weight [best], sorted: the tied tier. *)
+let weight_tier (ws : Weights.t) ~best =
+  let tier = ref [] in
+  for i = Array.length ws.w - 1 downto 0 do
+    if ws.w.(i) = best then tier := (ws.u.(i), ws.v.(i)) :: !tier
+  done;
+  List.sort compare !tier
 
 let pi_for_case cfg = function
   | Faces.Anc_left -> Rooted.pi_right (Config.tree cfg)
@@ -345,8 +349,9 @@ let find ?rounds cfg =
         Rounds.charge rounds Spanning_forest;
         Rounds.charge rounds Dfs_order;
         Rounds.charge rounds Weights);
-    let weights = Weights.all_weights cfg in
-    if weights = [] then
+    let ws = Weights.all_weights cfg in
+    let k = Array.length ws.w in
+    if k = 0 then
       Rounds.span rounds "sep.phase2-tree" (fun () -> tree_phase ?rounds cfg ver tried)
     else begin
       (* Phase 3: a face with weight in range.  Its border path is
@@ -355,26 +360,36 @@ let find ?rounds cfg =
       let phase3_result =
         Rounds.span rounds "sep.phase3-face" (fun () ->
             Rounds.charge rounds Range_weights;
-            List.find_opt (fun (_, w) -> 3 * w >= n && 3 * w <= 2 * n) weights
-            |> Option.map (fun ((u, v), _) ->
-                   candidate ?rounds cfg ver tried ~batch:"phase3"
-                     ~phase:"3-face" ~closing:(Some (u, v)) (u, v)))
+            let in_range w = 3 * w >= n && 3 * w <= 2 * n in
+            let i = ref 0 in
+            while !i < k && not (in_range ws.w.(!i)) do
+              incr i
+            done;
+            if !i = k then None
+            else begin
+              let e = (ws.u.(!i), ws.v.(!i)) in
+              Some
+                (candidate ?rounds cfg ver tried ~batch:"phase3" ~phase:"3-face"
+                   ~closing:(Some e) e)
+            end)
       in
       match phase3_result with
       | Some r -> r
       | None ->
-        let heavy = List.filter (fun (_, w) -> 3 * w > 2 * n) weights in
+        let heavy w = 3 * w > 2 * n in
+        let wmin =
+          Array.fold_left (fun a w -> if heavy w then min a w else a) max_int ws.w
+        in
         let result =
-          if heavy <> [] then
+          if wmin < max_int then
             Rounds.span rounds "sep.phase4-heavy" @@ fun () ->
             begin
             (* Phase 4: a minimal heavy face — one that does not contain any
                other heavy face (NOT-CONTAINS, Lemma 18).  Containment can
                only hold within the minimum-weight tier. *)
             Rounds.charge rounds Not_contained;
-            let wmin = List.fold_left (fun a (_, w) -> min a w) max_int heavy in
             let face (u, v) () = heavy_face_candidates ?rounds cfg ver tried ~u ~v in
-            let e = pick_not_contains cfg (weight_tier ~best:wmin heavy) in
+            let e = pick_not_contains cfg (weight_tier ws ~best:wmin) in
             match face e () with
             | Some _ as r -> r
             | None ->
@@ -387,7 +402,9 @@ let find ?rounds cfg =
                  faces in increasing weight, uncapped (DESIGN.md
                  deviation 2). *)
               Rounds.span rounds "sep.phase4-next-face" @@ fun () ->
-              List.stable_sort (fun (_, w1) (_, w2) -> compare w1 w2) heavy
+              Weights.to_list ws
+              |> List.filter (fun (_, w) -> heavy w)
+              |> List.stable_sort (fun (_, w1) (_, w2) -> compare w1 w2)
               |> List.filter_map (fun (f, _) -> if f = e then None else Some (face f))
               |> first_some
           end
@@ -398,11 +415,10 @@ let find ?rounds cfg =
                contained in any other face (NOT-CONTAINED, Lemma 17); only
                the maximum-weight tier can contain it. *)
             Rounds.charge rounds Not_contained;
-            let wmax = List.fold_left (fun a (_, w) -> max a w) min_int weights in
-            let u, v = pick_not_contained cfg (weight_tier ~best:wmax weights) in
-            let f_left, f_right = Weights.outside_split cfg ~u ~v in
+            let wmax = Array.fold_left max min_int ws.w in
+            let u, v = pick_not_contained cfg (weight_tier ws ~best:wmax) in
+            let nl, nr, region = Weights.outside_split cfg ~u ~v in
             Rounds.charge rounds Outside_split;
-            let nl = List.length f_left and nr = List.length f_right in
             let base_candidates =
               (* Only the border path carries a certified closing edge (the
                  real fundamental edge e); the root-anchored candidates are
@@ -424,10 +440,10 @@ let find ?rounds cfg =
             let sweeps =
               if 3 * nl > 2 * n then
                 outside_sweep_candidates ?rounds cfg ver tried
-                  ~label:"5-left-sweep" f_left
+                  ~label:"5-left-sweep" (region `Left)
               else if 3 * nr > 2 * n then
                 outside_sweep_candidates ?rounds cfg ver tried
-                  ~label:"5-right-sweep" f_right
+                  ~label:"5-right-sweep" (region `Right)
               else []
             in
             first_some (base_candidates @ sweeps)

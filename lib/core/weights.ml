@@ -69,6 +69,13 @@ let count_reference cfg ~u ~v =
     let w = Rooted.lca tree u v in
     List.length interior + (Rooted.depth tree v - Rooted.depth tree w)
 
+(* Real fundamental edges (u.(i), v.(i)), normalized pi_left u < pi_left v,
+   with their weights w.(i). *)
+type t = { u : int array; v : int array; w : int array }
+
+let to_list ws =
+  List.init (Array.length ws.w) (fun i -> ((ws.u.(i), ws.v.(i)), ws.w.(i)))
+
 (* Weights of all real fundamental edges (Phase-1 precomputation,
    WEIGHTS-PROBLEM / Lemma 12), in [Config.fundamental_edges] order, in one
    O(m) pass.  Each vertex's rotation is walked once, clockwise from its
@@ -126,11 +133,16 @@ let all_weights cfg =
     else (* Unrelated *)
       bu + (size v - 1 - bv) + pl v - (pl u + size u) + 1
   in
-  (* Edges come as in [Graph.iter_edges]: (x, y), x < y, by increasing x.
-     Rows are sorted, so the x's reaching a given y arrive in the order of
-     y's row, and [next.(y)] is the slot of x in that row. *)
+  (* The spanning tree takes n - 1 of the m edges; the other m - n + 1
+     are filled from the back, so index order is the order in which
+     [Config.fundamental_edges] prepends them.  Edges come as in
+     [Graph.iter_edges]: (x, y), x < y, by increasing x.  Rows are sorted,
+     so the x's reaching a given y arrive in the order of y's row, and
+     [next.(y)] is the slot of x in that row. *)
+  let k = Graph.m g - n + 1 in
+  let ws = { u = Array.make k 0; v = Array.make k 0; w = Array.make k 0 } in
+  let i = ref k in
   let next = Array.init n (Graph.adj_offset g) in
-  let acc = ref [] in
   for x = 0 to n - 1 do
     let off = Graph.adj_offset g x in
     for r = 0 to Graph.degree g x - 1 do
@@ -143,34 +155,56 @@ let all_weights cfg =
           let by =
             before.(Graph.adj_offset g y + Rotation.position_of_rank rot y ry)
           in
-          let e =
-            if pl x < pl y then ((x, y), weight_of x y ~bu:bx ~bv:by)
-            else ((y, x), weight_of y x ~bu:by ~bv:bx)
-          in
-          acc := e :: !acc
+          decr i;
+          if pl x < pl y then begin
+            ws.u.(!i) <- x;
+            ws.v.(!i) <- y;
+            ws.w.(!i) <- weight_of x y ~bu:bx ~bv:by
+          end
+          else begin
+            ws.u.(!i) <- y;
+            ws.v.(!i) <- x;
+            ws.w.(!i) <- weight_of y x ~bu:by ~bv:bx
+          end
         end
       end
     done
   done;
-  !acc
+  ws
 
 (* ------------------------------------------------------------------ *)
 (* The outside split of Lemma 8.                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Nodes outside F_e split into F_l (visited before the face in the LEFT
-   order, or hanging outside below u) and F_r (visited after).  Computed
-   from the local interior rule; returns (f_left, f_right) as node lists. *)
+   order, or hanging outside below u) and F_r (visited after).  Only their
+   sizes decide what Phase 5 does next, and both come from the face alone:
+   [pi_left] is a permutation, so n - 1 - pi_left v nodes follow v in the
+   LEFT order, and F_r is those outside the face.  A side's node list is
+   built only when [region] is called, from the local interior rule. *)
 let outside_split cfg ~u ~v =
   let tree = Config.tree cfg in
   let n = Config.n cfg in
-  let in_face = Array.make n false in
-  List.iter (fun x -> in_face.(x) <- true) (Faces.interior cfg ~u ~v);
-  List.iter (fun x -> in_face.(x) <- true) (Faces.border cfg ~u ~v);
-  let fl = ref [] and fr = ref [] in
-  for z = 0 to n - 1 do
-    if not (in_face.(z)) then
-      if Rooted.pi_left tree z > Rooted.pi_left tree v then fr := z :: !fr
-      else fl := z :: !fl
-  done;
-  (!fl, !fr)
+  let pv = Rooted.pi_left tree v in
+  let interior = Faces.interior cfg ~u ~v in
+  let border = Faces.border cfg ~u ~v in
+  let count_after =
+    List.fold_left (fun a z -> if Rooted.pi_left tree z > pv then a + 1 else a)
+  in
+  let face_after = count_after (count_after 0 interior) border in
+  let nr = n - 1 - pv - face_after in
+  let nl = n - List.length interior - List.length border - nr in
+  let region side =
+    let in_face = Bytes.make n '\000' in
+    List.iter (fun x -> Bytes.set in_face x '\001') interior;
+    List.iter (fun x -> Bytes.set in_face x '\001') border;
+    let right = side = `Right in
+    let acc = ref [] in
+    for z = 0 to n - 1 do
+      if Bytes.get in_face z = '\000' && (Rooted.pi_left tree z > pv) = right
+      then
+        acc := z :: !acc
+    done;
+    !acc
+  in
+  (nl, nr, region)

@@ -23,14 +23,26 @@ val count_reference : Config.t -> u:int -> v:int -> int
 (** What Lemmas 3/4 prove [weight] counts, measured from the exact
     face-traversal interior (ground truth for tests and experiment E6). *)
 
-val all_weights : Config.t -> ((int * int) * int) list
+type t = { u : int array; v : int array; w : int array }
+(** The real fundamental edges [(u.(i), v.(i))], normalized so that
+    [pi_left u < pi_left v], with their weights [w.(i)]: three int arrays
+    of exactly [m - n + 1] entries, one per non-tree edge. *)
+
+val to_list : t -> ((int * int) * int) list
+(** [((u.(i), v.(i)), w.(i))] in index order. *)
+
+val all_weights : Config.t -> t
 (** Weights of every real fundamental edge (Lemma 12), in
     {!Config.fundamental_edges} order: one clockwise walk of each rotation
     records the child-size sums the p-terms are differences of, then each
     edge is O(1) plus, when u is an ancestor of v, one [child_toward].
-    Equal to {!weight} on every edge. *)
+    The arrays are filled from the back, so index order is that list
+    order.  Equal to {!weight} on every edge. *)
 
-val outside_split : Config.t -> u:int -> v:int -> int list * int list
-(** The sets F_l and F_r of Lemma 8: nodes outside F_e, split by LEFT
-    position relative to the face.  Uses the local interior rule
-    ({!Faces.interior}). *)
+val outside_split :
+  Config.t -> u:int -> v:int -> int * int * ([ `Left | `Right ] -> int list)
+(** [(|F_l|, |F_r|, region)] for the sets F_l and F_r of Lemma 8: the
+    nodes outside F_e, split by LEFT position relative to the face.  The
+    two sizes are counted from the face alone (its interior by the local
+    rule, {!Faces.interior}, and its border); [region side] builds that
+    side's node list, in decreasing node order, only when called. *)

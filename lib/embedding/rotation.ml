@@ -3,10 +3,12 @@
    The rotation of every vertex lives in one int array aligned with the
    graph's CSR rows: the clockwise neighbour order of [v] occupies
    [Graph.adj_offset g v .. + degree v - 1] of [ord].  A parallel array
-   maps each SORTED-adjacency rank to its rotation index, so [position]
-   is one binary search plus one array read — no hash table, no encoded
-   vertex pairs, nothing for the GC to walk, and domains share the whole
-   structure read-only. *)
+   maps each SORTED-adjacency rank to its rotation index — no hash table,
+   no encoded vertex pairs, nothing for the GC to walk, and domains share
+   the whole structure read-only.  [position] of a named neighbour is one
+   binary search for its rank plus one read; the bulk passes ([induced],
+   [dart_faces]) walk rows in rank order and read [pos_of_rank] directly,
+   so they search nothing. *)
 
 open Repro_graph
 
@@ -62,23 +64,44 @@ let of_adjacency g =
    re-validation: dropping non-members from a circular order keeps it a
    valid rotation, and the sub-CSR rows are exactly the kept neighbours.
    [new_of_old] maps members to their [sub] ids (-1 outside — the
-   scratch-backed map from [Graph.induced_members] works as-is). *)
+   scratch-backed map from [Graph.induced_members] works as-is).  New ids
+   ascend with old ids, so a kept neighbour's sub-rank is the number of
+   kept neighbours before it in the parent's sorted row, and its sub-slot
+   the number of kept slots before its parent slot: one pass over the
+   parent row in slot order records that count at each kept slot (-1 at a
+   dropped one), and one pass in rank order reads it back through the
+   parent's [pos_of_rank], with no search of the sub-row. *)
 let induced t ~sub ~new_of_old ~old_of_new =
   let sz = 2 * Graph.m sub in
   let ord = Array.make sz 0 in
   let pos_of_rank = Array.make sz 0 in
+  let max_deg = ref 0 in
+  for nv = 0 to Graph.n sub - 1 do
+    max_deg := max !max_deg (Graph.degree t.g old_of_new.(nv))
+  done;
+  (* [slot.(p)]: the sub-slot of parent slot p of the current row. *)
+  let slot = Array.make !max_deg 0 in
   for nv = 0 to Graph.n sub - 1 do
     let v = old_of_new.(nv) in
     let off = Graph.adj_offset t.g v in
     let noff = Graph.adj_offset sub nv in
+    let d = Graph.degree t.g v in
     let i = ref 0 in
-    for k = 0 to Graph.degree t.g v - 1 do
-      let nu = new_of_old.(t.ord.(off + k)) in
+    for p = 0 to d - 1 do
+      let nu = new_of_old.(t.ord.(off + p)) in
       if nu >= 0 then begin
-        let r = Graph.neighbor_rank sub nv nu in
-        pos_of_rank.(noff + r) <- !i;
+        slot.(p) <- !i;
         ord.(noff + !i) <- nu;
         incr i
+      end
+      else slot.(p) <- -1
+    done;
+    let r = ref noff in
+    for k = off to off + d - 1 do
+      let j = slot.(t.pos_of_rank.(k)) in
+      if j >= 0 then begin
+        pos_of_rank.(!r) <- j;
+        incr r
       end
     done
   done;
@@ -137,30 +160,52 @@ let iter_faces g t f =
       visit v u)
 
 (* The same walks, traced by dart id alone: the successor of the dart
-   u -> v (id [adj_offset u + rank of v]) is the dart from v to the
-   neighbour in v's next rotation slot after u.  Walks are numbered in
-   order of their smallest dart id; nothing is allocated per walk. *)
+   x -> y (id [adj_offset x + rank of y]) is the dart from y to the
+   neighbour in y's next rotation slot after x.  One pass over the rows
+   names every successor without a search.  At row y, [slot_rank] inverts
+   y's [pos_of_rank] row, naming the successor by its rank; and the y's
+   that reach x, taken in increasing y, are x's sorted row in order, so
+   [cursor.(x)] is the id of the dart x -> y when row y is scanned.  The
+   successors are held in [face] itself, each overwritten by its walk id
+   (as [lnot id] until the last pass) when its walk is traced; walks are
+   numbered in order of their smallest dart id. *)
 let dart_faces t =
   let g = t.g in
-  let face = Array.make (2 * Graph.m g) (-1) in
-  let count = ref 0 in
-  for u = 0 to Graph.n g - 1 do
-    let off = Graph.adj_offset g u in
-    for r = 0 to Graph.degree g u - 1 do
-      if face.(off + r) < 0 then begin
-        let id = !count in
-        incr count;
-        let a = ref u and b = ref (Graph.nth_neighbor g u r) in
-        let d = ref (off + r) in
-        while face.(!d) < 0 do
-          face.(!d) <- id;
-          let w = next_clockwise t !b !a in
-          a := !b;
-          b := w;
-          d := dart_id t !a w
-        done
-      end
+  let n = Graph.n g in
+  let face = Array.make (2 * Graph.m g) 0 in
+  let max_deg = ref 0 in
+  for v = 0 to n - 1 do
+    max_deg := max !max_deg (Graph.degree g v)
+  done;
+  let slot_rank = Array.make !max_deg 0 in
+  let cursor = Array.init n (Graph.adj_offset g) in
+  for y = 0 to n - 1 do
+    let off = Graph.adj_offset g y and d = Graph.degree g y in
+    for k = 0 to d - 1 do
+      slot_rank.(t.pos_of_rank.(off + k)) <- k
+    done;
+    for k = 0 to d - 1 do
+      let x = Graph.nth_neighbor g y k in
+      let p = t.pos_of_rank.(off + k) + 1 in
+      face.(cursor.(x)) <- off + slot_rank.(if p = d then 0 else p);
+      cursor.(x) <- cursor.(x) + 1
     done
+  done;
+  let count = ref 0 in
+  for start = 0 to Array.length face - 1 do
+    if face.(start) >= 0 then begin
+      let id = lnot !count in
+      incr count;
+      let d = ref start in
+      while face.(!d) >= 0 do
+        let next = face.(!d) in
+        face.(!d) <- id;
+        d := next
+      done
+    end
+  done;
+  for d = 0 to Array.length face - 1 do
+    face.(d) <- lnot face.(d)
   done;
   (face, !count)
 

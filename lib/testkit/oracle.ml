@@ -547,7 +547,7 @@ let run_faces (inst : Instance.t) =
      part rooted at the seeded random root the "dfs" oracle draws
      ([root_first] = None: the DFS-component case). *)
   let weights_per_edge cfg =
-    Weights.all_weights cfg
+    Weights.to_list (Weights.all_weights cfg)
     = List.map
         (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v))
         (Config.fundamental_edges cfg)

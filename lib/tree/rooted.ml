@@ -80,9 +80,9 @@ let build ?root_first ~rot ~root parent =
     ch_off.(v) <- ch_off.(v) + ch_off.(v - 1)
   done;
   let ch = Array.make (max 1 ch_off.(n)) (-1) in
-  let fill = Array.copy ch_off in
   for v = 0 to n - 1 do
     if ch_off.(v + 1) > ch_off.(v) then begin
+      let fill = ref ch_off.(v) in
       let d = Rotation.degree rot v in
       let start =
         if v = root then begin
@@ -92,24 +92,24 @@ let build ?root_first ~rot ~root parent =
         end
         else Rotation.position rot v parent.(v)
       in
-      for k = 0 to d - 1 do
-        let u = Rotation.nth rot v ((start + k) mod d) in
+      for k = start to start + d - 1 do
+        let u = Rotation.nth rot v (if k < d then k else k - d) in
         if u <> parent.(v) && parent.(u) = v then begin
-          ch.(fill.(v)) <- u;
-          fill.(v) <- fill.(v) + 1
+          ch.(!fill) <- u;
+          incr fill
         end
       done
     end
   done;
   let depth = Array.make n (-1) in
   let size = Array.make n 1 in
-  let pi_left = Array.make n (-1) in
-  let pi_right = Array.make n (-1) in
-  (* Iterative post-order pass for sizes and pre-order passes for both DFS
-     orders; explicit preallocated stacks keep deep paths (Θ(n)) from
-     overflowing without allocating a cons cell per visit.  The children
-     relation partitions the vertices, so no stack ever holds more than n
-     entries. *)
+  (* One iterative pre-order pass for depths and the LEFT order (the stack
+     is LIFO, so a clockwise row pushed in order pops its
+     counterclockwise-most child first), then a reverse pass over that
+     order for subtree sizes; an explicit preallocated stack keeps deep
+     paths (Θ(n)) from overflowing without allocating a cons cell per
+     visit.  The children relation partitions the vertices, so the stack
+     never holds more than n entries. *)
   depth.(root) <- 0;
   let order = Array.make n root in
   let top = ref 0 in
@@ -138,37 +138,19 @@ let build ?root_first ~rot ~root parent =
   for i = 0 to ch_off.(n) - 1 do
     ch_size_pre.(i + 1) <- ch_size_pre.(i) + size.(ch.(i))
   done;
-  let assign_order pi ~leftmost_first =
-    let clock = ref 0 in
-    stack.(0) <- root;
-    sp := 1;
-    while !sp > 0 do
-      decr sp;
-      let v = stack.(!sp) in
-      pi.(v) <- !clock;
-      incr clock;
-      let lo = ch_off.(v) and hi = ch_off.(v + 1) - 1 in
-      (* Stack is LIFO: push the child to visit *last* first. *)
-      if leftmost_first then
-        for i = lo to hi do
-          stack.(!sp) <- ch.(i);
-          incr sp
-        done
-      else
-        for i = hi downto lo do
-          stack.(!sp) <- ch.(i);
-          incr sp
-        done
-    done
-  in
   (* LEFT-DFS-ORDER explores the counterclockwise-most unexplored child
      first, i.e. the child with the greatest rotation position; RIGHT takes
-     them clockwise. *)
-  assign_order pi_left ~leftmost_first:true;
-  assign_order pi_right ~leftmost_first:false;
-  let left_at = Array.make n (-1) in
-  for v = 0 to n - 1 do
-    left_at.(pi_left.(v)) <- v
+     them clockwise.  RIGHT is LEFT's mirror, so its pre-order is LEFT's
+     post-order reversed: v finishes after its size v - 1 descendants and
+     the pi_left v - depth v non-ancestors visited before it, so
+     pi_right v = n - 1 - (pi_left v - depth v + size v - 1). *)
+  let left_at = order in
+  let pi_left = stack (* spent: every slot is rewritten below *) in
+  let pi_right = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let v = left_at.(i) in
+    pi_left.(v) <- i;
+    pi_right.(v) <- n - i + depth.(v) - size.(v)
   done;
   {
     root;

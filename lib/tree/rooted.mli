@@ -56,7 +56,10 @@ val pi_left : t -> int -> int
 (** LEFT-DFS-ORDER position (0-based). *)
 
 val pi_right : t -> int -> int
-(** RIGHT-DFS-ORDER position (0-based). *)
+(** RIGHT-DFS-ORDER position (0-based): the pre-order that visits each
+    node's children clockwise.  RIGHT mirrors LEFT, so it is LEFT's
+    post-order reversed, and [build] sets it without a second traversal:
+    [pi_right v = n - pi_left v + depth v - size v]. *)
 
 val node_at_left : t -> int -> int
 (** Inverse of [pi_left]. *)

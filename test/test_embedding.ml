@@ -153,8 +153,9 @@ let prop_grid_diag_valid =
 
 (* The walks of [Rotation.faces] partition the darts, and
    [Rotation.dart_faces] names them: one id per walk, shared by all of its
-   darts and by no other walk's.  Also on the hostile rotations the screen
-   scans, whose walks do not close a sphere. *)
+   darts and by no other walk's, numbered in order of each walk's smallest
+   dart id.  Also on the hostile rotations the screen scans, whose walks do
+   not close a sphere, and on a wheel's hub row. *)
 let prop_faces_partition_darts =
   QCheck.Test.make ~name:"faces partition the darts" ~count:30
     QCheck.(pair (int_range 4 60) (int_bound 1000))
@@ -172,13 +173,23 @@ let prop_faces_partition_darts =
               if List.for_all (fun d -> face.(dart d) = id) walk then id else -1)
             faces
         in
+        let by_least_dart =
+          List.map
+            (fun walk -> List.fold_left (fun a d -> min a (dart d)) max_int walk)
+            faces
+          |> List.sort compare
+          |> List.mapi (fun i least -> face.(least) = i)
+        in
         List.fold_left (fun acc f -> acc + List.length f) 0 faces = 2 * Graph.m g
         && count = List.length faces
         && List.for_all (fun id -> id >= 0) ids
         && List.length (List.sort_uniq compare ids) = count
+        && List.for_all Fun.id by_least_dart
       in
       let hostile = max 16 n in
       partitioned (Gen.stacked_triangulation ~seed ~n ())
+      && partitioned (Gen.grid_diag ~seed ~rows:(2 + (n mod 7)) ~cols:(2 + (n / 5)) ())
+      && partitioned (Gen.wheel n)
       && partitioned (Repro_testkit.Instance.corrupted_rotation ~seed ~n:hostile)
       && partitioned
            (Repro_testkit.Instance.planar_plus_chords ~seed ~n:hostile ~k:4))

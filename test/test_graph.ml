@@ -137,6 +137,69 @@ let prop_induced_members_keep =
       in
       agrees radix_graph && agrees small && agrees medium)
 
+(* [Rotation.induced] places each kept neighbour by counting kept slots
+   of the parent row.  The reference restriction is each member's parent
+   clockwise order with non-members dropped, validated by
+   [Rotation.of_orders]; both must agree on every order and every rank's
+   slot.  Member sets are connected BFS balls and scattered random subsets
+   (in random order), on every clean family, through one scratch. *)
+let prop_rotation_induced =
+  let open Repro_embedding in
+  let families = Array.of_list Repro_testkit.Instance.families in
+  QCheck.Test.make ~name:"Rotation.induced = dropped parent orders" ~count:60
+    QCheck.(pair (int_bound 100_000) (int_range 4 300))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let family = families.(seed mod Array.length families) in
+      let inst =
+        Repro_testkit.Instance.build
+          { family; n; seed; spanning = Repro_tree.Spanning.Bfs }
+      in
+      let emb = inst.Repro_testkit.Instance.emb in
+      let g = Embedded.graph emb and rot = Embedded.rot emb in
+      let n = Graph.n g in
+      let agrees members =
+        let sub, new_of_old, old_of_new =
+          Graph.induced_members ~scratch:induced_scratch g members
+        in
+        let got = Rotation.induced rot ~sub ~new_of_old ~old_of_new in
+        let reference =
+          Rotation.of_orders sub
+            (Array.map
+               (fun v ->
+                 Rotation.order rot v |> Array.to_list
+                 |> List.filter_map (fun u ->
+                        if new_of_old.(u) >= 0 then Some new_of_old.(u) else None)
+                 |> Array.of_list)
+               old_of_new)
+        in
+        List.for_all
+          (fun nv ->
+            Rotation.order got nv = Rotation.order reference nv
+            && List.for_all
+                 (fun r ->
+                   Rotation.position_of_rank got nv r
+                   = Rotation.position_of_rank reference nv r)
+                 (List.init (Graph.degree sub nv) Fun.id))
+          (List.init (Graph.n sub) Fun.id)
+      in
+      let ball =
+        let dist = Algo.bfs_dist g (Rng.int rng n) in
+        let radius = Rng.int rng (1 + Array.fold_left max 0 dist) in
+        let members =
+          Array.of_list
+            (List.filter (fun v -> dist.(v) <= radius) (List.init n Fun.id))
+        in
+        Rng.shuffle_in_place rng members;
+        members
+      in
+      let scattered =
+        let members = Array.init n Fun.id in
+        Rng.shuffle_in_place rng members;
+        Array.sub members 0 (Rng.int_in_range rng ~lo:1 ~hi:n)
+      in
+      agrees ball && agrees scattered && agrees (Array.init n Fun.id))
+
 (* The pre-CSR edge index encoded a pair as u * 2^30 + v, so vertex ids
    past 2^30 silently collided: encode 1 5 = encode 0 (2^30 + 5).  The CSR
    core must either accept such graphs without collision or reject them
@@ -376,6 +439,7 @@ let suites =
         qtest prop_bfs_dist_triangle_ineq;
         qtest prop_restricted_components;
         qtest prop_induced_members_keep;
+        qtest prop_rotation_induced;
         Alcotest.test_case "diameter exact on tgrid n=3025 seed 3" `Quick
           test_diameter_tgrid_3025;
         Alcotest.test_case "diameter = all-pairs reference" `Quick

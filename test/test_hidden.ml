@@ -8,7 +8,7 @@ let qtest = QCheck_alcotest.to_alcotest
    random spanning trees of triangulations. *)
 let heavy_faces cfg =
   let n = Config.n cfg in
-  Weights.all_weights cfg
+  Weights.to_list (Weights.all_weights cfg)
   |> List.filter (fun (_, w) -> 3 * w > 2 * n)
   |> List.map fst
 

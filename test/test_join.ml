@@ -165,6 +165,33 @@ let test_scratch_reuse_across_graphs () =
   same "small after failure" (Gen.stacked_triangulation ~seed:5 ~n:40 ());
   same "large again" (Gen.grid_diag ~seed:4 ~rows:30 ~cols:30 ())
 
+(* The engine's anchor codes reach n^3, past [max_int] from n = 1,664,511
+   on; the host election compares (depth u, u, v) instead.  On the path
+   0-1-2-3-4 of a 2,000,000-vertex graph, with 0 visited at depth 1,500,000
+   and 3 at depth 5, the component {1, 2} hangs from 0, 1 first, as the
+   DFS-RULE requires; the engine-backed mode refuses that n.  Run on a
+   fresh domain, so JOIN's per-domain scratch at this n dies with it. *)
+let test_anchor_past_code_range () =
+  Domain.join
+  @@ Domain.spawn (fun () ->
+         let g = Graph.of_edges ~n:2_000_000 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
+         let st = Join.create g ~root:0 in
+         st.Join.depth.(0) <- 1_500_000;
+         st.Join.parent.(3) <- 4;
+         st.Join.depth.(3) <- 5;
+         Alcotest.(check (option (pair int int)))
+           "component_anchor: 1 under 0" (Some (1, 0))
+           (Join.component_anchor st [| 1; 2 |]);
+         (match Join.exec_create st ~root:0 with
+         | _ -> Alcotest.fail "exec_create accepted n = 2,000,000"
+         | exception Invalid_argument _ -> ());
+         ignore (Join.join st ~members:[| 1; 2 |] ~separator:[ 1; 2 ]);
+         Alcotest.(check (list int)) "parents of 1 and 2" [ 0; 1 ]
+           [ st.Join.parent.(1); st.Join.parent.(2) ];
+         Alcotest.(check (list int)) "depths of 1 and 2"
+           [ 1_500_001; 1_500_002 ]
+           [ st.Join.depth.(1); st.Join.depth.(2) ])
+
 let suites =
   Suite.make __MODULE__
     [
@@ -176,6 +203,8 @@ let suites =
         test_batched_never_marks_paths;
       Alcotest.test_case "scratch reuse: large/small/raise/large = fresh domain"
         `Quick test_scratch_reuse_across_graphs;
+      Alcotest.test_case "anchor election past n^3 > max_int" `Quick
+        test_anchor_past_code_range;
       Suite.property ~count:25 ~max_size:56 ~seed:204 ~oracles:[ "join" ]
         "batched = reference = executed, >=2x cheaper (fuzz)";
     ]

@@ -109,6 +109,103 @@ let test_reason_coverage () =
       (Screen.witness_certifies (Instance.planar_plus_chords ~seed:3 ~n:49 ~k:1) w)
   | v -> Alcotest.failf "xchords1: %s" (Screen.verdict_to_string v)
 
+(* --- rotation closure against the search-based check ----------------- *)
+
+(* The closure check as it was before the screen read [pos_of_rank]
+   directly: every entry of the row is a neighbour (binary search), no rank
+   repeats, and every entry's [Rotation.position] is its own slot.  Kept as
+   the reference the screen's check must match, verdict and vertex. *)
+let rotation_violation_by_search g rot =
+  let n = Graph.n g in
+  let seen = Array.make n (-1) in
+  let bad = ref (-1) in
+  (try
+     for v = 0 to n - 1 do
+       let deg = Graph.degree g v in
+       if Rotation.degree rot v <> deg then begin
+         bad := v;
+         raise Exit
+       end;
+       for i = 0 to deg - 1 do
+         let r = Graph.neighbor_rank g v (Rotation.nth rot v i) in
+         if r < 0 || seen.(r) = v then begin
+           bad := v;
+           raise Exit
+         end;
+         seen.(r) <- v
+       done;
+       for i = 0 to deg - 1 do
+         if Rotation.position rot v (Rotation.nth rot v i) <> i then begin
+           bad := v;
+           raise Exit
+         end
+       done
+     done
+   with Exit -> ());
+  if !bad < 0 then None else Some !bad
+
+(* [swaps] random degree-preserving swaps (a, b), (c, d) -> (a, d), (c, b)
+   of four distinct vertices whose new edges are absent. *)
+let swap_edges rng g ~swaps =
+  let edges = Graph.edge_array g in
+  let m = Array.length edges in
+  let present = Hashtbl.create (2 * m) in
+  let key a b = if a < b then (a, b) else (b, a) in
+  Array.iter (fun (a, b) -> Hashtbl.replace present (a, b) ()) edges;
+  let done_ = ref 0 and tries = ref 0 in
+  while !done_ < swaps && !tries < 100 * swaps do
+    incr tries;
+    let i = Repro_util.Rng.int rng m and j = Repro_util.Rng.int rng m in
+    let a, b = edges.(i) in
+    let c, d =
+      if Repro_util.Rng.bool rng then edges.(j)
+      else
+        let c, d = edges.(j) in
+        (d, c)
+    in
+    if
+      a <> c && a <> d && b <> c && b <> d
+      && (not (Hashtbl.mem present (key a d)))
+      && not (Hashtbl.mem present (key c b))
+    then begin
+      Hashtbl.remove present (key a b);
+      Hashtbl.remove present (key c d);
+      Hashtbl.replace present (key a d) ();
+      Hashtbl.replace present (key c b) ();
+      edges.(i) <- key a d;
+      edges.(j) <- key c b;
+      incr done_
+    end
+  done;
+  Graph.of_edges ~n:(Graph.n g) (Array.to_list edges)
+
+(* A consistent rotation of another graph with the same degrees, each row
+   shuffled, screened against the original graph: the screen rejects it
+   at exactly the vertex the search-based check names, or not for its
+   closure at all. *)
+let prop_closure_matches_search =
+  QCheck.Test.make ~name:"closure check = search-based check" ~count:60
+    QCheck.(pair (int_bound 100_000) (int_range 16 400))
+    (fun (seed, n) ->
+      let rng = Repro_util.Rng.create seed in
+      let family = List.nth [ "grid"; "tgrid"; "stacked" ] (seed mod 3) in
+      let g = Embedded.graph (Gen.by_family ~seed family ~n) in
+      let g' = swap_edges rng g ~swaps:(1 + Repro_util.Rng.int rng 4) in
+      let rot' =
+        Rotation.of_orders g'
+          (Array.init (Graph.n g') (fun v ->
+               let row = Graph.neighbors g' v in
+               Repro_util.Rng.shuffle_in_place rng row;
+               row))
+      in
+      let emb = Embedded.make ~name:"swapped" g rot' in
+      match (rotation_violation_by_search g rot', Screen.check emb) with
+      | Some v, Screen.Rejected (Screen.Rotation_inconsistent { vertex }) ->
+        vertex = v
+      | None, Screen.Rejected (Screen.Rotation_inconsistent _) -> false
+      | None, _ -> true
+      | Some _, _ -> false)
+
 (* --- witness minimality under the greedy shrinker -------------------- *)
 
 let hostile_prop =
@@ -373,4 +470,5 @@ let suites =
         test_fuzz_bad_arguments;
       Alcotest.test_case "each screened entry charges Proposition 1 once"
         `Quick test_entries_charge_embedding_once;
+      QCheck_alcotest.to_alcotest prop_closure_matches_search;
     ]

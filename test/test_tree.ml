@@ -222,6 +222,71 @@ let prop_orders_subtree_contiguous =
       done;
       !ok)
 
+(* RIGHT-DFS-ORDER as defined: a pre-order that visits each node's
+   children clockwise, i.e. in child-row order, on an explicit stack (deep
+   paths would overflow a recursive walk). *)
+let clockwise_preorder t =
+  let pi = Array.make (Rooted.n t) (-1) in
+  let clock = ref 0 and stack = ref [ Rooted.root t ] in
+  while !stack <> [] do
+    let v = List.hd !stack in
+    pi.(v) <- !clock;
+    incr clock;
+    stack := Array.to_list (Rooted.children t v) @ List.tl !stack
+  done;
+  pi
+
+let right_is_clockwise_preorder t =
+  Array.init (Rooted.n t) (Rooted.pi_right t) = clockwise_preorder t
+
+(* [pi_right] is read off the LEFT order (LEFT's post-order reversed).
+   Random trees under every spanning kind and a random root corner. *)
+let prop_pi_right_preorder =
+  QCheck.Test.make ~name:"pi_right = clockwise pre-order" ~count:60
+    QCheck.(pair (int_range 1 300) (int_bound 1000))
+    (fun (n, seed) ->
+      let emb =
+        if seed mod 2 = 0 then Gen.random_tree ~seed ~n ()
+        else Gen.stacked_triangulation ~seed ~n:(max 4 n) ()
+      in
+      let g = Embedded.graph emb and rot = Embedded.rot emb in
+      let root = seed mod Graph.n g in
+      let root_first =
+        if Graph.degree g root = 0 then None
+        else Some (Rotation.nth rot root (seed mod Rotation.degree rot root))
+      in
+      List.for_all
+        (fun kind ->
+          right_is_clockwise_preorder
+            (Rooted.build ?root_first ~rot ~root (Spanning.make kind g ~root)))
+        [ Spanning.Bfs; Spanning.Dfs; Spanning.Random seed ])
+
+(* Deep paths (rooted at an end and in the middle) and hubs: a star and a
+   wheel rooted at the hub, and a wheel rooted on its rim. *)
+let test_pi_right_paths_and_hubs () =
+  let check name emb ~root =
+    let g = Embedded.graph emb in
+    let t =
+      Rooted.build ~rot:(Embedded.rot emb) ~root (Algo.bfs_parents g root)
+    in
+    Alcotest.(check bool) (name ^ ": pi_right = clockwise pre-order") true
+      (right_is_clockwise_preorder t)
+  in
+  let hub emb =
+    let g = Embedded.graph emb in
+    List.fold_left
+      (fun h v -> if Graph.degree g v > Graph.degree g h then v else h)
+      0
+      (List.init (Graph.n g) Fun.id)
+  in
+  let path = Gen.path 100_000 in
+  check "path from an end" path ~root:0;
+  check "path from the middle" path ~root:50_000;
+  let star = Gen.star 3_000 and wheel = Gen.wheel 2_000 in
+  check "star hub" star ~root:(hub star);
+  check "wheel hub" wheel ~root:(hub wheel);
+  check "wheel rim" wheel ~root:((hub wheel + 1) mod 2_000)
+
 let suites =
   Repro_testkit.Suite.make __MODULE__
     [
@@ -239,4 +304,7 @@ let suites =
         qtest prop_lca_matches_naive;
         qtest prop_child_toward;
         qtest prop_orders_subtree_contiguous;
+        qtest prop_pi_right_preorder;
+        Alcotest.test_case "pi_right on deep paths and hubs" `Quick
+          test_pi_right_paths_and_hubs;
     ]

@@ -7,7 +7,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* The one-pass weights equal per-edge Definition 2, list for list. *)
 let one_pass_weights_exact cfg =
-  Weights.all_weights cfg
+  Weights.to_list (Weights.all_weights cfg)
   = List.map
       (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v))
       (Config.fundamental_edges cfg)
@@ -95,7 +95,7 @@ let prop_lemma5_soundness =
           if 3 * w >= nn && 3 * w <= 2 * nn then
             Check.balanced cfg (Rooted.path tree u v)
           else true)
-        (Weights.all_weights cfg))
+        (Weights.to_list (Weights.all_weights cfg)))
 
 let test_outside_split_partition () =
   let cfg =
@@ -104,7 +104,10 @@ let test_outside_split_partition () =
   let g = Config.graph cfg in
   List.iter
     (fun (u, v) ->
-      let fl, fr = Weights.outside_split cfg ~u ~v in
+      let nl, nr, region = Weights.outside_split cfg ~u ~v in
+      let fl = region `Left and fr = region `Right in
+      Alcotest.(check int) "|F_l| counted = listed" (List.length fl) nl;
+      Alcotest.(check int) "|F_r| counted = listed" (List.length fr) nr;
       let interior = Faces.interior_reference cfg ~u ~v in
       let border = Faces.border cfg ~u ~v in
       Alcotest.(check int) "F_l + F_r + face = n" (Graph.n g)
