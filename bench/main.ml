@@ -1249,24 +1249,29 @@ let e15 ~short () =
       let root = Rooted.root (Config.tree cfg) in
       let members = Array.init n Fun.id in
       let separator = (Separator.find cfg).Separator.separator in
-      let run serial =
-        let ledger = Rounds.create ~n ~d () in
+      let executed serial =
         let st = Join.create g ~root in
-        let e = Join.exec_create ~serial st ~root in
-        let iters = Join.join ~rounds:ledger ~exec:e st ~members ~separator in
-        (st, iters, ledger, e.Join.stats)
+        let iters, stats =
+          Repro_testkit.Reference.Join.executed ~serial st ~root ~members
+            ~separator
+        in
+        (st, iters, stats)
       in
-      (* The serial row pays the Reference charge schedule too, so the
-         charged column compares the two schedules end to end. *)
-      let stb, ib, lb, sb = run false in
-      let str_, ir, _, ss = run true in
+      (* The charged column compares the two schedules end to end: the
+         batched one of [Join.join], the serial one of [Reference.Join]. *)
+      let lb = Rounds.create ~n ~d () in
+      let stb = Join.create g ~root in
+      let ib = Join.join ~rounds:lb stb ~members ~separator in
+      let stx, ix, sb = executed false in
+      let str_, ir, ss = executed true in
       let lr = Rounds.create ~n ~d () in
       let st_ref = Join.create g ~root in
       let ir' = Repro_testkit.Reference.Join.join ~rounds:lr st_ref ~members ~separator in
       let identical =
-        stb.Join.parent = str_.Join.parent
+        stb.Join.parent = stx.Join.parent
+        && stb.Join.parent = str_.Join.parent
         && stb.Join.parent = st_ref.Join.parent
-        && ib = ir && ib = ir'
+        && ib = ix && ib = ir && ib = ir'
       in
       let row mode iters charged (s : Composed.stats) =
         Table.add_row t

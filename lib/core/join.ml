@@ -10,27 +10,25 @@
    at least half of the piece it enters — giving the O(log) iteration bound
    of the paper, which experiment E9 measures.
 
-   The per-iteration queries are batched across components: all anchor
-   elections ride one two-slot part-wise MAX over the component partition,
-   all target elections one more slot once the preferring forests are
-   rooted, and the attach bookkeeping one two-slot SUM — so an iteration
-   charges the preferring forests (Lemma 9), their rooted orders
-   (Lemma 11, making path activation node-local) and three aggregations,
-   instead of the old per-component anchor aggregation + re-root +
-   mark-path schedule.  The elections are expressed as integer codes whose
-   part-wise maximum realises exactly the serial tie-breaks; the testkit's
-   [Reference.Join] keeps the pre-batching choreography verbatim as the
-   differential oracle, and [?exec] runs the batched elections for real
-   in the message engine ({!Repro_congest.Composed.join_elections}).
+   In the network, an iteration's queries are batched across components:
+   all anchor elections ride one two-slot part-wise MAX over the component
+   partition, all target elections one more slot once the preferring
+   forests are rooted, and the attach bookkeeping one two-slot SUM — so an
+   iteration charges the preferring forests (Lemma 9), their rooted orders
+   (Lemma 11, making path activation node-local) and three aggregations.
+   The host computes the same elections one component at a time, in
+   discovery order: the components of an iteration are disjoint and never
+   adjacent, so attaching one changes nothing another one reads.  The
+   testkit keeps the pre-batching choreography ([Reference.Join.join]) and
+   runs the batched elections in the message engine
+   ([Reference.Join.executed]) as differential oracles.
 
    Joins of distinct components may run concurrently (the DFS driver batches
    them over a domain pool): a join writes [parent]/[depth] only for its own
    members, and every neighbour it reads outside the component was already
    visited when the phase began — two unvisited nodes joined by an edge are
    by definition in the same component.  The running unvisited count is an
-   [Atomic] so those concurrent attachments keep it exact.  The [?exec]
-   path reads the whole graph's state and is NOT pool-safe; it exists for
-   the differential suite and the serial-vs-batched benchmark only. *)
+   [Atomic] so those concurrent attachments keep it exact. *)
 
 open Repro_graph
 open Repro_congest
@@ -84,23 +82,6 @@ let component_anchor st members =
   let v, u = elect_anchor st members in
   if v < 0 then None else Some (v, u)
 
-(* Election codes of the engine-backed [?exec] path.  The part-wise MAX of
-   the anchor codes (1 + du n^2 + n^2 - 1 - (u n + v), computed in the
-   engine by [Composed.join_elections]) picks the candidate edge (u, v) —
-   u visited, v an unvisited component member — with the deepest u, ties
-   to the lexicographically smallest (u, v): exactly [elect_anchor].  The
-   MAX of the target codes picks the deepest node of the rooted preferring
-   forest, ties to the first in component order: exactly the serial target
-   fold.  Codes are O(n^3) and therefore fit the engine's O(log n)-bit
-   message budget; [exec_create] refuses an n whose cube overflows an
-   int. *)
-let decode_anchor n code =
-  let e = (n * n) - 1 - ((code - 1) mod (n * n)) in
-  (e / n, e mod n)
-
-let encode_target n ~depth ~rank = 1 + (depth * n) + (n - 1 - rank)
-let decode_target_rank n code = n - 1 - ((code - 1) mod n)
-
 (* JOIN's per-domain scratch.  [index] is the vertex -> member-index map
    of [preferring_tree] under the [Graph.Scratch] rule, with the component
    being indexed as its occupant; [remaining] marks the separator nodes not
@@ -142,51 +123,17 @@ let preferring_tree st members ~anchor ~marked ~scratch =
   Graph.Scratch.release scratch.index;
   tree
 
-(* Attach the tree path anchor -> target (given by its member rank) to the
-   partial DFS tree. *)
-let attach st comp ~anchor_parent ~tparent ~target_rank =
-  let rec path_to j acc =
-    let acc = comp.(j) :: acc in
-    if tparent.(j) = -1 then acc else path_to tparent.(j) acc
-  in
-  let path = path_to target_rank [] in
-  let rec walk prev = function
-    | [] -> ()
-    | v :: rest ->
-      st.parent.(v) <- prev;
-      st.depth.(v) <- st.depth.(prev) + 1;
-      Atomic.decr st.unvisited;
-      walk v rest
-  in
-  walk anchor_parent path
-
 (* Components of the unvisited part of [members]. *)
 let unvisited_components st members =
   Algo.restricted_components st.g ~members ~skip:(in_tree st)
 
-type exec = {
-  serial : bool;
-  bcast_parent : int array;
-  bcast_root : int;
-  mutable stats : Composed.stats;
-}
-
-let exec_create ?(serial = false) st ~root =
-  let n = Graph.n st.g in
-  if n > 1 && n > max_int / n / n then
-    invalid_arg "Join.exec_create: n^3 overflows the election codes";
-  (* The broadcast tree is shared setup, identical for both choreographies,
-     so its construction cost is deliberately not tallied. *)
-  let (bcast_parent, _), _ = Prim.bfs_tree st.g ~root in
-  { serial; bcast_parent; bcast_root = root; stats = Collective.no_stats }
-
 (* Add all separator nodes of one original component to the partial DFS
    tree.  Returns the number of halving iterations used. *)
-let join_inner ?rounds ?exec st ~members ~separator =
-  let n = Graph.n st.g in
+let join_inner ?rounds st ~members ~separator =
   let scratch = Domain.DLS.get scratch_key in
   let remaining =
-    Graph.Marks.acquire scratch.remaining n ~occupant:(Array.of_list separator)
+    Graph.Marks.acquire scratch.remaining (Graph.n st.g)
+      ~occupant:(Array.of_list separator)
   in
   let count = ref 0 in
   let marked v = Bytes.get remaining v = '\001' in
@@ -210,138 +157,46 @@ let join_inner ?rounds ?exec st ~members ~separator =
     Rounds.charge rounds Join_elections;
     Rounds.charge rounds Join_target;
     Rounds.charge rounds Join_attach;
-    let comps = Array.of_list (unvisited_components st members) in
-    let m = Array.length comps in
-    let forests = Array.make m None in
-    (* Batch A, host side: per-component anchor edges and marked flags
-       (what the part-wise MAX computes per part). *)
-    let anchor = Array.make m (-1) and anchor_parent = Array.make m (-1) in
-    let has_marked = Array.make m 0 in
-    let elect_anchors () =
-      Array.iteri
-        (fun i comp ->
-          if Array.exists marked comp then has_marked.(i) <- 1;
-          let v, u = elect_anchor st comp in
-          anchor.(i) <- v;
-          anchor_parent.(i) <- u)
-        comps
-    in
-    let build_forests () =
-      Array.iteri
-        (fun i comp ->
-          if has_marked.(i) > 0 then begin
-            if anchor.(i) < 0 then
-              invalid_arg "Join.join: component with no tree neighbour";
-            let tparent, tdepth =
-              preferring_tree st comp ~anchor:anchor.(i) ~marked ~scratch
-            in
-            forests.(i) <- Some (anchor_parent.(i), tparent, tdepth)
-          end)
-        comps
-    in
-    (* Batch B, host side: per-component maximum of the target codes. *)
-    let elect_targets () =
-      Array.mapi
-        (fun i comp ->
-          match forests.(i) with
-          | None -> 0
-          | Some (_, _, tdepth) ->
-            let best = ref 0 in
-            Array.iteri
-              (fun j v ->
-                if marked v then begin
-                  let c = encode_target n ~depth:tdepth.(j) ~rank:j in
-                  if c > !best then best := c
-                end)
-              comp;
-            !best)
-        comps
-    in
-    let attach_all b0 =
-      let touched = ref false in
-      Array.iteri
-        (fun i comp ->
-          match forests.(i) with
-          | None -> ()
-          | Some (anchor_parent, tparent, _) ->
-            if b0.(i) > 0 then begin
-              attach st comp ~anchor_parent ~tparent
-                ~target_rank:(decode_target_rank n b0.(i));
-              touched := true;
-              Array.iter
-                (fun v ->
-                  if in_tree st v && marked v then begin
-                    Bytes.set remaining v '\000';
-                    decr count
-                  end)
-                comp
-            end)
-        comps;
-      if not !touched then
-        invalid_arg "Join.join: no progress — separator nodes unreachable"
-    in
-    match exec with
-    | None ->
-      elect_anchors ();
-      build_forests ();
-      attach_all (elect_targets ())
-    | Some e ->
-      (* Run the elections for real in the engine; the host callbacks keep
-         the forest building and attaching between the batches. *)
-      let visited_depth =
-        Array.init n (fun v -> if in_tree st v then st.depth.(v) else -1)
-      in
-      let marked_arr = Array.init n marked in
-      let parts = Array.make n m in
-      Array.iteri (fun i comp -> Array.iter (fun v -> parts.(v) <- i) comp) comps;
-      let forest a =
-        Array.iteri
-          (fun i comp ->
-            let code = a.(0).(comp.(0)) in
-            if code > 0 then begin
-              let u, v = decode_anchor n code in
-              anchor.(i) <- v;
-              anchor_parent.(i) <- u
+    let touched = ref false in
+    List.iter
+      (fun comp ->
+        if Array.exists marked comp then begin
+          let anchor, anchor_parent = elect_anchor st comp in
+          if anchor < 0 then
+            invalid_arg "Join.join: component with no tree neighbour";
+          let tparent, tdepth =
+            preferring_tree st comp ~anchor ~marked ~scratch
+          in
+          (* The target: the deepest marked node of the tree, ties to the
+             first in component order. *)
+          let j = ref (-1) in
+          Array.iteri
+            (fun i v ->
+              if marked v && (!j < 0 || tdepth.(i) > tdepth.(!j)) then j := i)
+            comp;
+          (* Attach the tree path anchor -> target below [anchor_parent],
+             bottom-up, unmarking the separator nodes it absorbs. *)
+          let base = st.depth.(anchor_parent) + 1 in
+          while !j >= 0 do
+            let v = comp.(!j) and p = tparent.(!j) in
+            st.parent.(v) <- (if p < 0 then anchor_parent else comp.(p));
+            st.depth.(v) <- base + tdepth.(!j);
+            Atomic.decr st.unvisited;
+            if marked v then begin
+              Bytes.set remaining v '\000';
+              decr count
             end;
-            has_marked.(i) <- a.(1).(comp.(0)))
-          comps;
-        build_forests ();
-        let target_code = Array.make n 0 in
-        Array.iteri
-          (fun i comp ->
-            match forests.(i) with
-            | None -> ()
-            | Some (_, _, tdepth) ->
-              Array.iteri
-                (fun j v ->
-                  if marked v then
-                    target_code.(v) <- encode_target n ~depth:tdepth.(j) ~rank:j)
-                comp)
-          comps;
-        target_code
-      in
-      let attach_cb brow =
-        attach_all (Array.map (fun comp -> brow.(comp.(0))) comps);
-        let rem = Array.init n (fun v -> if marked v then 1 else 0) in
-        let unv = Array.init n (fun v -> if in_tree st v then 0 else 1) in
-        (rem, unv)
-      in
-      let (_, _, t), stats =
-        if e.serial then
-          Composed.Reference.join_elections st.g ~bcast_parent:e.bcast_parent
-            ~root:e.bcast_root ~parts ~visited_depth ~marked:marked_arr ~forest
-            ~attach:attach_cb
-        else
-          Composed.join_elections st.g ~bcast_parent:e.bcast_parent
-            ~root:e.bcast_root ~parts ~visited_depth ~marked:marked_arr ~forest
-            ~attach:attach_cb
-      in
-      assert (t.(0) = !count);
-      e.stats <- Collective.add e.stats stats
+            j := p
+          done;
+          touched := true
+        end)
+      (unvisited_components st members);
+    if not !touched then
+      invalid_arg "Join.join: no progress — separator nodes unreachable"
   done;
   Graph.Marks.release scratch.remaining;
   !iterations
 
-let join ?rounds ?exec st ~members ~separator =
+let join ?rounds st ~members ~separator =
   Rounds.span rounds "join" (fun () ->
-      join_inner ?rounds ?exec st ~members ~separator)
+      join_inner ?rounds st ~members ~separator)

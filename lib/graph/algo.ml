@@ -3,10 +3,11 @@
    and [repro.core]; nothing here is charged CONGEST rounds. *)
 
 (* The BFS of [bfs_dist], [bfs_parents], [components] and [diameter]:
-   FIFO over the array [queue], each row in ascending order.  Each vertex
-   [v] still [unseen] in [label] that a dequeued [u] reaches is labelled
-   [next u] and joins the queue; the caller labels [src].  Returns the
-   number [r] of vertices reached, in BFS order in [queue.(0 .. r - 1)]. *)
+   FIFO over the array [queue], each row scanned in ascending order by
+   index, with no closure per dequeued vertex.  Each vertex [v] still
+   [unseen] in [label] that a dequeued [u] reaches is labelled [next u]
+   and joins the queue; the caller labels [src].  Returns the number [r]
+   of vertices reached, in BFS order in [queue.(0 .. r - 1)]. *)
 let bfs g queue (label : int array) ~unseen ~next src =
   queue.(0) <- src;
   let head = ref 0 and last = ref 1 in
@@ -14,12 +15,14 @@ let bfs g queue (label : int array) ~unseen ~next src =
     let u = queue.(!head) in
     incr head;
     let x = next u in
-    Graph.iter_neighbors g u (fun v ->
-        if label.(v) = unseen then begin
-          label.(v) <- x;
-          queue.(!last) <- v;
-          incr last
-        end)
+    for j = 0 to Graph.degree g u - 1 do
+      let v = Graph.nth_neighbor g u j in
+      if label.(v) = unseen then begin
+        label.(v) <- x;
+        queue.(!last) <- v;
+        incr last
+      end
+    done
   done;
   !last
 

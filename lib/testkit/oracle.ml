@@ -777,18 +777,18 @@ let run_join (inst : Instance.t) =
   let root = Rooted.root (Config.tree inst.config) in
   let members = Array.init n Fun.id in
   let separator = (Separator.find inst.config).Separator.separator in
-  let run_join ledger exec reference =
+  let run_join ledger reference =
     let st = Join.create g ~root in
     let iters =
       if reference then Reference.Join.join ~rounds:ledger st ~members ~separator
-      else Join.join ~rounds:ledger ?exec st ~members ~separator
+      else Join.join ~rounds:ledger st ~members ~separator
     in
     (st, iters)
   in
   let fresh () = Rounds.create ~n ~d:(max 1 d) () in
   let lb = fresh () and lr = fresh () in
-  let stb, ib = run_join lb None false in
-  let str_, ir = run_join lr None true in
+  let stb, ib = run_join lb false in
+  let str_, ir = run_join lr true in
   (* Bit-identity of the resulting partial tree and iteration count. *)
   ck ctx "batched parent array = reference" (stb.Join.parent = str_.Join.parent);
   ck ctx "batched depth array = reference" (stb.Join.depth = str_.Join.depth);
@@ -814,9 +814,10 @@ let run_join (inst : Instance.t) =
      engine-run advantage (the Collect/Partwise-batch economics). *)
   let exec_run serial =
     let st = Join.create g ~root in
-    let e = Join.exec_create ~serial st ~root in
-    let iters = Join.join ~exec:e st ~members ~separator in
-    (st, iters, e.Join.stats)
+    let iters, stats =
+      Reference.Join.executed ~serial st ~root ~members ~separator
+    in
+    (st, iters, stats)
   in
   let stb2, ib2, sb = exec_run false in
   let sts2, is2, ss = exec_run true in
@@ -834,6 +835,58 @@ let run_join (inst : Instance.t) =
     (ss.Composed.engine_runs >= 2 * sb.Composed.engine_runs);
   bud ctx "join elections" sb.Composed.rounds
     (((ib + 1) * 24 * (n + d + 8)) + 64);
+  (* Later phases: the DFS from the "dfs" oracle's seeded root, phase by
+     phase as [Dfs.run] runs it, so most joins grow a partial tree that
+     earlier phases built.  Each component is joined by [Join.join] on one
+     state and by [Reference.Join.join] on another; after every join the
+     two trees and iteration counts must agree. *)
+  let root = Rng.int (Rng.create inst.spec.Instance.seed) n in
+  let st = Join.create g ~root and st' = Join.create g ~root in
+  let all = Array.init n Fun.id in
+  let phases = ref 0 and mismatch = ref None in
+  while !mismatch = None && Join.unvisited st > 0 && !phases <= n do
+    incr phases;
+    List.iter
+      (fun members ->
+        if !mismatch = None then begin
+          let separator =
+            if Array.length members <= 3 then Array.to_list members
+            else begin
+              let part_root =
+                match Join.component_anchor st members with
+                | Some (v, _) -> v
+                | None -> members.(0)
+              in
+              let cfg =
+                Config.of_part ~spanning:inst.spec.Instance.spanning ~members
+                  ~root:part_root inst.emb
+              in
+              List.map (Config.to_global cfg)
+                (Separator.find cfg).Separator.separator
+            end
+          in
+          let i = Join.join st ~members ~separator in
+          let i' = Reference.Join.join st' ~members ~separator in
+          if
+            i <> i'
+            || st.Join.parent <> st'.Join.parent
+            || st.Join.depth <> st'.Join.depth
+          then mismatch := Some (!phases, members.(0), i, i')
+        end)
+      (Join.unvisited_components st all)
+  done;
+  ck ctx
+    (match !mismatch with
+    | None -> "phase-by-phase joins ended with unvisited nodes"
+    | Some (phase, v, i, i') ->
+      Printf.sprintf
+        "phase %d from root %d: the join of the component of %d differs \
+         from the reference (iterations %d vs %d)"
+        phase root v i i')
+    (!mismatch = None && Join.unvisited st = 0);
+  ck ctx
+    (Printf.sprintf "phase-by-phase joins from root %d build a DFS tree" root)
+    (Algo.is_dfs_tree g ~root ~parent:st.Join.parent);
   finish ~name:"join" ctx
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,7 @@
 (* The pre-optimisation twins of two production modules, kept verbatim
-   as differential oracles.  They use only the public interfaces of the
-   modules they check, so the production libraries ship only what runs.
+   as differential oracles, and the engine-executed JOIN elections.  They
+   use only the public interfaces of the modules they check, so the
+   production libraries ship only what runs.
 
    - [Engine.Make] is the original dense CONGEST scheduler: it scans all n
      nodes every round.  The event-driven [Repro_congest.Engine.Make] must
@@ -8,10 +9,13 @@
      "engine" oracle, test/engine_equiv.ml, bench E12).
    - [Join.join] is the pre-batching JOIN choreography: one anchor
      aggregation, a re-root and a full mark-path per iteration, with a
-     per-component hash-table member index.  The batched
-     [Repro_core.Join.join] must produce a bit-identical partial tree and
-     iteration count on every input (the "join" oracle, test_join,
-     bench E15). *)
+     per-component hash-table member index.  [Repro_core.Join.join] must
+     produce a bit-identical partial tree and iteration count on every
+     input (the "join" oracle, test_join, bench E15).
+   - [Join.executed] runs the batched elections of each iteration in the
+     message engine ([Composed.join_elections]), with [Join.join]'s own
+     forests and attachment between the batches, and must agree with both
+     (the "join" oracle, test_join, bench E15, the digest). *)
 
 open Repro_graph
 open Repro_congest
@@ -218,4 +222,96 @@ module Join = struct
 
   let join ?rounds st ~members ~separator =
     Rounds.span rounds "join" (fun () -> join_inner ?rounds st ~members ~separator)
+
+  (* The batched elections, executed: one [Composed.join_elections] per
+     iteration over all active components, with this module's forests and
+     attachment between the batches.  The part-wise MAX of the anchor codes
+     1 + du n^2 + n^2 - 1 - (u n + v), formed in the engine, picks the
+     candidate edge (u, v) -- u visited, v an unvisited member -- with the
+     deepest u, ties to the lexicographically smallest (u, v); the MAX of
+     the target codes 1 + depth n + n - 1 - rank picks the deepest marked
+     node of the preferring tree, ties to the first in component order.
+     The codes are O(n^3), so they fit the engine's O(log n)-bit messages;
+     an n whose cube overflows an int is refused. *)
+  let executed ?(serial = false) st ~root ~members ~separator =
+    let n = Graph.n st.g in
+    if n > 1 && n > max_int / n / n then
+      invalid_arg "Reference.Join.executed: n^3 overflows the election codes";
+    (* The pipeline tree is shared setup, identical for both bindings, so
+       its construction cost is deliberately not tallied. *)
+    let (bcast_parent, _), _ = Prim.bfs_tree st.g ~root in
+    let elections =
+      if serial then Composed.Reference.join_elections
+      else Composed.join_elections
+    in
+    let remaining = Hashtbl.create (2 * List.length separator) in
+    List.iter
+      (fun v -> if not (in_tree st v) then Hashtbl.replace remaining v ())
+      separator;
+    let iterations = ref 0 and stats = ref Collective.no_stats in
+    while Hashtbl.length remaining > 0 do
+      incr iterations;
+      let comps = Array.of_list (unvisited_components st members) in
+      let m = Array.length comps in
+      let parts = Array.make n m in
+      Array.iteri (fun i comp -> Array.iter (fun v -> parts.(v) <- i) comp) comps;
+      let visited_depth =
+        Array.init n (fun v -> if in_tree st v then st.depth.(v) else -1)
+      in
+      let marked = Array.init n (Hashtbl.mem remaining) in
+      let trees = Array.make m None in
+      (* Decode the elected anchors, root the preferring trees there and
+         return the node-local target codes. *)
+      let forest a =
+        let target_code = Array.make n 0 in
+        Array.iteri
+          (fun i comp ->
+            let code = a.(0).(comp.(0)) in
+            if a.(1).(comp.(0)) > 0 then begin
+              if code = 0 then
+                invalid_arg "Join.join: component with no tree neighbour";
+              let e = (n * n) - 1 - ((code - 1) mod (n * n)) in
+              let anchor = e mod n and anchor_parent = e / n in
+              let idx, tree_parent, tree_depth =
+                preferring_tree st comp ~anchor ~marked:(Hashtbl.mem remaining)
+              in
+              trees.(i) <- Some (anchor, anchor_parent, idx, tree_parent);
+              Array.iteri
+                (fun j v ->
+                  if marked.(v) then
+                    target_code.(v) <- 1 + (tree_depth.(idx v) * n) + (n - 1 - j))
+                comp
+            end)
+          comps;
+        target_code
+      in
+      (* Decode the elected targets, attach their paths and return the
+         node-local still-marked and still-unvisited bits. *)
+      let attach_all b =
+        let touched = ref false in
+        Array.iteri
+          (fun i comp ->
+            match trees.(i) with
+            | Some (anchor, anchor_parent, idx, tree_parent) ->
+              let j = n - 1 - ((b.(comp.(0)) - 1) mod n) in
+              attach st ~anchor ~anchor_parent ~idx ~tree_parent comp.(j);
+              touched := true;
+              Array.iter
+                (fun v -> if in_tree st v then Hashtbl.remove remaining v)
+                comp
+            | None -> ())
+          comps;
+        if not !touched then
+          invalid_arg "Join.join: no progress — separator nodes unreachable";
+        ( Array.init n (fun v -> if Hashtbl.mem remaining v then 1 else 0),
+          Array.init n (fun v -> if in_tree st v then 0 else 1) )
+      in
+      let (_, _, t), s =
+        elections st.g ~bcast_parent ~root ~parts ~visited_depth ~marked
+          ~forest ~attach:attach_all
+      in
+      assert (t.(0) = Hashtbl.length remaining);
+      stats := Collective.add !stats s
+    done;
+    (!iterations, !stats)
 end

@@ -1,6 +1,7 @@
 (** The pre-optimisation twins of two production modules, kept verbatim
-    as differential oracles.  Each has the signature of the module it
-    checks and uses only that module's public interface. *)
+    as differential oracles, and the engine-executed JOIN elections.  Each
+    twin has the signature of the module it checks and uses only that
+    module's public interface. *)
 
 module Engine : sig
   (** The original dense CONGEST scheduler: every round scans all n nodes.
@@ -28,4 +29,19 @@ module Join : sig
     members:int array ->
     separator:int list ->
     int
+
+  val executed :
+    ?serial:bool ->
+    Repro_core.Join.state ->
+    root:int ->
+    members:int array ->
+    separator:int list ->
+    int * Repro_congest.Composed.stats
+  (** {!join}'s forests and attachment, with each iteration's batched
+      elections run for real as {!Repro_congest.Composed.join_elections}
+      (or its [Reference] serial binding when [serial]); returns the
+      iteration count and the executed statistics summed over all
+      iterations.  Builds a BFS pipeline tree from [root], so the graph
+      must be connected.  Raises [Invalid_argument] when n^3 overflows an
+      int (the election codes are O(n^3)). *)
 end

@@ -9,9 +9,10 @@
       differential oracle.
    2. The charged schedule is >= 2x cheaper from lg >= 4 on (per
       iteration: 2*lg + 3 PA units against lg^2 + lg + 2).
-   3. Executed for real in the message engine, the slot batching keeps a
-      >= 2x engine-run advantage over the serial per-slot binding
-      (mirroring test_collective.ml's batching-win assertions). *)
+   3. Executed for real in the message engine over the reference's own
+      forests ([Reference.Join.executed]), the slot batching keeps a >= 2x
+      engine-run advantage over the serial per-slot binding (mirroring
+      test_collective.ml's batching-win assertions). *)
 
 open Repro_graph
 open Repro_embedding
@@ -90,9 +91,10 @@ let test_exec_engine_run_ratio () =
       let g, root, members, separator = scenario emb in
       let run serial =
         let st = Join.create g ~root in
-        let e = Join.exec_create ~serial st ~root in
-        let iters = Join.join ~exec:e st ~members ~separator in
-        (st, iters, e.Join.stats)
+        let iters, stats =
+          Reference.Join.executed ~serial st ~root ~members ~separator
+        in
+        (st, iters, stats)
       in
       let stb, ib, sb = run false in
       let sts, is_, ss = run true in
@@ -169,7 +171,7 @@ let test_scratch_reuse_across_graphs () =
    on; the host election compares (depth u, u, v) instead.  On the path
    0-1-2-3-4 of a 2,000,000-vertex graph, with 0 visited at depth 1,500,000
    and 3 at depth 5, the component {1, 2} hangs from 0, 1 first, as the
-   DFS-RULE requires; the engine-backed mode refuses that n.  Run on a
+   DFS-RULE requires; the executed elections refuse that n.  Run on a
    fresh domain, so JOIN's per-domain scratch at this n dies with it. *)
 let test_anchor_past_code_range () =
   Domain.join
@@ -182,8 +184,11 @@ let test_anchor_past_code_range () =
          Alcotest.(check (option (pair int int)))
            "component_anchor: 1 under 0" (Some (1, 0))
            (Join.component_anchor st [| 1; 2 |]);
-         (match Join.exec_create st ~root:0 with
-         | _ -> Alcotest.fail "exec_create accepted n = 2,000,000"
+         (match
+            Reference.Join.executed st ~root:0 ~members:[| 1; 2 |]
+              ~separator:[ 1; 2 ]
+          with
+         | _ -> Alcotest.fail "executed elections accepted n = 2,000,000"
          | exception Invalid_argument _ -> ());
          ignore (Join.join st ~members:[| 1; 2 |] ~separator:[ 1; 2 ]);
          Alcotest.(check (list int)) "parents of 1 and 2" [ 0; 1 ]
@@ -191,6 +196,27 @@ let test_anchor_past_code_range () =
          Alcotest.(check (list int)) "depths of 1 and 2"
            [ 1_500_001; 1_500_002 ]
            [ st.Join.depth.(1); st.Join.depth.(2) ])
+
+(* A separator node outside [members] is never reached: its iteration
+   attaches nothing, and every implementation raises "no progress" instead
+   of looping. *)
+let test_no_progress () =
+  let g = Embedded.graph (Gen.path 6) in
+  let raises name f =
+    let st = Join.create g ~root:0 in
+    match f st with
+    | _ -> Alcotest.failf "%s: a separator node outside members joined" name
+    | exception Invalid_argument _ ->
+      Alcotest.(check (list int))
+        (name ^ ": members joined before the failure")
+        [ 0; 1 ]
+        [ st.Join.parent.(1); st.Join.parent.(2) ]
+  in
+  let members = [| 1; 2 |] and separator = [ 2; 5 ] in
+  raises "Join.join" (Join.join ~members ~separator);
+  raises "Reference.Join.join" (Reference.Join.join ~members ~separator);
+  raises "Reference.Join.executed"
+    (Reference.Join.executed ~root:0 ~members ~separator)
 
 let suites =
   Suite.make __MODULE__
@@ -205,6 +231,8 @@ let suites =
         `Quick test_scratch_reuse_across_graphs;
       Alcotest.test_case "anchor election past n^3 > max_int" `Quick
         test_anchor_past_code_range;
+      Alcotest.test_case "separator node outside members: no progress" `Quick
+        test_no_progress;
       Suite.property ~count:25 ~max_size:56 ~seed:204 ~oracles:[ "join" ]
         "batched = reference = executed, >=2x cheaper (fuzz)";
     ]

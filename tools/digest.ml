@@ -24,8 +24,9 @@
 
    The [exec:*] lines pin the executed CONGEST layer, which no ledger
    sees: each is one run of a [Prim] runner, a [Collective] batch or a
-   [Composed] subroutine (batched and [Reference]), with the MD5 of its
-   output and every execution statistic printed as it is. *)
+   [Composed] subroutine (batched and [Reference]; JOIN's elections through
+   the testkit's [Reference.Join.executed]), with the MD5 of its output and
+   every execution statistic printed as it is. *)
 
 open Repro_util
 open Repro_graph
@@ -289,13 +290,15 @@ let executed family =
     (fun () -> Composed.separator_phase3 g ~rot_orders ~parent ~depth ~root)
     (fun () ->
       Composed.Reference.separator_phase3 g ~rot_orders ~parent ~depth ~root);
+  (* JOIN's elections run in the engine only through the testkit, which
+     drives them over its own forests ([Reference.Join.executed]). *)
   let join serial () =
     let st = Join.create g ~root in
-    let e = Join.exec_create ~serial st ~root in
-    let iterations =
-      Join.join ~exec:e st ~members:(Array.init n Fun.id) ~separator
+    let iterations, stats =
+      Repro_testkit.Reference.Join.executed ~serial st ~root
+        ~members:(Array.init n Fun.id) ~separator
     in
-    ((st.Join.parent, st.Join.depth, iterations), e.Join.stats)
+    ((st.Join.parent, st.Join.depth, iterations), stats)
   in
   both "join-elections" (join false) (join true);
   both "weights"
