@@ -1545,11 +1545,15 @@ let e17 ~jobs ~short () =
               if trace then Some (Repro_trace.Trace.create ()) else None
             in
             let rounds = Rounds.create ?trace:tracer ~n ~d:(max 1 d) () in
+            let backend =
+              Option.map
+                (fun cutoff -> Backend.fast_path ~cutoff (Backend.default ()))
+                cutoff
+            in
             let t0 = Unix.gettimeofday () in
             let t =
               Pool.with_pool ~jobs (fun pool ->
-                  Decomposition.build ~rounds ~pool
-                    ?small_part_cutoff:cutoff emb)
+                  Decomposition.build ~rounds ~pool ?backend emb)
             in
             let wall = Unix.gettimeofday () -. t0 in
             (t, Rounds.total rounds, wall, tracer)

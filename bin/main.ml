@@ -42,7 +42,9 @@ let cutoff_arg =
   in
   Arg.(value & opt int 0 & info [ "cutoff" ] ~docv:"N" ~doc)
 
-let cutoff_of n = if n <= 0 then None else Some n
+let backend_of name cutoff =
+  let b = Cli.backend_of_name name in
+  if cutoff > 0 then Backend.fast_path ~cutoff b else b
 
 let edges_arg =
   let doc =
@@ -256,7 +258,7 @@ let compare_arg =
 let dfs_cmd =
   let run family n seed edges root jobs backend cutoff compare_awerbuch trace
       chrome metrics =
-    let b = Cli.backend_of_name backend in
+    let b = backend_of backend cutoff in
     let emb, g, d = instance_of ~family ~n ~seed ~edges in
     let root = match root with Some r -> r | None -> Embedded.outer emb in
     if root < 0 || root >= Graph.n g then
@@ -268,8 +270,7 @@ let dfs_cmd =
     Cli.or_screen_reject @@ fun () ->
     let r =
       Repro_util.Pool.with_pool ~jobs (fun pool ->
-          Dfs.run ~rounds ~pool ~backend:b
-            ?small_part_cutoff:(cutoff_of cutoff) emb ~root)
+          Dfs.run ~rounds ~pool ~backend:b emb ~root)
     in
     let ok = Dfs.verify emb ~root r in
     Printf.printf "\nDFS root           : %d\n" root;
@@ -317,12 +318,11 @@ let by_size_arg =
 let bdd_cmd =
   let run family n seed edges target piece by_size jobs backend cutoff trace
       chrome metrics =
-    let b = Cli.backend_of_name backend in
+    let b = backend_of backend cutoff in
     if by_size && piece < 1 then Cli.usage_error "--piece must be at least 1";
     if (not by_size) && target < 1 then Cli.usage_error "--target must be at least 1";
     let emb, g, d = instance_of ~family ~n ~seed ~edges in
     print_instance emb g d;
-    let cutoff = cutoff_of cutoff in
     let tracer = tracer_of_flags ~trace ~chrome ~metrics in
     let rounds =
       Option.map
@@ -335,15 +335,14 @@ let bdd_cmd =
           if by_size then begin
             let t =
               Decomposition.build ?rounds ~pool ~piece_target:piece ~backend:b
-                ?small_part_cutoff:cutoff emb
+                emb
             in
             (t, Decomposition.check emb ~piece_target:piece t)
           end
           else begin
             let t =
               Decomposition.bounded_diameter ?rounds ~pool
-                ~diameter_target:target ~backend:b ?small_part_cutoff:cutoff
-                emb
+                ~diameter_target:target ~backend:b emb
             in
             (t, Decomposition.check_bounded_diameter emb ~diameter_target:target t)
           end)

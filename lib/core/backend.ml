@@ -1,4 +1,4 @@
-(* The two separator backends and the per-part choice between them. *)
+(* The two separator backends and the small-part fast path between them. *)
 
 open Repro_graph
 open Repro_tree
@@ -80,7 +80,10 @@ let all = [ congest; lt_level ]
 let lookup name = List.find_opt (fun b -> b.name = name) all
 let default () = congest
 
-let for_part ?(backend = congest) ?small_part_cutoff members =
-  match small_part_cutoff with
-  | Some c when Array.length members <= c -> lt_level
-  | _ -> backend
+let fast_path ~cutoff b =
+  let pick cfg = if Config.n cfg <= cutoff then lt_level else b in
+  {
+    b with
+    find = (fun ?rounds cfg -> (pick cfg).find ?rounds cfg);
+    trim = (fun ?rounds cfg s -> (pick cfg).trim ?rounds cfg s);
+  }

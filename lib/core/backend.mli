@@ -10,7 +10,7 @@
     - ["lt-level"]: the Lipton–Tarjan BFS-level separator, computed on the
       host in O(n + m).  It is always balanced, never cycle-shaped, and
       carries no size guarantee.  It serves the small-part fast path
-      ({!for_part}) and E17's comparison with an O(n) baseline. *)
+      ({!fast_path}) and E17's comparison with an O(n) baseline. *)
 
 open Repro_congest
 
@@ -46,7 +46,7 @@ val lookup : string -> t option
 val default : unit -> t
 (** ["congest"]: [find = Separator.find], [trim = Separator.shrink]. *)
 
-val for_part : ?backend:t -> ?small_part_cutoff:int -> int array -> t
-(** The backend for one part with these members: ["lt-level"] when the part
-    has at most [small_part_cutoff] members (the small-part fast path),
-    otherwise [backend] (default ["congest"]). *)
+val fast_path : cutoff:int -> t -> t
+(** The small-part fast path: a backend whose [find] and [trim] send a
+    configuration of at most [cutoff] vertices to ["lt-level"] and every
+    other one to the given backend, whose [name] and [kind] it keeps. *)

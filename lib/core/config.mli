@@ -32,7 +32,9 @@ val n : t -> int
 val root_first : t -> int option
 
 val to_global : t -> int -> int
-(** Map a local vertex back to the original graph's numbering. *)
+(** Map a local vertex back to the original graph's numbering.  A part's
+    map is the sorted member array of {!Graph.induced_members}, which the
+    configuration shares with its per-domain scratch; both only read it. *)
 
 val fundamental_edges : t -> (int * int) list
 (** Real fundamental edges (non-tree edges), normalized so that

@@ -64,8 +64,7 @@ let split_part ?rounds ~backend emb members =
 (* Level-synchronous driver shared by the size- and diameter-bounded
    variants.  [stop] decides whether a part is already a piece (it runs
    inside the batch, in parallel); [guard] bounds the level count. *)
-let build_frontier ?rounds ?pool ?backend ?small_part_cutoff ~stop ~guard
-    emb =
+let build_frontier ?rounds ?pool ~backend ~stop ~guard emb =
   let g = Embedded.graph emb in
   let n = Graph.n g in
   let removed = Array.make n false in
@@ -88,11 +87,7 @@ let build_frontier ?rounds ?pool ?backend ?small_part_cutoff ~stop ~guard
       Repro_congest.Rounds.map_parts ?rounds ?pool ~label:"pool.splits" ~cost
         (fun ?rounds members ->
           if stop members then `Piece members
-          else
-            `Split
-              (split_part ?rounds
-                 ~backend:(Backend.for_part ?backend ?small_part_cutoff members)
-                 emb members))
+          else `Split (split_part ?rounds ~backend emb members))
         batch
     in
     let next = ref [] in
@@ -116,10 +111,11 @@ let build_frontier ?rounds ?pool ?backend ?small_part_cutoff ~stop ~guard
     separator_count;
   }
 
-let build ?rounds ?pool ?(piece_target = 20) ?backend ?small_part_cutoff emb =
+let build ?rounds ?pool ?(piece_target = 20) ?(backend = Backend.default ())
+    emb =
   if piece_target < 1 then invalid_arg "Decomposition.build: piece_target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.build" emb;
-  build_frontier ?rounds ?pool ?backend ?small_part_cutoff
+  build_frontier ?rounds ?pool ~backend
     ~stop:(fun members -> Array.length members <= piece_target)
     ~guard:(fun _ -> ())
     emb
@@ -225,13 +221,13 @@ let diameter_exceeds g members target =
   in
   Algo.diameter_exceeds sub target
 
-let bounded_diameter ?rounds ?pool ?backend ?small_part_cutoff ~diameter_target
-    emb =
+let bounded_diameter ?rounds ?pool ?(backend = Backend.default ())
+    ~diameter_target emb =
   if diameter_target < 1 then
     invalid_arg "Decomposition.bounded_diameter: target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.bounded_diameter" emb;
   let g = Embedded.graph emb in
-  build_frontier ?rounds ?pool ?backend ?small_part_cutoff
+  build_frontier ?rounds ?pool ~backend
     ~stop:(fun members -> not (diameter_exceeds g members diameter_target))
     ~guard:(fun level ->
       if level > 4 * Graph.n g then

@@ -17,22 +17,19 @@ val build :
   ?pool:Repro_util.Pool.t ->
   ?piece_target:int ->
   ?backend:Backend.t ->
-  ?small_part_cutoff:int ->
   Embedded.t ->
   t
 (** Recursively split until every piece has at most [piece_target]
-    (default 20) vertices.  Each part is split by
-    [Backend.for_part ?backend ?small_part_cutoff]: [backend] (default
-    ["congest"], the six-phase algorithm), or ["lt-level"] for parts of at
-    most [small_part_cutoff] vertices — the centralized fast path for the
-    small parts that dominate deep recursion levels, charged its O(part)
-    collect cost in the ledger and visible as a [backend.lt-level] trace
-    span.  The chosen backend's balanced-trim post-pass applies to every
-    separator.  The recursion
-    runs level-synchronously: each level's node-disjoint parts form one
-    batch distributed over [pool] when given; the output and the charged
-    rounds (max over each level's parts) are independent of the pool
-    size. *)
+    (default 20) vertices.  Each part is split by [backend.find] (default
+    ["congest"], the six-phase algorithm), and [backend.trim]'s
+    balanced-trim post-pass applies to every separator.
+    {!Backend.fast_path} sends the small parts that dominate deep
+    recursion levels to ["lt-level"], charged their O(part) collect cost
+    in the ledger and visible as a [backend.lt-level] trace span.  The
+    recursion runs level-synchronously: each level's node-disjoint parts
+    form one batch distributed over [pool] when given; the output and the
+    charged rounds (max over each level's parts) are independent of the
+    pool size. *)
 
 val check : Embedded.t -> piece_target:int -> t -> bool
 (** Pieces + separator partition V, pieces respect the target, and no edge
@@ -51,7 +48,6 @@ val bounded_diameter :
   ?rounds:Repro_congest.Rounds.t ->
   ?pool:Repro_util.Pool.t ->
   ?backend:Backend.t ->
-  ?small_part_cutoff:int ->
   diameter_target:int ->
   Embedded.t ->
   t

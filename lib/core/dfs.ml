@@ -26,8 +26,8 @@ type result = {
   separator_phases : (string * int) list; (* separator phase histogram *)
 }
 
-let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
-    ?small_part_cutoff emb ~root =
+let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool
+    ?(backend = Backend.default ()) emb ~root =
   let g = Embedded.graph emb in
   let n = Graph.n g in
   Graph.check_vertex g root;
@@ -42,14 +42,15 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
       (1 + Option.value ~default:0 (Hashtbl.find_opt sep_phases k))
   in
   let all_members = Array.init n Fun.id in
-  while Join.unvisited st > 0 do
+  let pending = ref (Join.unvisited_components st all_members) in
+  while !pending <> [] do
     incr phases;
     if !phases > n + 1 then invalid_arg "Dfs.run: too many phases";
     (* The phase span wraps both batches and their absorbs, so the
        heaviest parts' spliced sub-trees land inside it. *)
     Rounds.span rounds (Printf.sprintf "dfs.phase%d" !phases) @@ fun () ->
     Rounds.charge rounds Components;
-    let comps = Array.of_list (Join.unvisited_components st all_members) in
+    let comps = Array.of_list !pending in
     let largest = Array.fold_left (fun a c -> max a (Array.length c)) 0 comps in
     (* Theorem 1 on the node-disjoint collection of components: compute all
        separators.  Components are node-disjoint, so the batch's work
@@ -69,8 +70,7 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
               | None -> members.(0)
             in
             let cfg = Config.of_part ~spanning ~members ~root:part_root emb in
-            let b = Backend.for_part ?backend ?small_part_cutoff members in
-            let r = b.Backend.find ?rounds cfg in
+            let r = backend.Backend.find ?rounds cfg in
             (members, List.map (Config.to_global cfg) r.Separator.separator,
              r.Separator.phase)
           end)
@@ -86,11 +86,12 @@ let run ?rounds ?(spanning = Repro_tree.Spanning.Bfs) ?pool ?backend
     in
     let phase_join = Array.fold_left max 0 joins in
     max_join := max !max_join phase_join;
-    phase_log := (Array.length comps, largest, phase_join) :: !phase_log
+    phase_log := (Array.length comps, largest, phase_join) :: !phase_log;
+    pending := Join.unvisited_components st all_members
   done;
   {
-    parent = Array.copy st.Join.parent;
-    depth = Array.copy st.Join.depth;
+    parent = st.Join.parent;
+    depth = st.Join.depth;
     phases = !phases;
     max_join_iterations = !max_join;
     phase_log = List.rev !phase_log;

@@ -20,7 +20,6 @@ val run :
   ?spanning:Spanning.kind ->
   ?pool:Repro_util.Pool.t ->
   ?backend:Backend.t ->
-  ?small_part_cutoff:int ->
   Embedded.t ->
   root:int ->
   result
@@ -29,11 +28,10 @@ val run :
     (per-part round ledgers are merged in part-index order, charging each
     batch its heaviest part).
 
-    Each component's separator comes from
-    [Backend.for_part ?backend ?small_part_cutoff]: [backend] (default
-    ["congest"]), or ["lt-level"] for components of at most
-    [small_part_cutoff] nodes, which are charged their O(part) collect
-    cost and run under a [backend.lt-level] trace span. *)
+    Each component of more than three nodes takes its separator from
+    [backend.find] (default ["congest"]); {!Backend.fast_path} sends the
+    small ones to ["lt-level"].  The result's [parent] and [depth] are the
+    arrays the run built, not copies. *)
 
 val verify : Embedded.t -> root:int -> result -> bool
 (** DFS-tree check: spanning, rooted correctly, and every non-tree edge

@@ -27,8 +27,7 @@
    them over a domain pool): a join writes [parent]/[depth] only for its own
    members, and every neighbour it reads outside the component was already
    visited when the phase began — two unvisited nodes joined by an edge are
-   by definition in the same component.  The running unvisited count is an
-   [Atomic] so those concurrent attachments keep it exact. *)
+   by definition in the same component. *)
 
 open Repro_graph
 open Repro_congest
@@ -37,7 +36,6 @@ type state = {
   g : Graph.t;
   parent : int array; (* -1 at the DFS root, -2 while unvisited *)
   depth : int array; (* -1 while unvisited *)
-  unvisited : int Atomic.t; (* count of parent.(v) = -2 entries *)
 }
 
 let create g ~root =
@@ -46,11 +44,9 @@ let create g ~root =
   let depth = Array.make n (-1) in
   parent.(root) <- -1;
   depth.(root) <- 0;
-  { g; parent; depth; unvisited = Atomic.make (n - 1) }
+  { g; parent; depth }
 
 let in_tree st v = st.parent.(v) > -2
-
-let unvisited st = Atomic.get st.unvisited
 
 (* Anchor of a component: the unvisited node with the deepest visited
    neighbour, ties broken by identifiers for determinism: of the candidate
@@ -181,7 +177,6 @@ let join_inner ?rounds st ~members ~separator =
             let v = comp.(!j) and p = tparent.(!j) in
             st.parent.(v) <- (if p < 0 then anchor_parent else comp.(p));
             st.depth.(v) <- base + tdepth.(!j);
-            Atomic.decr st.unvisited;
             if marked v then begin
               Bytes.set remaining v '\000';
               decr count

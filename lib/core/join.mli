@@ -19,16 +19,11 @@ type state = {
   g : Graph.t;
   parent : int array;  (** -1 at the DFS root, -2 while unvisited *)
   depth : int array;  (** -1 while unvisited *)
-  unvisited : int Atomic.t;  (** running count of unvisited nodes *)
 }
 
 val create : Graph.t -> root:int -> state
 
 val in_tree : state -> int -> bool
-
-val unvisited : state -> int
-(** Number of still-unvisited nodes, maintained incrementally (O(1), where
-    scanning the parent array per phase would be O(n)). *)
 
 val component_anchor : state -> int array -> (int * int) option
 (** The unvisited node of the component with the deepest visited neighbour,

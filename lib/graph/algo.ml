@@ -70,7 +70,7 @@ let marks_key = Domain.DLS.new_key Graph.Marks.create
    shared hot path of the part-parallel batches in [Dfs] and
    [Decomposition], of every JOIN iteration and of the daemon's
    connectivity probe.  Its membership marks are bytes, not [bfs]'s int
-   labels. *)
+   labels, and like [bfs] it scans rows without a closure per vertex. *)
 let restricted_components g ~members ~skip =
   let k = Array.length members in
   let marks = Domain.DLS.get marks_key in
@@ -90,12 +90,14 @@ let restricted_components g ~members ~skip =
         while !head < !tail do
           let x = queue.(!head) in
           incr head;
-          Graph.iter_neighbors g x (fun u ->
-              if Bytes.unsafe_get mark u = '\001' then begin
-                Bytes.unsafe_set mark u '\000';
-                queue.(!tail) <- u;
-                incr tail
-              end)
+          for j = 0 to Graph.degree g x - 1 do
+            let u = Graph.nth_neighbor g x j in
+            if Bytes.unsafe_get mark u = '\001' then begin
+              Bytes.unsafe_set mark u '\000';
+              queue.(!tail) <- u;
+              incr tail
+            end
+          done
         done;
         comps := Array.sub queue start (!tail - start) :: !comps
       end)

@@ -167,8 +167,9 @@ let iter_edges t f =
    raised halfway leaves nothing stale; [release] records that the caller
    restored its own entries to -1.  Ownership rule (see DESIGN.md): the
    old->new map returned by a scratch-backed [induced_members] call IS the
-   scratch's buffer — valid until the next call on the same scratch, and
-   the caller must not mutate it. *)
+   scratch's buffer — valid until the next call on the same scratch — and
+   its new->old map is the scratch's occupant until then, which [acquire]
+   only reads; the caller must mutate neither. *)
 module Scratch = struct
   type nonrec t = {
     mutable index : int array; (* -1 outside the current occupant *)
@@ -208,16 +209,15 @@ module Marks = struct
   let release m = m.occupant <- [||]
 end
 
-(* Core induced build over a member array already sorted ascending (so new
-   ids are assigned in increasing old id, matching the historical keep-scan
-   compaction).  [new_of_old] must be -1 at every non-member on entry; it is
-   left -1 there and set at members on exit (caller restores if pooled). *)
-let induced_sorted t ~new_of_old ~members ~k =
-  let old_of_new = Array.make k 0 in
+(* Core induced build over a fresh member array already sorted ascending
+   (so new ids are assigned in increasing old id, matching the historical
+   keep-scan compaction), which it returns as the new->old map.
+   [new_of_old] must be -1 at every non-member on entry; it is left -1
+   there and set at members on exit (caller restores if pooled). *)
+let induced_sorted t ~new_of_old ~members =
+  let k = Array.length members in
   for i = 0 to k - 1 do
-    let v = members.(i) in
-    new_of_old.(v) <- i;
-    old_of_new.(i) <- v
+    new_of_old.(members.(i)) <- i
   done;
   let row = Array.make (k + 1) 0 in
   for i = 0 to k - 1 do
@@ -245,7 +245,7 @@ let induced_sorted t ~new_of_old ~members ~k =
       end
     done
   done;
-  ({ n = k; m = row.(k) / 2; row; col }, old_of_new)
+  ({ n = k; m = row.(k) / 2; row; col }, members)
 
 (* Sort distinct ids in [0, n) ascending, in place or into a fresh array
    of the same length (the result is returned).  Short arrays take an
@@ -299,18 +299,18 @@ let sort_ids ~n a =
 (* Subgraph induced by a member array (distinct vertices, any order).
    Returns the subgraph plus old->new (-1 when dropped) and new->old maps.
    New ids are assigned in increasing old id, so the numbering matches the
-   keep-array interface below.  With [?scratch] the call allocates nothing
-   proportional to [Graph.n t]: the returned old->new map aliases the
-   scratch buffer (ownership rule above). *)
+   keep-array interface below; the new->old map is the sorted copy of
+   [members].  With [?scratch] the call allocates nothing proportional to
+   [Graph.n t]: the old->new map aliases the scratch buffer and the
+   new->old map is its occupant (ownership rule above). *)
 let induced_members ?scratch t members =
-  let k = Array.length members in
   let sorted = sort_ids ~n:t.n (Array.copy members) in
   let new_of_old =
     match scratch with
     | None -> Array.make t.n (-1)
     | Some s -> Scratch.acquire s t.n ~occupant:sorted
   in
-  let g_sub, old_of_new = induced_sorted t ~new_of_old ~members:sorted ~k in
+  let g_sub, old_of_new = induced_sorted t ~new_of_old ~members:sorted in
   (g_sub, new_of_old, old_of_new)
 
 (* Subgraph induced by [keep] (classic keep-array interface; scans all of
@@ -329,7 +329,7 @@ let induced t keep =
     end
   done;
   let new_of_old = Array.make t.n (-1) in
-  let g_sub, old_of_new = induced_sorted t ~new_of_old ~members ~k:!count in
+  let g_sub, old_of_new = induced_sorted t ~new_of_old ~members in
   (g_sub, new_of_old, old_of_new)
 
 let pp fmt t = Fmt.pf fmt "graph(n=%d, m=%d)" t.n t.m

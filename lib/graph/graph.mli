@@ -91,9 +91,10 @@ val induced_members : ?scratch:Scratch.t -> t -> int array -> t * int array * in
 (** [induced_members g members] is {!induced} driven by an explicit array
     of distinct member vertices (any order; same numbering as the
     keep-array form).  Touches only O(members + incident edges) — nothing
-    proportional to [n g] — when given a [scratch].  Ownership rule: with
-    [?scratch], the returned old-to-new map {e aliases the scratch
-    buffer}; it is valid until the next call on the same scratch and must
-    not be mutated. *)
+    proportional to [n g] — when given a [scratch].  Ownership rule: both
+    maps are read-only.  With [?scratch], the old-to-new map {e aliases the
+    scratch buffer} and is valid until the next call on the same scratch,
+    and the new-to-old map is the scratch's occupant until that call
+    ([Scratch.acquire] only reads it); it stays valid after it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -839,12 +839,15 @@ let run_join (inst : Instance.t) =
      phase as [Dfs.run] runs it, so most joins grow a partial tree that
      earlier phases built.  Each component is joined by [Join.join] on one
      state and by [Reference.Join.join] on another; after every join the
-     two trees and iteration counts must agree. *)
+     two trees and iteration counts must agree.  The replay's loop is its
+     own, so [Dfs.run] from the same root must then build the same tree. *)
+  let spanning = inst.spec.Instance.spanning in
   let root = Rng.int (Rng.create inst.spec.Instance.seed) n in
   let st = Join.create g ~root and st' = Join.create g ~root in
   let all = Array.init n Fun.id in
   let phases = ref 0 and mismatch = ref None in
-  while !mismatch = None && Join.unvisited st > 0 && !phases <= n do
+  let pending = ref (Join.unvisited_components st all) in
+  while !mismatch = None && !pending <> [] && !phases <= n do
     incr phases;
     List.iter
       (fun members ->
@@ -858,8 +861,7 @@ let run_join (inst : Instance.t) =
                 | None -> members.(0)
               in
               let cfg =
-                Config.of_part ~spanning:inst.spec.Instance.spanning ~members
-                  ~root:part_root inst.emb
+                Config.of_part ~spanning ~members ~root:part_root inst.emb
               in
               List.map (Config.to_global cfg)
                 (Separator.find cfg).Separator.separator
@@ -873,7 +875,8 @@ let run_join (inst : Instance.t) =
             || st.Join.depth <> st'.Join.depth
           then mismatch := Some (!phases, members.(0), i, i')
         end)
-      (Join.unvisited_components st all)
+      !pending;
+    pending := Join.unvisited_components st all
   done;
   ck ctx
     (match !mismatch with
@@ -883,10 +886,13 @@ let run_join (inst : Instance.t) =
         "phase %d from root %d: the join of the component of %d differs \
          from the reference (iterations %d vs %d)"
         phase root v i i')
-    (!mismatch = None && Join.unvisited st = 0);
+    (!mismatch = None && !pending = []);
   ck ctx
     (Printf.sprintf "phase-by-phase joins from root %d build a DFS tree" root)
     (Algo.is_dfs_tree g ~root ~parent:st.Join.parent);
+  ck ctx
+    (Printf.sprintf "Dfs.run from root %d builds the replayed tree" root)
+    ((Dfs.run ~spanning inst.emb ~root).Dfs.parent = st.Join.parent);
   finish ~name:"join" ctx
 
 (* ------------------------------------------------------------------ *)

@@ -160,7 +160,6 @@ module Join = struct
       | v :: rest ->
         st.parent.(v) <- prev;
         st.depth.(v) <- st.depth.(prev) + 1;
-        Atomic.decr st.unvisited;
         walk v rest
     in
     walk anchor_parent path

@@ -154,7 +154,7 @@ let build ?root_first ~rot ~root parent =
   done;
   {
     root;
-    parent = Array.copy parent;
+    parent;
     depth;
     ch_off;
     ch;

@@ -15,9 +15,11 @@ type t
 
 val build : ?root_first:int -> rot:Rotation.t -> root:int -> int array -> t
 (** [build ~rot ~root parent] packages the parent array (root has [-1]) into
-    a rooted tree.  [root_first] selects which neighbour of the root comes
-    first in its rotation — i.e. where the virtual root edge is inserted
-    (paper, Section 4); defaults to the rotation's own starting point. *)
+    a rooted tree.  The tree keeps [parent] itself, not a copy, so the
+    array is read-only from then on.  [root_first] selects which neighbour
+    of the root comes first in its rotation — i.e. where the virtual root
+    edge is inserted (paper, Section 4); defaults to the rotation's own
+    starting point. *)
 
 val n : t -> int
 val root : t -> int

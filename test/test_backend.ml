@@ -1,6 +1,7 @@
 (* The two separator backends: lookup by name, per-backend conformance on
-   deterministic families, default-path bit-identity, and cutoff-dispatch
-   determinism across pool sizes. *)
+   deterministic families, default-path bit-identity, and the small-part
+   fast path: its dispatch by part size and its determinism across pool
+   sizes. *)
 
 open Repro_graph
 open Repro_embedding
@@ -70,46 +71,92 @@ let test_default_bit_identity () =
     && d0.Decomposition.levels = d1.Decomposition.levels
     && d0.Decomposition.separator_count = d1.Decomposition.separator_count)
 
+(* [b] with every call filed in [seen], the way the benchmark's timed
+   backend wraps the registry one: the hook, the part's size and, for
+   [find], the answer's phase and the backend-collect charges it made. *)
+let observed seen (b : Backend.t) =
+  let collects rounds =
+    Option.fold ~none:0 rounds ~some:(fun r ->
+        Repro_congest.Rounds.label_invocations r Backend_collect)
+  in
+  {
+    b with
+    Backend.find =
+      (fun ?rounds cfg ->
+        let before = collects rounds in
+        let r = b.Backend.find ?rounds cfg in
+        seen :=
+          ("find", Config.n cfg, r.Separator.phase, collects rounds - before)
+          :: !seen;
+        r);
+    trim =
+      (fun ?rounds cfg s ->
+        seen := ("trim", Config.n cfg, "", 0) :: !seen;
+        b.Backend.trim ?rounds cfg s);
+  }
+
 let test_cutoff_dispatch_deterministic () =
   let emb = Gen.grid ~rows:20 ~cols:20 in
   let g = Embedded.graph emb in
   let n = Graph.n g in
   let d = Algo.diameter g in
-  let run pool =
+  let cutoff = 30 in
+  let run ?pool backend =
     let ledger = Repro_congest.Rounds.create ~n ~d:(max 1 d) () in
-    let t =
-      Decomposition.build ~rounds:ledger ?pool ~small_part_cutoff:30 emb
-    in
+    let t = Decomposition.build ~rounds:ledger ?pool ~backend emb in
     (t, Repro_congest.Rounds.total ledger)
   in
-  let t1, r1 = run None in
+  let fast = Backend.fast_path ~cutoff (Backend.default ()) in
+  let t1, r1 = run fast in
   let tn, rn =
-    Repro_util.Pool.with_pool ~seq_grain:0 ~jobs:4 (fun pool ->
-        run (Some pool))
+    Repro_util.Pool.with_pool ~seq_grain:0 ~jobs:4 (fun pool -> run ~pool fast)
   in
   Alcotest.(check bool) "decomposition bit-identical across pool sizes" true
-    (t1.Decomposition.pieces = tn.Decomposition.pieces
-    && t1.Decomposition.separator = tn.Decomposition.separator
-    && t1.Decomposition.levels = tn.Decomposition.levels
-    && t1.Decomposition.separator_count = tn.Decomposition.separator_count);
+    (t1 = tn);
   Alcotest.(check bool)
     (Printf.sprintf "charged rounds identical (%.1f vs %.1f)" r1 rn)
     true (r1 = rn);
   Alcotest.(check bool) "fast path produced a valid decomposition" true
-    (Decomposition.check emb ~piece_target:20 t1)
+    (Decomposition.check emb ~piece_target:20 t1);
+  (* The fast path around a counting default backend: the default sees
+     exactly the parts above the cutoff, and the others answer from
+     lt-level with one collect charge each. *)
+  let inner = ref [] and outer = ref [] in
+  let tw, rw =
+    run
+      (observed outer
+         (Backend.fast_path ~cutoff (observed inner (Backend.default ()))))
+  in
+  let small, large = List.partition (fun (_, k, _, _) -> k <= cutoff) !outer in
+  Alcotest.(check bool) "parts on both sides of the cutoff" true
+    (small <> [] && large <> []);
+  Alcotest.(check (list (pair string int)))
+    "the wrapped backend sees exactly the parts above the cutoff"
+    (List.map (fun (hook, k, _, _) -> (hook, k)) large)
+    (List.map (fun (hook, k, _, _) -> (hook, k)) !inner);
+  List.iter
+    (fun (hook, k, phase, collects) ->
+      if hook = "find" then
+        Alcotest.(check (pair string int))
+          (Printf.sprintf "part of %d: lt-level, one collect" k)
+          ("lt-level", 1) (phase, collects))
+    small;
+  Alcotest.(check bool) "wrapped counter = unwrapped fast path" true
+    (tw = t1 && rw = r1)
 
 let test_dfs_with_cutoff () =
   let emb = Gen.grid_diag ~seed:7 ~rows:12 ~cols:12 () in
   let g = Embedded.graph emb in
   let root = Embedded.outer emb in
-  let r = Dfs.run ~small_part_cutoff:25 emb ~root in
+  let fast cutoff = Backend.fast_path ~cutoff (Backend.default ()) in
+  let r = Dfs.run ~backend:(fast 25) emb ~root in
   Alcotest.(check bool) "DFS with fast path verifies" true
     (Dfs.verify emb ~root r);
   Alcotest.(check bool) "centralized phase fired on small components" true
     (List.mem_assoc "lt-level" r.Dfs.separator_phases);
   (* Cutoff covering every component: all non-trivial separators come from
      the centralized backend, and the tree is still a DFS tree. *)
-  let r_all = Dfs.run ~small_part_cutoff:(Graph.n g) emb ~root in
+  let r_all = Dfs.run ~backend:(fast (Graph.n g)) emb ~root in
   Alcotest.(check bool) "DFS fully centralized verifies" true
     (Dfs.verify emb ~root r_all);
   Alcotest.(check bool) "only trivial/lt-level phases fire" true

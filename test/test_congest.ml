@@ -265,7 +265,10 @@ let test_every_label_charged () =
             (Dfs.run ~rounds ~spanning:(Repro_tree.Spanning.Random 5) emb
                ~root:(n / 2)));
       run emb (fun rounds ->
-          ignore (Decomposition.build ~rounds ~small_part_cutoff:30 emb));
+          ignore
+            (Decomposition.build ~rounds
+               ~backend:(Backend.fast_path ~cutoff:30 (Backend.default ()))
+               emb));
       let cfg = Config.of_embedded emb in
       run emb (fun rounds ->
           ignore (Separator.shrink ~rounds cfg (Separator.find cfg).separator));

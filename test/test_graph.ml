@@ -71,12 +71,17 @@ let test_induced_members_scratch () =
     for v = 0 to Graph.n sub_k - 1 do
       Alcotest.(check (array int)) "sub row"
         (Graph.neighbors sub_k v) (Graph.neighbors sub_m v)
-    done
+    done;
+    new2old_m
   in
   (* Two calls on overlapping member sets through ONE scratch: the second
-     must see a clean map (the un-mark pass between calls). *)
-  check [| 3; 1; 7; 12; 30; 21; 9 |];
-  check [| 5; 7; 2; 21; 33; 14 |]
+     must see a clean map (the un-mark pass between calls), and the first
+     call's new->old map, the scratch's occupant until then, must come out
+     of it unchanged. *)
+  let first = check [| 3; 1; 7; 12; 30; 21; 9 |] in
+  ignore (check [| 5; 7; 2; 21; 33; 14 |]);
+  Alcotest.(check (array int)) "first new->old kept, sorted"
+    [| 1; 3; 7; 9; 12; 21; 30 |] first
 
 (* [induced_members] orders its members by an insertion sort up to 32 of
    them and by a radix sort on bytes beyond: on a graph of more than 2^16

@@ -125,7 +125,8 @@ let small =
 let small_instances pool =
   let modes =
     [ ("jobs=1", None, None); ("jobs=2", Some pool, None);
-      ("jobs=1:cutoff=256", None, Some 256) ]
+      ("jobs=1:cutoff=256", None,
+       Some (Backend.fast_path ~cutoff:256 (Backend.default ()))) ]
   in
   List.iter
     (fun (instance, ((emb, _) as g)) ->
@@ -135,21 +136,20 @@ let small_instances pool =
           (Decomposition.build ~piece_target:300 emb).pieces
       in
       List.iter
-        (fun (mode, pool, small_part_cutoff) ->
+        (fun (mode, pool, backend) ->
           let run workload solve = line ~workload ~instance ~mode g solve in
           run "dfs" (fun rounds ->
               dfs_out
-                (Dfs.run ~rounds ?pool ?small_part_cutoff emb
+                (Dfs.run ~rounds ?pool ?backend emb
                    ~root:(Embedded.outer emb)));
           run "decomposition" (fun rounds ->
               decomposition_out
-                (Decomposition.build ~rounds ?pool ~piece_target
-                   ?small_part_cutoff emb));
+                (Decomposition.build ~rounds ?pool ~piece_target ?backend emb));
           run "bounded-diameter" (fun rounds ->
               decomposition_out
-                (Decomposition.bounded_diameter ~rounds ?pool
-                   ?small_part_cutoff ~diameter_target:8 emb));
-          if small_part_cutoff = None then
+                (Decomposition.bounded_diameter ~rounds ?pool ?backend
+                   ~diameter_target:8 emb));
+          if Option.is_none backend then
             run "find-partition" (fun rounds ->
                 Separator.find_partition ~rounds ?pool emb ~parts
                 |> List.map (fun (_, r) -> separator_out r)
