@@ -22,6 +22,13 @@
    lines print the in-process canonical replay's [response_hash] and
    [charged_rounds] as they are.
 
+   The [dfs-fallthrough] lines are four random-root DFS runs on small
+   grids and triangulated grids chosen to reach Phase 4's fall-through,
+   which no other line reaches: the next heavy face
+   ([sep.phase4-next-face]) and the maximal hiding edge ([4-hidden],
+   [Hidden.maximal_hiding_edge]).  The digest fails if they stop reaching
+   either.
+
    The [exec:*] lines pin the executed CONGEST layer, which no ledger
    sees: each is one run of a [Prim] runner, a [Collective] batch or a
    [Composed] subroutine (batched and [Reference]; JOIN's elections through
@@ -81,8 +88,7 @@ let ledger_out rounds =
   |> Printf.sprintf "%h\n%s" (Rounds.total rounds)
 
 (* One traced, charged run of [solve] on [emb] of diameter [d]. *)
-let line ~workload ~instance ~mode (emb, d) solve =
-  let trace = Trace.create () in
+let line ?(trace = Trace.create ()) ~workload ~instance ~mode (emb, d) solve =
   let rounds = Rounds.create ~trace ~n:(Embedded.n emb) ~d () in
   let out = solve rounds in
   Printf.printf "%s %s %s out=%s ledger=%s trace=%s\n%!" workload instance mode
@@ -169,6 +175,40 @@ let random_roots () =
         dfs_out
           (Dfs.run ~rounds ~spanning:(Spanning.Random seed) emb ~root))
   done
+
+(* Random-root DFS on small grids (even runs) and triangulated grids (odd
+   runs) over a [Random run] tree: run [i] draws n = 50 + [Rng.int 251]
+   and then the root from [Rng.create (1000 + i)], with generator seed
+   [i].  These few runs reach Phase 4's fall-through, which no other line
+   does: in runs 19 and 44 every candidate of the minimal heavy face fails
+   and Phase 4 tries the next heavy face ([sep.phase4-next-face]); runs
+   1692 and 2191 separate through a maximal hiding edge ([4-hidden]). *)
+let fallthrough () =
+  let rec has_span name (s : Trace.span) =
+    s.name = name || List.exists (has_span name) s.children
+  in
+  let next_face = ref false and hidden = ref false in
+  List.iter
+    (fun run ->
+      let family = if run mod 2 = 0 then "grid" else "tgrid" in
+      let rng = Rng.create (1000 + run) in
+      let n = 50 + Rng.int rng 251 in
+      let ((emb, _) as g) = graph family ~n ~seed:run in
+      let root = Rng.int rng (Embedded.n emb) in
+      let trace = Trace.create () in
+      line ~trace ~workload:"dfs-fallthrough"
+        ~instance:
+          (Printf.sprintf "%s:root=%d:tree=random%d"
+             (instance family ~n ~seed:run) root run)
+        ~mode:"jobs=1" g (fun rounds ->
+          let r = Dfs.run ~rounds ~spanning:(Spanning.Random run) emb ~root in
+          if List.mem_assoc "4-hidden" r.separator_phases then hidden := true;
+          dfs_out r);
+      if has_span "sep.phase4-next-face" (Trace.root trace) then
+        next_face := true)
+    [ 19; 44; 1692; 2191 ];
+  if not (!next_face && !hidden) then
+    failwith "digest: the dfs-fallthrough runs miss Phase 4's fall-through"
 
 (* An output's bytes, shared substructure expanded: the same value
    marshals to the same string whatever its allocation history. *)
@@ -366,5 +406,6 @@ let () =
   benchmark_graphs ();
   Pool.with_pool ~seq_grain:0 ~jobs:2 small_instances;
   random_roots ();
+  fallthrough ();
   List.iter serve_replay [ 1; 2 ];
   List.iter executed [ "stacked"; "tgrid"; "grid" ]
