@@ -448,7 +448,7 @@ let e6 () =
                   incr checked;
                   if Weights.weight cfg ~u ~v <> Weights.count_reference cfg ~u ~v
                   then incr bad)
-                (Config.fundamental_edges cfg))
+                (Weights.edges (Weights.all_weights cfg)))
             [ 1; 2; 3; 4 ];
           Table.add_row t
             [
@@ -721,7 +721,7 @@ let e10 () =
             hstats.Composed.rounds hstats.Composed.messages
         end
       end)
-    (Config.fundamental_edges cfg256)
+    (Weights.edges (Weights.all_weights cfg256))
 
 (* ------------------------------------------------------------------ *)
 (* F2: separator size vs sqrt(n).                                      *)

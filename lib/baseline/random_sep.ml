@@ -50,7 +50,8 @@ let find ?rounds ~seed ~samples cfg =
   (* Sampling replaces the deterministic weights but costs the same
      aggregation schedule. *)
   Rounds.charge rounds Weights;
-  let fundamental = Config.fundamental_edges cfg in
+  let ws = Weights.all_weights cfg in
+  let k = Array.length ws.w in
   let fallback () =
     (* Where estimation finds nothing, the randomized algorithm restarts
        with more samples; for the comparison we fall back to the
@@ -64,25 +65,22 @@ let find ?rounds ~seed ~samples cfg =
       fell_back = true;
     }
   in
-  if fundamental = [] || n <= 3 then fallback ()
+  if k = 0 || n <= 3 then fallback ()
   else begin
     let estimates =
-      List.map
-        (fun (u, v) -> ((u, v), estimate_weight cfg rng ~samples ~u ~v))
-        fundamental
+      Array.init k (fun i ->
+          estimate_weight cfg rng ~samples ~u:ws.u.(i) ~v:ws.v.(i))
     in
-    let candidate =
-      List.find_opt (fun (_, est) -> 3 * est >= n && 3 * est <= 2 * n) estimates
-    in
-    match candidate with
-    | Some ((u, v), est) ->
+    let in_window est = 3 * est >= n && 3 * est <= 2 * n in
+    match Array.find_index in_window estimates with
+    | Some i ->
       Rounds.charge rounds Mark_path;
-      let path = Repro_tree.Rooted.path tree u v in
+      let path = Repro_tree.Rooted.path tree ws.u.(i) ws.v.(i) in
       {
         separator = path;
         balanced = Check.balanced cfg path;
-        estimate_used = est;
-        exact_weight = Weights.weight cfg ~u ~v;
+        estimate_used = estimates.(i);
+        exact_weight = ws.w.(i);
         fell_back = false;
       }
     | None -> fallback ()

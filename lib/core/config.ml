@@ -108,17 +108,3 @@ let of_part ?(spanning = Spanning.Bfs) ~members ~root emb =
    tree built elsewhere (the testkit's instances, tests, benchmarks). *)
 let of_parts ~graph ~rot ~tree =
   { graph; rot; tree; root_first = None; to_global = None }
-
-(* Real fundamental edges of T: the non-tree edges of G, normalized so that
-   pi_left(u) < pi_left(v). *)
-let fundamental_edges t =
-  let acc = ref [] in
-  Graph.iter_edges t.graph (fun a b ->
-      if Rooted.parent t.tree a <> b && Rooted.parent t.tree b <> a then begin
-        let u, v =
-          if Rooted.pi_left t.tree a < Rooted.pi_left t.tree b then (a, b)
-          else (b, a)
-        in
-        acc := (u, v) :: !acc
-      end);
-  !acc

@@ -35,41 +35,47 @@ let hides cfg ~e:(u, v) ~t (a, b) =
   if a <> u && b <> u then true (* condition 1 *)
   else not (subtree_part_in_face cfg ~e:(u, v) ~f:(a, b)) (* condition 2 *)
 
-let hiding_edges cfg ~e ~t =
-  List.filter (hides cfg ~e ~t) (Config.fundamental_edges cfg)
+let edge (ws : Weights.t) i = (ws.u.(i), ws.v.(i))
 
-let is_hidden cfg ~e ~t = List.exists (hides cfg ~e ~t) (Config.fundamental_edges cfg)
+(* Indices of the table's edges that hide [t], in index order. *)
+let hiding cfg ws ~e ~t =
+  let acc = ref [] in
+  for i = Array.length ws.Weights.w - 1 downto 0 do
+    if hides cfg ~e ~t (edge ws i) then acc := i :: !acc
+  done;
+  !acc
+
+let hiding_edges cfg ws ~e ~t = List.map (edge ws) (hiding cfg ws ~e ~t)
+
+let is_hidden cfg ws ~e ~t =
+  let k = Array.length ws.Weights.w in
+  let rec from i = i < k && (hides cfg ~e ~t (edge ws i) || from (i + 1)) in
+  from 0
 
 (* The hiding edge not contained in any other hiding edge (NOT-CONTAINED,
    Lemma 17, restricted to the hiding set).  Resolved by an explicit
    pairwise containment scan — the hiding set is small in practice — with
-   weight as the priority order among the maximal edges. *)
-let maximal_hiding_edge cfg ~e ~t =
-  match hiding_edges cfg ~e ~t with
+   the table's weight as the priority order among the maximal edges, ties
+   to the smaller edge. *)
+let maximal_hiding_edge cfg (ws : Weights.t) ~e ~t =
+  match hiding cfg ws ~e ~t with
   | [] -> None
-  | edges ->
-    let strictly_contained f f' =
-      f <> f'
-      && Faces.edge_in_face cfg ~e:f' ~f
-      && not (Faces.edge_in_face cfg ~e:f ~f:f')
+  | hs ->
+    let strictly_contained i j =
+      i <> j
+      && Faces.edge_in_face cfg ~e:(edge ws j) ~f:(edge ws i)
+      && not (Faces.edge_in_face cfg ~e:(edge ws i) ~f:(edge ws j))
     in
     let maximal =
-      List.filter
-        (fun f -> not (List.exists (fun f' -> strictly_contained f f') edges))
-        edges
+      List.filter (fun i -> not (List.exists (strictly_contained i) hs)) hs
     in
-    let candidates = if maximal = [] then edges else maximal in
-    let weighted =
-      List.map (fun (a, b) -> ((a, b), Weights.weight cfg ~u:a ~v:b)) candidates
+    let candidates = if maximal = [] then hs else maximal in
+    let better i j =
+      ws.w.(i) > ws.w.(j) || (ws.w.(i) = ws.w.(j) && edge ws i < edge ws j)
     in
     let best =
       List.fold_left
-        (fun acc ((a, b), w) ->
-          match acc with
-          | None -> Some ((a, b), w)
-          | Some ((a', b'), w') ->
-            if w > w' || (w = w' && (a, b) < (a', b')) then Some ((a, b), w)
-            else Some ((a', b'), w'))
-        None weighted
+        (fun b i -> if better i b then i else b)
+        (List.hd candidates) candidates
     in
-    Option.map fst best
+    Some (edge ws best)

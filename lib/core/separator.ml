@@ -252,8 +252,8 @@ let pi_for_case cfg = function
 
 (* Phase 4 on the minimal heavy face F_e, augmented from u (Lemma 7): the
    sweep hits, then the maximal hiding edge of each hit, then the border
-   itself. *)
-let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
+   itself.  [ws] is Phase 1's table, which the hiding tests range over. *)
+let heavy_face_candidates ?rounds cfg ver tried ws ~u ~v =
   let n = Config.n cfg in
   let case = Faces.classify cfg ~u ~v in
   Rounds.charge rounds Detect_face;
@@ -274,7 +274,7 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
         try_path ?rounds cfg ver tried ~batch:"phase4" ~phase:"4-augmented"
           ~closing:None (u, t)
         |> Option.map (fun r ->
-               if Hidden.is_hidden cfg ~e:(u, v) ~t then r
+               if Hidden.is_hidden cfg ws ~e:(u, v) ~t then r
                else { r with endpoints = Some (u, t) }))
       hits
   in
@@ -282,7 +282,7 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
     List.map
       (fun t () ->
         Rounds.charge rounds Hidden;
-        match Hidden.maximal_hiding_edge cfg ~e:(u, v) ~t with
+        match Hidden.maximal_hiding_edge cfg ws ~e:(u, v) ~t with
         | None -> None
         | Some (z1, z2) ->
           (* Claim 6 certifies the virtual edge u-z2. *)
@@ -388,7 +388,9 @@ let find ?rounds cfg =
                other heavy face (NOT-CONTAINS, Lemma 18).  Containment can
                only hold within the minimum-weight tier. *)
             Rounds.charge rounds Not_contained;
-            let face (u, v) () = heavy_face_candidates ?rounds cfg ver tried ~u ~v in
+            let face (u, v) () =
+              heavy_face_candidates ?rounds cfg ver tried ws ~u ~v
+            in
             let e = pick_not_contains cfg (weight_tier ws ~best:wmin) in
             match face e () with
             | Some _ as r -> r

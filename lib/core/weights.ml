@@ -3,12 +3,12 @@
 
    [all_weights] computes Definition 2 for every real fundamental edge in
    one O(m) pass over the rotation system, as Lemma 12 computes WEIGHTS in
-   one batch; it is what the separator's Phase 1 uses.  [weight] is the
-   per-edge statement of Definition 2: an O(deg(u) + deg(v)) formula
-   built from the LEFT/RIGHT DFS orders, subtree sizes, depths and the
-   locally-computable p-terms, kept for single-edge callers and as the
-   reference the one-pass weights are checked against.  Lemmas 3 and 4
-   state what it counts:
+   one batch; it is what the separator's Phase 1 uses, and its table is
+   the only record of which edges are fundamental.  [weight] is the
+   per-edge statement of Definition 2: a formula built from the LEFT/RIGHT
+   DFS orders, subtree sizes, depths and the locally-computable p-terms,
+   kept as the reference the one-pass weights are checked against.
+   Lemmas 3 and 4 state what it counts:
 
    - u not an ancestor of v: |F~_e| = interior of F_e plus the border path
      from LCA(u,v) to v (w excluded, v included);
@@ -24,9 +24,8 @@ open Repro_tree
 (* Sum of subtree sizes of the children of [x] hanging inside F_e.  This is
    the paper's p_{F_e}(x): the number of nodes of F_e in the strict subtree
    of x.  The inside children form one clockwise row interval
-   ([Faces.inside_range], two binary searches), so the sum is one
-   difference of the tree's child prefix sums: O(log deg(x)) instead of a
-   scan over every child of x. *)
+   ([Faces.inside_range], two binary searches), summed over that interval
+   alone. *)
 let p_term cfg ~u ~v ~case x =
   let lo, hi = Faces.inside_range cfg ~u ~v ~case x in
   Rooted.children_size_between (Config.tree cfg) x lo hi
@@ -73,16 +72,18 @@ let count_reference cfg ~u ~v =
    with their weights w.(i). *)
 type t = { u : int array; v : int array; w : int array }
 
+let edges ws = List.init (Array.length ws.w) (fun i -> (ws.u.(i), ws.v.(i)))
+
 let to_list ws =
   List.init (Array.length ws.w) (fun i -> ((ws.u.(i), ws.v.(i)), ws.w.(i)))
 
 (* Weights of all real fundamental edges (Phase-1 precomputation,
-   WEIGHTS-PROBLEM / Lemma 12), in [Config.fundamental_edges] order, in one
-   O(m) pass.  Each vertex's rotation is walked once, clockwise from its
-   anchor, recording for every dart x->y the summed subtree sizes of the
-   children of x met before y ([before]); at a child c that sum is [sib c],
-   the sizes of its earlier siblings.  The p-terms of Definition 2 are then
-   differences of these sums, with z the child of u towards v:
+   WEIGHTS-PROBLEM / Lemma 12) in one O(m) pass.  Each vertex's rotation
+   is walked once, clockwise from its anchor, recording for every dart
+   x->y the summed subtree sizes of the children of x met before y
+   ([before]); at a child c that sum is [sib c], the sizes of its earlier
+   siblings.  The p-terms of Definition 2 are then differences of these
+   sums, with z the child of u towards v:
 
    - Unrelated: p(u) = before(u->v), p(v) = size v - 1 - before(v->u);
    - Anc_right: p(u) = before(u->v) - (sib z + size z), p(v) as above;
@@ -134,11 +135,10 @@ let all_weights cfg =
       bu + (size v - 1 - bv) + pl v - (pl u + size u) + 1
   in
   (* The spanning tree takes n - 1 of the m edges; the other m - n + 1
-     are filled from the back, so index order is the order in which
-     [Config.fundamental_edges] prepends them.  Edges come as in
-     [Graph.iter_edges]: (x, y), x < y, by increasing x.  Rows are sorted,
-     so the x's reaching a given y arrive in the order of y's row, and
-     [next.(y)] is the slot of x in that row. *)
+     are filled from the back.  Edges come as in [Graph.iter_edges]:
+     (x, y), x < y, by increasing x.  Rows are sorted, so index order is
+     decreasing (x, y), and the x's reaching a given y arrive in the order
+     of y's row: [next.(y)] is the slot of x in that row. *)
   let k = Graph.m g - n + 1 in
   let ws = { u = Array.make k 0; v = Array.make k 0; w = Array.make k 0 } in
   let i = ref k in

@@ -105,6 +105,21 @@ let tree_depth tree =
 
 let take k xs = List.filteri (fun i _ -> i < k) xs
 
+(* The real fundamental edges by a scan of its own: every non-tree edge of
+   [cfg]'s tree, oriented so that pi_left u < pi_left v, last
+   [Graph.iter_edges] edge first.  Ground truth for the edge list of
+   [Weights.all_weights], the only one the library keeps. *)
+let fundamental_reference cfg =
+  let tree = Config.tree cfg in
+  let acc = ref [] in
+  Graph.iter_edges (Config.graph cfg) (fun a b ->
+      if Rooted.parent tree a <> b && Rooted.parent tree b <> a then
+        acc :=
+          (if Rooted.pi_left tree a < Rooted.pi_left tree b then (a, b)
+           else (b, a))
+          :: !acc);
+  !acc
+
 (* Largest component of G minus [removed], counted by BFS over
    [Algo.restricted_components]: the independent count that
    [Check.max_component_without]'s union-find is cross-checked against. *)
@@ -463,7 +478,7 @@ let run_collective (inst : Instance.t) =
   let ws', _ = Composed.Reference.weights g lv in
   ck ctx "weights = serial oracle" (ws = ws');
   ck ctx "weights cover all fundamental edges"
-    (List.length ws = List.length (Config.fundamental_edges inst.config));
+    (List.length ws = List.length (fundamental_reference inst.config));
   ck ctx "weights = centralized Definition 2"
     (List.for_all
        (fun ((u, v), w) -> w = Weights.weight inst.config ~u ~v)
@@ -480,7 +495,7 @@ let run_collective (inst : Instance.t) =
 (* p_{F_e}(x) by per-child enumeration: scan every tree child of border
    node [x], keep those off the border that [Faces.child_inside] puts
    inside F_e, and sum their subtree sizes.  O(deg(x) log n) — ground
-   truth for the prefix-sum [Weights.p_term]. *)
+   truth for the row-interval [Weights.p_term]. *)
 let p_term_reference cfg ~u ~v ~case x =
   let tree = Config.tree cfg in
   Rooted.fold_children tree x
@@ -490,10 +505,39 @@ let p_term_reference cfg ~u ~v ~case x =
       else acc)
     0
 
+(* Claim 6's fallback rule with per-edge Definition 2 weights: of the
+   hiding edges not strictly contained in another, the heaviest, ties to
+   the smaller edge.  Ground truth for [Hidden.maximal_hiding_edge], which
+   reads the weights off Phase 1's table. *)
+let maximal_hiding_edge_reference cfg ws ~e ~t =
+  match Hidden.hiding_edges cfg ws ~e ~t with
+  | [] -> None
+  | edges ->
+    let strictly_contained f f' =
+      f <> f'
+      && Faces.edge_in_face cfg ~e:f' ~f
+      && not (Faces.edge_in_face cfg ~e:f ~f:f')
+    in
+    let maximal =
+      List.filter (fun f -> not (List.exists (strictly_contained f) edges)) edges
+    in
+    let weighted =
+      List.map
+        (fun (a, b) -> (Weights.weight cfg ~u:a ~v:b, (a, b)))
+        (if maximal = [] then edges else maximal)
+    in
+    let heavier (w, f) (w', f') = w > w' || (w = w' && f < f') in
+    Some
+      (snd
+         (List.fold_left
+            (fun b c -> if heavier c b then c else b)
+            (List.hd weighted) weighted))
+
 let run_faces (inst : Instance.t) =
   let ctx = ctx_create () in
   let g = Config.graph inst.config in
   let tree = Config.tree inst.config in
+  let ws = Weights.all_weights inst.config in
   let lv = local_view_of (Config.rot inst.config) tree in
   let d = tree_depth tree in
   List.iter
@@ -539,31 +583,35 @@ let run_faces (inst : Instance.t) =
         ck ctx (Printf.sprintf "hidden(t=%d) = serial oracle" t) (h = h');
         ck ctx "hidden = centralized Definition 4"
           (Array.to_list h |> List.concat |> List.sort_uniq compare
-          = (Hidden.hiding_edges inst.config ~e:(u, v) ~t |> List.sort compare));
+          = (Hidden.hiding_edges inst.config ws ~e:(u, v) ~t
+            |> List.sort compare));
+        ck ctx
+          (Printf.sprintf "maximal hiding edge(t=%d) = per-edge weight rule" t)
+          (Hidden.maximal_hiding_edge inst.config ws ~e:(u, v) ~t
+          = maximal_hiding_edge_reference inst.config ws ~e:(u, v) ~t);
         bud ctx "hidden" sth.Composed.rounds ((10 * (d + 3)) + 160))
-    (take 3 (Config.fundamental_edges inst.config));
-  (* The one-pass weights equal per-edge Definition 2 on every fundamental
-     edge: of the instance's configuration, and of the whole graph as a
-     part rooted at the seeded random root the "dfs" oracle draws
+    (take 3 (Weights.edges ws));
+  (* Phase 1's table lists exactly the real fundamental edges, in the
+     reference scan's order, and its one-pass weights equal per-edge
+     Definition 2: of the instance's configuration, and of the whole graph
+     as a part rooted at the seeded random root the "dfs" oracle draws
      ([root_first] = None: the DFS-component case). *)
-  let weights_per_edge cfg =
-    Weights.to_list (Weights.all_weights cfg)
-    = List.map
-        (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v))
-        (Config.fundamental_edges cfg)
+  let check_table label cfg =
+    let ws = Weights.all_weights cfg in
+    ck ctx ("table = non-tree edge scan" ^ label)
+      (Weights.edges ws = fundamental_reference cfg);
+    ck ctx ("one-pass weights = per-edge Definition 2" ^ label)
+      (List.for_all
+         (fun ((u, v), w) -> w = Weights.weight cfg ~u ~v)
+         (Weights.to_list ws))
   in
-  ck ctx "one-pass weights = per-edge Definition 2"
-    (weights_per_edge inst.config);
+  check_table "" inst.config;
   let n = Graph.n g in
   let root = Rng.int (Rng.create inst.spec.Instance.seed) n in
-  let part =
-    Config.of_part ~spanning:inst.spec.Instance.spanning
-      ~members:(Array.init n Fun.id) ~root inst.emb
-  in
-  ck ctx
-    (Printf.sprintf "one-pass weights = per-edge Definition 2 (part, root %d)"
-       root)
-    (weights_per_edge part);
+  check_table
+    (Printf.sprintf " (part, root %d)" root)
+    (Config.of_part ~spanning:inst.spec.Instance.spanning
+       ~members:(Array.init n Fun.id) ~root inst.emb);
   finish ~name:"faces" ctx
 
 (* ------------------------------------------------------------------ *)

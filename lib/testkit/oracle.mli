@@ -45,8 +45,8 @@ val p_term_reference :
   int
 (** p_{F_e}(x) by per-child enumeration: every tree child of border node
     [x] tested with {!Repro_core.Faces.child_inside}.  Ground truth for the
-    prefix-sum {!Repro_core.Weights.p_term} in the ["faces"] oracle and the
-    weight tests. *)
+    row-interval {!Repro_core.Weights.p_term} in the ["faces"] oracle and
+    the weight tests. *)
 
 val shrink_reference :
   ?rounds:Repro_congest.Rounds.t -> Repro_core.Config.t -> int list -> int list

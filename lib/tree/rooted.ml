@@ -20,10 +20,8 @@ type t = {
   depth : int array;
   ch_off : int array; (* n + 1 offsets into ch *)
   ch : int array; (* n - 1 children, clockwise, parent edge first *)
-  ch_size_pre : int array; (* prefix sums of subtree sizes along ch *)
   size : int array; (* n_T(v): nodes in the subtree rooted at v *)
   pi_left : int array; (* LEFT-DFS-ORDER position, 0-based *)
-  pi_right : int array; (* RIGHT-DFS-ORDER position, 0-based *)
   left_at : int array; (* inverse of pi_left *)
 }
 
@@ -49,13 +47,21 @@ let fold_children t v f acc =
 
 let size t v = t.size.(v)
 
-(* Total subtree size of the children of [v] at row indices [i .. j - 1]:
-   one difference of the flat prefix sums, O(1). *)
+(* Total subtree size of the children of [v] at row indices [i .. j - 1]. *)
 let children_size_between t v i j =
-  t.ch_size_pre.(t.ch_off.(v) + j) - t.ch_size_pre.(t.ch_off.(v) + i)
+  let s = ref 0 in
+  for k = t.ch_off.(v) + i to t.ch_off.(v) + j - 1 do
+    s := !s + t.size.(t.ch.(k))
+  done;
+  !s
 
 let pi_left t v = t.pi_left.(v)
-let pi_right t v = t.pi_right.(v)
+
+(* RIGHT-DFS-ORDER visits children clockwise, mirroring LEFT, so its
+   pre-order is LEFT's post-order reversed: v finishes after its size v - 1
+   descendants and the pi_left v - depth v non-ancestors visited before it,
+   so pi_right v = n - 1 - (pi_left v - depth v + size v - 1). *)
+let pi_right t v = n t - t.pi_left.(v) + t.depth.(v) - t.size.(v)
 let node_at_left t i = t.left_at.(i)
 let is_leaf t v = children_count t v = 0
 
@@ -134,36 +140,12 @@ let build ?root_first ~rot ~root parent =
       size.(v) <- size.(v) + size.(ch.(j))
     done
   done;
-  let ch_size_pre = Array.make (ch_off.(n) + 1) 0 in
-  for i = 0 to ch_off.(n) - 1 do
-    ch_size_pre.(i + 1) <- ch_size_pre.(i) + size.(ch.(i))
-  done;
   (* LEFT-DFS-ORDER explores the counterclockwise-most unexplored child
-     first, i.e. the child with the greatest rotation position; RIGHT takes
-     them clockwise.  RIGHT is LEFT's mirror, so its pre-order is LEFT's
-     post-order reversed: v finishes after its size v - 1 descendants and
-     the pi_left v - depth v non-ancestors visited before it, so
-     pi_right v = n - 1 - (pi_left v - depth v + size v - 1). *)
+     first, i.e. the child with the greatest rotation position. *)
   let left_at = order in
   let pi_left = stack (* spent: every slot is rewritten below *) in
-  let pi_right = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let v = left_at.(i) in
-    pi_left.(v) <- i;
-    pi_right.(v) <- n - i + depth.(v) - size.(v)
-  done;
-  {
-    root;
-    parent;
-    depth;
-    ch_off;
-    ch;
-    ch_size_pre;
-    size;
-    pi_left;
-    pi_right;
-    left_at;
-  }
+  Array.iteri (fun i v -> pi_left.(v) <- i) left_at;
+  { root; parent; depth; ch_off; ch; size; pi_left; left_at }
 
 (* The child of [x] whose subtree holds its strict descendant [z].  LEFT
    order visits the children of [x] counterclockwise, so [pi_left]

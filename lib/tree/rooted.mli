@@ -47,10 +47,9 @@ val size : t -> int -> int
 val children_size_between : t -> int -> int -> int -> int
 (** [children_size_between t v i j] is the summed subtree size of the
     children of [v] at clockwise row indices [i .. j - 1] (unchecked:
-    [0 <= i <= j <= children_count t v]), in O(1) from a prefix-sum array
-    kept beside the flat child rows.  Children are laid out in clockwise
-    order from the parent edge, so any angular range of children is one
-    such row interval. *)
+    [0 <= i <= j <= children_count t v]), in O(j - i).  Children are laid
+    out in clockwise order from the parent edge, so any angular range of
+    children is one such row interval. *)
 
 val is_leaf : t -> int -> bool
 
@@ -60,7 +59,7 @@ val pi_left : t -> int -> int
 val pi_right : t -> int -> int
 (** RIGHT-DFS-ORDER position (0-based): the pre-order that visits each
     node's children clockwise.  RIGHT mirrors LEFT, so it is LEFT's
-    post-order reversed, and [build] sets it without a second traversal:
+    post-order reversed, and no array holds it:
     [pi_right v = n - pi_left v + depth v - size v]. *)
 
 val node_at_left : t -> int -> int

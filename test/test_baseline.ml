@@ -46,14 +46,13 @@ let test_random_sep_estimator_converges () =
   let cfg = Config.of_embedded emb in
   let rng = Repro_util.Rng.create 5 in
   List.iter
-    (fun (u, v) ->
+    (fun ((u, v), w) ->
       let est = Random_sep.estimate_weight cfg rng ~samples:4000 ~u ~v in
-      let w = Weights.weight cfg ~u ~v in
       Alcotest.(check bool)
         (Printf.sprintf "est %d close to %d" est w)
         true
         (abs (est - w) <= 3))
-    (Config.fundamental_edges cfg)
+    (Weights.to_list (Weights.all_weights cfg))
 
 let test_random_sep_high_samples_reliable () =
   let emb = Gen.stacked_triangulation ~seed:8 ~n:60 () in

@@ -264,7 +264,7 @@ let test_hidden_rounds_scale_with_depth () =
           |> function
           | [] -> None
           | t :: _ -> Some (u, v, t))
-        (Repro_core.Config.fundamental_edges cfg)
+        (Test_weights.fundamental cfg)
     in
     match instance with
     | None -> Alcotest.fail "no hidden instance in family"

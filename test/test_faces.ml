@@ -19,9 +19,9 @@ let test_fundamental_edges_are_nontree () =
         (Rooted.parent tree u = v || Rooted.parent tree v = u);
       Alcotest.(check bool) "normalized" true
         (Rooted.pi_left tree u < Rooted.pi_left tree v))
-    (Config.fundamental_edges cfg);
+    (Test_weights.fundamental cfg);
   (* m - (n-1) fundamental edges *)
-  Alcotest.(check int) "count" (12 - 8) (List.length (Config.fundamental_edges cfg))
+  Alcotest.(check int) "count" (12 - 8) (List.length (Test_weights.fundamental cfg))
 
 let test_border_is_tree_path () =
   let cfg = cfg_of (Gen.grid_diag ~seed:1 ~rows:4 ~cols:4 ()) in
@@ -34,7 +34,7 @@ let test_border_is_tree_path () =
         (fun x ->
           Alcotest.(check bool) "on_border agrees" true (Faces.on_border cfg ~u ~v x))
         b)
-    (Config.fundamental_edges cfg)
+    (Test_weights.fundamental cfg)
 
 let test_classify_cases () =
   let cfg = cfg_of ~spanning:Spanning.Dfs grid3 in
@@ -47,7 +47,7 @@ let test_classify_cases () =
           (Rooted.is_ancestor tree ~anc:u ~desc:v)
       | Faces.Anc_left | Faces.Anc_right ->
         Alcotest.(check bool) "ancestor" true (Rooted.is_ancestor tree ~anc:u ~desc:v))
-    (Config.fundamental_edges cfg)
+    (Test_weights.fundamental cfg)
 
 let test_interior_closed_under_subtrees () =
   let cfg = cfg_of ~spanning:(Spanning.Random 3) (Gen.stacked_triangulation ~seed:4 ~n:50 ()) in
@@ -65,7 +65,7 @@ let test_interior_closed_under_subtrees () =
                 (Hashtbl.mem inside c))
             (Rooted.children tree z))
         interior)
-    (Config.fundamental_edges cfg)
+    (Test_weights.fundamental cfg)
 
 let test_interior_disjoint_from_border () =
   let cfg = cfg_of (Gen.grid_diag ~seed:5 ~rows:5 ~cols:5 ()) in
@@ -76,7 +76,7 @@ let test_interior_disjoint_from_border () =
           Alcotest.(check bool) "interior not on border" false
             (Faces.on_border cfg ~u ~v z))
         (Faces.interior_reference cfg ~u ~v))
-    (Config.fundamental_edges cfg)
+    (Test_weights.fundamental cfg)
 
 (* The central consistency property: local characterization = exact
    reference, across families and spanning trees. *)
@@ -104,7 +104,7 @@ let prop_local_interior_matches_reference =
           let a = List.sort compare (Faces.interior cfg ~u ~v) in
           let b = List.sort compare (Faces.interior_reference cfg ~u ~v) in
           a = b)
-        (Config.fundamental_edges cfg))
+        (Test_weights.fundamental cfg))
 
 (* The same agreement on the part configurations the separator actually
    sees ([Config.of_part]: root_first = None, root anywhere) — the local
@@ -118,7 +118,7 @@ let prop_local_interior_matches_reference_on_parts =
             (fun (u, v) ->
               List.sort compare (Faces.interior cfg ~u ~v)
               = List.sort compare (Faces.interior_reference cfg ~u ~v))
-            (Config.fundamental_edges cfg))
+            (Test_weights.fundamental cfg))
         (Test_weights.part_configs (Test_weights.part_family which ~n ~seed)))
 
 let prop_is_inside_matches_reference =
@@ -140,7 +140,7 @@ let prop_is_inside_matches_reference =
             if Faces.is_inside cfg ~u ~v z <> Hashtbl.mem inside z then ok := false
           done;
           !ok)
-        (Config.fundamental_edges cfg))
+        (Test_weights.fundamental cfg))
 
 (* Geometric ground truth: interior nodes lie inside the drawn polygon. *)
 let prop_interior_matches_geometry =
@@ -168,7 +168,7 @@ let prop_interior_matches_geometry =
             end
           done;
           !ok)
-        (Config.fundamental_edges cfg))
+        (Test_weights.fundamental cfg))
 
 (* [on_border] against membership in the tree path, for every fundamental
    edge and vertex: every family with fundamental edges, under BFS, DFS
@@ -202,7 +202,7 @@ let prop_on_border_is_tree_path =
                       done;
                       List.iter (fun x -> on_path.(x) <- false) path;
                       !ok)
-                    (Config.fundamental_edges cfg))
+                    (Test_weights.fundamental cfg))
                 [
                   Config.of_embedded ~spanning emb;
                   Config.of_part ~spanning ~members:(Array.init nn Fun.id) ~root emb;
@@ -217,14 +217,14 @@ let test_edge_in_face_self () =
       let (u, v) = e in
       Alcotest.(check bool) "edge not in own face" false
         (Faces.edge_in_face cfg ~e ~f:(u, v)))
-    (Config.fundamental_edges cfg)
+    (Test_weights.fundamental cfg)
 
 let test_edge_in_face_region_containment () =
   (* If f is contained in F_e, then F_f's closed region lies within F_e's:
      interior(F_f) ⊆ interior(F_e) ∪ border(F_e), and the weights differ by
      at most the border length (the paper's monotonicity, made precise). *)
   let cfg = cfg_of ~spanning:Spanning.Dfs (Gen.stacked_triangulation ~seed:6 ~n:40 ()) in
-  let edges = Config.fundamental_edges cfg in
+  let edges = Test_weights.fundamental cfg in
   List.iter
     (fun e ->
       List.iter

@@ -6,9 +6,9 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* Heavy faces whose interior leaves can be hidden appear most readily on
    random spanning trees of triangulations. *)
-let heavy_faces cfg =
+let heavy_faces cfg ws =
   let n = Config.n cfg in
-  Weights.to_list (Weights.all_weights cfg)
+  Weights.to_list ws
   |> List.filter (fun (_, w) -> 3 * w > 2 * n)
   |> List.map fst
 
@@ -23,6 +23,7 @@ let test_hiding_edges_well_formed () =
     (fun seed ->
       let emb = Gen.stacked_triangulation ~seed ~n:80 () in
       let cfg = Config.of_embedded ~spanning:(Spanning.Random seed) emb in
+      let ws = Weights.all_weights cfg in
       List.iter
         (fun e ->
           List.iter
@@ -34,24 +35,25 @@ let test_hiding_edges_well_formed () =
                     (Faces.edge_in_face cfg ~e ~f:(a, b));
                   Alcotest.(check bool) "leaf inside hiding face" true
                     (Faces.is_inside cfg ~u:a ~v:b t))
-                (Hidden.hiding_edges cfg ~e ~t))
+                (Hidden.hiding_edges cfg ws ~e ~t))
             (interior_leaves cfg e))
-        (heavy_faces cfg))
+        (heavy_faces cfg ws))
     [ 1; 2; 3; 4; 5 ];
   Alcotest.(check bool) "exercised some hiding edges" true (!checked >= 0)
 
 let test_hidden_iff_hiding_edges () =
   let emb = Gen.stacked_triangulation ~seed:7 ~n:60 () in
   let cfg = Config.of_embedded ~spanning:(Spanning.Random 7) emb in
+  let ws = Weights.all_weights cfg in
   List.iter
     (fun e ->
       List.iter
         (fun t ->
           Alcotest.(check bool) "is_hidden consistent"
-            (Hidden.hiding_edges cfg ~e ~t <> [])
-            (Hidden.is_hidden cfg ~e ~t))
+            (Hidden.hiding_edges cfg ws ~e ~t <> [])
+            (Hidden.is_hidden cfg ws ~e ~t))
         (interior_leaves cfg e))
-    (Config.fundamental_edges cfg)
+    (Weights.edges ws)
 
 let test_maximal_hiding_edge_is_maximal () =
   (* The returned edge is never strictly contained in another hiding edge. *)
@@ -60,11 +62,12 @@ let test_maximal_hiding_edge_is_maximal () =
     (fun seed ->
       let emb = Gen.stacked_triangulation ~seed ~n:100 () in
       let cfg = Config.of_embedded ~spanning:(Spanning.Random seed) emb in
+      let ws = Weights.all_weights cfg in
       List.iter
         (fun e ->
           List.iter
             (fun t ->
-              match Hidden.maximal_hiding_edge cfg ~e ~t with
+              match Hidden.maximal_hiding_edge cfg ws ~e ~t with
               | None -> ()
               | Some f ->
                 incr found;
@@ -74,9 +77,9 @@ let test_maximal_hiding_edge_is_maximal () =
                       Alcotest.(check bool) "not strictly contained" false
                         (Faces.edge_in_face cfg ~e:f' ~f
                         && not (Faces.edge_in_face cfg ~e:f ~f:f')))
-                  (Hidden.hiding_edges cfg ~e ~t))
+                  (Hidden.hiding_edges cfg ws ~e ~t))
             (interior_leaves cfg e))
-        (heavy_faces cfg))
+        (heavy_faces cfg ws))
     [ 3; 8; 13 ];
   (* The property is vacuous if no hidden leaf ever appears; that is fine —
      the separator stress already covers the hidden branch indirectly. *)
@@ -87,12 +90,13 @@ let test_unhidden_on_empty_faces () =
      inside are rarely hidden; sanity-check the predicate runs cleanly. *)
   let emb = Gen.grid_diag ~seed:2 ~rows:8 ~cols:8 () in
   let cfg = Config.of_embedded emb in
+  let ws = Weights.all_weights cfg in
   List.iter
     (fun e ->
       List.iter
-        (fun t -> ignore (Hidden.is_hidden cfg ~e ~t))
+        (fun t -> ignore (Hidden.is_hidden cfg ws ~e ~t))
         (interior_leaves cfg e))
-    (Config.fundamental_edges cfg);
+    (Weights.edges ws);
   Alcotest.(check pass) "no exception" () ()
 
 let prop_subtree_part_consistency =
@@ -103,6 +107,7 @@ let prop_subtree_part_consistency =
     (fun (n, seed) ->
       let emb = Gen.stacked_triangulation ~seed ~n () in
       let cfg = Config.of_embedded ~spanning:(Spanning.Random seed) emb in
+      let ws = Weights.all_weights cfg in
       List.for_all
         (fun ((u, v) as e) ->
           List.for_all
@@ -113,9 +118,9 @@ let prop_subtree_part_consistency =
                     (* Condition 2 fired: the subtree part is NOT inside. *)
                     not (Hidden.subtree_part_in_face cfg ~e ~f)
                   else true)
-                (Hidden.hiding_edges cfg ~e ~t))
+                (Hidden.hiding_edges cfg ws ~e ~t))
             (interior_leaves cfg (u, v)))
-        (heavy_faces cfg))
+        (heavy_faces cfg ws))
 
 let suites =
   Repro_testkit.Suite.make __MODULE__

@@ -5,12 +5,14 @@ open Repro_core
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* The one-pass weights equal per-edge Definition 2, list for list. *)
+(* The real fundamental edges, as Phase 1's table lists them. *)
+let fundamental cfg = Weights.edges (Weights.all_weights cfg)
+
+(* The one-pass weights equal per-edge Definition 2 on every edge. *)
 let one_pass_weights_exact cfg =
-  Weights.to_list (Weights.all_weights cfg)
-  = List.map
-      (fun (u, v) -> ((u, v), Weights.weight cfg ~u ~v))
-      (Config.fundamental_edges cfg)
+  List.for_all
+    (fun ((u, v), w) -> w = Weights.weight cfg ~u ~v)
+    (Weights.to_list (Weights.all_weights cfg))
 
 (* The core experiment-E6 property: Definition 2 equals its proven meaning
    (Lemmas 3/4), i.e. the exact count from the reference interior, and the
@@ -20,7 +22,7 @@ let weights_exact emb spanning =
   one_pass_weights_exact cfg
   && List.for_all
        (fun (u, v) -> Weights.weight cfg ~u ~v = Weights.count_reference cfg ~u ~v)
-       (Config.fundamental_edges cfg)
+       (fundamental cfg)
 
 let test_weights_grid () =
   List.iter
@@ -73,7 +75,7 @@ let prop_weight_bounds_interior =
           let interior = List.length (Faces.interior_reference cfg ~u ~v) in
           let border = List.length (Faces.border cfg ~u ~v) in
           interior <= w && w <= interior + border)
-        (Config.fundamental_edges cfg))
+        (fundamental cfg))
 
 (* Lemma 5 soundness: weight in range implies the border path is balanced. *)
 let prop_lemma5_soundness =
@@ -119,7 +121,7 @@ let test_outside_split_partition () =
           Alcotest.(check bool) "disjoint" false (Hashtbl.mem seen z);
           Hashtbl.replace seen z ())
         (fl @ fr @ interior @ border))
-    (Config.fundamental_edges cfg)
+    (fundamental cfg)
 
 let test_p_term_matches_subtree_count () =
   let cfg =
@@ -139,7 +141,7 @@ let test_p_term_matches_subtree_count () =
         (Printf.sprintf "p(v) e=(%d,%d)" u v)
         (count_in_subtree v)
         (Weights.p_term cfg ~u ~v ~case v))
-    (Config.fundamental_edges cfg)
+    (fundamental cfg)
 
 (* ------------------------------------------------------------------ *)
 (* Part configurations: what Dfs.run and Decomposition.build hand to    *)
@@ -225,7 +227,7 @@ let prop_p_term_prefix_sums_on_parts =
                   Weights.p_term cfg ~u ~v ~case x
                   = Repro_testkit.Oracle.p_term_reference cfg ~u ~v ~case x)
                 (Faces.border cfg ~u ~v))
-            (Config.fundamental_edges cfg))
+            (fundamental cfg))
         (part_configs (part_family which ~n ~seed)))
 
 let prop_weights_exact_on_parts =
@@ -236,7 +238,7 @@ let prop_weights_exact_on_parts =
           one_pass_weights_exact cfg
           && List.for_all
             (fun (u, v) -> Weights.weight cfg ~u ~v = Weights.count_reference cfg ~u ~v)
-            (Config.fundamental_edges cfg))
+            (fundamental cfg))
         (part_configs (part_family which ~n ~seed)))
 
 let suites =

@@ -255,7 +255,8 @@ let executed family =
       }
   in
   let cfg = Config.of_parts ~graph:g ~rot ~tree in
-  let u, v = List.hd (Config.fundamental_edges cfg) in
+  let fundamental = Weights.edges (Weights.all_weights cfg) in
+  let u, v = List.hd fundamental in
   let leaf =
     List.find (fun x -> x <> root && Rooted.is_leaf tree x) (List.init n Fun.id)
   in
@@ -268,7 +269,7 @@ let executed family =
         with
         | [] -> None
         | t :: _ -> Some (a, b, t))
-      (Config.fundamental_edges cfg)
+      fundamental
   in
   let values = Array.init n (fun x -> (x * 37) mod 101) in
   let slots =
