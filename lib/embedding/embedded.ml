@@ -26,7 +26,6 @@ let outer t = t.outer
 let name t = t.name
 
 let n t = Graph.n t.graph
-let m t = Graph.m t.graph
 
 let is_valid t =
   Rotation.is_planar_embedding t.graph t.rot
@@ -35,5 +34,3 @@ let is_valid t =
   | None -> true
   | Some c -> Array.length c = Graph.n t.graph
 
-let pp fmt t =
-  Fmt.pf fmt "%s(n=%d, m=%d)" t.name (n t) (m t)

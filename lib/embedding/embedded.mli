@@ -26,9 +26,6 @@ val outer : t -> int
 
 val name : t -> string
 val n : t -> int
-val m : t -> int
 
 val is_valid : t -> bool
 (** Euler-formula validation of the rotation system. *)
-
-val pp : Format.formatter -> t -> unit

@@ -18,7 +18,6 @@ type t = {
   pos_of_rank : int array; (* 2m: rotation index of the rank-th neighbour *)
 }
 
-let graph t = t.g
 let degree t v = Graph.degree t.g v
 let nth t v i = t.ord.(Graph.adj_offset t.g v + i)
 

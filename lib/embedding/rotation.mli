@@ -31,9 +31,6 @@ val induced : t -> sub:Graph.t -> new_of_old:int array -> old_of_new:int array -
     neighbour's sub-slot is the count of kept slots before its parent
     slot. *)
 
-val graph : t -> Graph.t
-(** The graph this rotation embeds. *)
-
 val order : t -> int -> int array
 (** Clockwise neighbour order of a vertex.  Allocates a fresh array —
     hot paths use {!nth}. *)

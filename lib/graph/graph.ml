@@ -331,5 +331,3 @@ let induced t keep =
   let new_of_old = Array.make t.n (-1) in
   let g_sub, old_of_new = induced_sorted t ~new_of_old ~members in
   (g_sub, new_of_old, old_of_new)
-
-let pp fmt t = Fmt.pf fmt "graph(n=%d, m=%d)" t.n t.m

@@ -96,5 +96,3 @@ val induced_members : ?scratch:Scratch.t -> t -> int array -> t * int array * in
     scratch buffer} and is valid until the next call on the same scratch,
     and the new-to-old map is the scratch's occupant until that call
     ([Scratch.acquire] only reads it); it stays valid after it. *)
-
-val pp : Format.formatter -> t -> unit

@@ -19,7 +19,6 @@ let create ~capacity () =
     evictions = 0;
   }
 
-let capacity t = t.cap
 let length t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses

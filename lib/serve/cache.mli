@@ -17,8 +17,6 @@ type 'a t
 val create : capacity:int -> unit -> 'a t
 (** An empty cache holding at most [max 1 capacity] entries. *)
 
-val capacity : 'a t -> int
-
 val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * bool
 (** [find_or_add t key compute] returns [(value, hit)].  On a hit the
     entry's recency is refreshed and [compute] is not run.  On a miss
@@ -29,7 +27,6 @@ val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * bool
 val mem : 'a t -> string -> bool
 (** Membership without touching recency or counters. *)
 
-val length : 'a t -> int
 val hits : 'a t -> int
 val misses : 'a t -> int
 val evictions : 'a t -> int

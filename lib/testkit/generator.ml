@@ -7,15 +7,6 @@ open Repro_tree
 
 type 'a t = Rng.t -> 'a
 
-let return x _ = x
-let map f g rng = f (g rng)
-let bind g f rng = f (g rng) rng
-let pair a b rng =
-  let x = a rng in
-  let y = b rng in
-  (x, y)
-
-let int_range lo hi rng = Rng.int_in_range rng ~lo ~hi
 let oneof xs rng = Rng.pick rng (Array.of_list xs)
 
 (* BFS trees are the shallow common case; bias toward DFS and random trees,
@@ -38,15 +29,6 @@ let spec ?(families = Instance.families) ~size rng =
     seed = Rng.int rng 100_000;
     spanning = spanning_kind rng;
   }
-
-(* Near-planar adversarial generators (the hostile counterpart of [spec]):
-   re-exported from Instance, where the builders live next to the other
-   testkit-only family constructions, so callers reach the whole
-   adversarial pool through this module. *)
-let hostile_families = Instance.hostile_families
-let planar_plus_chords = Instance.planar_plus_chords
-let corrupted_rotation = Instance.corrupted_rotation
-let disconnected_union = Instance.disconnected_union
 
 let connected_parts g ~parts rng =
   let n = Graph.n g in

@@ -269,5 +269,3 @@ let of_string s =
     | Some n, Some seed -> { family; n; seed; spanning = spanning_of_name sp }
     | _ -> failwith ("Instance.of_string: malformed spec " ^ s))
   | _ -> failwith ("Instance.of_string: malformed spec " ^ s)
-
-let pp fmt spec = Format.pp_print_string fmt (to_string spec)

@@ -77,5 +77,3 @@ val to_string : spec -> string
 
 val of_string : string -> spec
 (** Inverse of [to_string]; raises [Failure] on malformed input. *)
-
-val pp : Format.formatter -> spec -> unit

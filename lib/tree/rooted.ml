@@ -204,5 +204,3 @@ let edges t =
 let reroot ~rot t new_root =
   let tree = Repro_graph.Graph.of_edges ~n:(n t) (edges t) in
   build ~rot ~root:new_root (Repro_graph.Algo.bfs_parents tree new_root)
-
-let pp fmt t = Fmt.pf fmt "tree(n=%d, root=%d)" (n t) t.root

@@ -87,4 +87,3 @@ val reroot : rot:Rotation.t -> t -> int -> t
 (** Same tree edges, new root (RE-ROOT-PROBLEM, Lemma 19). *)
 
 val edges : t -> (int * int) list
-val pp : Format.formatter -> t -> unit

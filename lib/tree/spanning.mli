@@ -5,8 +5,6 @@
 open Repro_graph
 
 val bfs : Graph.t -> root:int -> int array
-val dfs : Graph.t -> root:int -> int array
-val random : Graph.t -> root:int -> seed:int -> int array
 
 val kruskal_bfs :
   int -> root:int -> ((int -> int -> unit) -> unit) -> int array * int array

@@ -23,9 +23,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val bits : t -> int
-(** 62 uniform random bits as a non-negative [int]. *)
-
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)
 
