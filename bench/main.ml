@@ -1523,8 +1523,11 @@ let e17 ~jobs ~short () =
   record_metrics "quality"
     (Repro_trace.Json.Obj (List.rev !quality_metrics));
   (* Part 2: the small-part fast path end to end.  The four builds of a
-     family run round-robin for [repeats] rounds, each after a full major
-     GC so that no build pays for the garbage of the one before it.  Each
+     family run round-robin, each after a full major GC so that no build
+     pays for the garbage of the one before it, for at least [min_rounds]
+     rounds and until the family's congest-only builds have spent
+     [min_congest_s] seconds: short builds get enough rounds that their
+     quartiles are not timer noise.  Each
      round's speedup divides that round's congest-only wall by its cutoff
      wall, so a ratio compares builds made moments apart.  The
      decomposition and the charged ledger are deterministic, only wall
@@ -1539,7 +1542,8 @@ let e17 ~jobs ~short () =
   in
   Table.set_align t2 0 Table.Left;
   let cutoffs = [| None; Some 64; Some 1024; Some 4096 |] in
-  let repeats = 5 in
+  let min_rounds = 5 and min_congest_s = 1.0 in
+  let round_counts = ref [] in
   List.iter
     (fun side ->
       List.iter
@@ -1579,7 +1583,18 @@ let e17 ~jobs ~short () =
               (Repro_trace.Trace.to_metrics tracer)
           end;
           (* runs.(r).(c): round r's build at cutoffs.(c). *)
-          let runs = Array.init repeats (fun _ -> Array.map build cutoffs) in
+          let rec take_rounds acc congest_s =
+            if List.length acc >= min_rounds && congest_s >= min_congest_s
+            then Array.of_list (List.rev acc)
+            else
+              let round = Array.map build cutoffs in
+              take_rounds (round :: acc) (congest_s +. snd round.(0))
+          in
+          let runs = take_rounds [] 0.0 in
+          let repeats = Array.length runs in
+          round_counts :=
+            Printf.sprintf "%s %s: %d" family (Table.fmt_int n) repeats
+            :: !round_counts;
           Array.iteri
             (fun c cutoff ->
               let wall r = snd runs.(r).(c) in
@@ -1609,9 +1624,12 @@ let e17 ~jobs ~short () =
         ])
     sides;
   output t2;
-  pf "(wall = median over %d round-robin rounds of the four builds; speedup =\n"
-    repeats;
-  pf " congest-only wall / cutoff wall within a round, median (quartiles)\n";
+  pf "(wall = median over round-robin rounds of the four builds: at least %d,\n"
+    min_rounds;
+  pf " and until a family's congest-only builds spent %.0f s in all; rounds\n"
+    min_congest_s;
+  pf " taken: %s;\n" (String.concat ", " (List.rev !round_counts));
+  pf " speedup = congest-only wall / cutoff wall within a round, median (quartiles)\n";
   pf " over the rounds; the charged-rounds column shows the price of the fast\n";
   pf " path in the model: each dispatched part pays its O(part) backend-collect)\n"
 
