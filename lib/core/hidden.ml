@@ -25,15 +25,18 @@ let subtree_part_in_face cfg ~e:(u, v) ~f:(a, b) =
          done;
          !ok)
 
-(* Does the real fundamental edge (a, b) hide node [t] in F_e
+(* Does the table's edge [i], (a, b), hide node [t] in F_e
    (Definition 4)? *)
-let hides cfg ~e:(u, v) ~t (a, b) =
-  (a, b) <> (u, v)
-  && Faces.edge_in_face cfg ~e:(u, v) ~f:(a, b)
+let hides cfg (ws : Weights.t) ~e:((u, v) as e) ~t i =
+  let a = ws.u.(i) and b = ws.v.(i) in
+  (a <> u || b <> v)
+  &&
+  let f = (a, b) in
+  Faces.edge_in_face cfg ~e ~f
   && Faces.is_inside cfg ~u:a ~v:b t
   &&
   if a <> u && b <> u then true (* condition 1 *)
-  else not (subtree_part_in_face cfg ~e:(u, v) ~f:(a, b)) (* condition 2 *)
+  else not (subtree_part_in_face cfg ~e ~f) (* condition 2 *)
 
 let edge (ws : Weights.t) i = (ws.u.(i), ws.v.(i))
 
@@ -41,7 +44,7 @@ let edge (ws : Weights.t) i = (ws.u.(i), ws.v.(i))
 let hiding cfg ws ~e ~t =
   let acc = ref [] in
   for i = Array.length ws.Weights.w - 1 downto 0 do
-    if hides cfg ~e ~t (edge ws i) then acc := i :: !acc
+    if hides cfg ws ~e ~t i then acc := i :: !acc
   done;
   !acc
 
@@ -49,7 +52,7 @@ let hiding_edges cfg ws ~e ~t = List.map (edge ws) (hiding cfg ws ~e ~t)
 
 let is_hidden cfg ws ~e ~t =
   let k = Array.length ws.Weights.w in
-  let rec from i = i < k && (hides cfg ~e ~t (edge ws i) || from (i + 1)) in
+  let rec from i = i < k && (hides cfg ws ~e ~t i || from (i + 1)) in
   from 0
 
 (* The hiding edge not contained in any other hiding edge (NOT-CONTAINED,
