@@ -560,7 +560,7 @@ let run_faces (inst : Instance.t) =
       ck ctx "detect-face border = centralized border path"
         (fm.Composed.border = as_marks border_ref);
       (* The separator's host-side face machinery: the local interior rule
-         and the prefix-sum p-terms against their ground truths. *)
+         and the row-interval p-terms against their ground truths. *)
       ck ctx
         (Printf.sprintf "local interior(%d,%d) = centralized face traversal" u v)
         (List.sort compare (Faces.interior inst.config ~u ~v)
